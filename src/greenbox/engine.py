@@ -35,7 +35,10 @@ class FiniteSemigroup:
     ``table[i][j]`` is the index of the product of elements i and j.
     ``unary`` is an optional involution-style unary operation (element
     index array).  ``generators`` must genuinely generate: the Cayley-graph
-    Green computation relies on it.
+    Green computation relies on it.  The constructor checks this in
+    O(n·|A|) lookups for |A| declared generators, following right Cayley
+    edges only; that relies on associativity, which ``parse_table``
+    verifies for hand-entered tables.
     """
 
     def __init__(self, table: Sequence[Sequence[int]], *,
@@ -46,7 +49,7 @@ class FiniteSemigroup:
         self.table = [list(row) for row in table]
         n = len(self.table)
         for row in self.table:
-            if len(row) != n or any(not (0 <= x < n) for x in row):
+            if len(row) != n or min(row) < 0 or max(row) >= n:
                 raise ValueError("table is not a square matrix of element indices")
         self.keys = list(keys) if keys is not None else list(range(n))
         self.names = [str(x) for x in (names if names is not None else self.keys)]
@@ -71,11 +74,6 @@ class FiniteSemigroup:
     def mult(self, i: int, j: int) -> int:
         return self.table[i][j]
 
-    def unary_of(self, i: int) -> int:
-        if self.unary is None:
-            raise ValueError("no unary operation on this semigroup")
-        return self.unary[i]
-
     def idempotents(self) -> list:
         return [i for i in range(len(self)) if self.table[i][i] == i]
 
@@ -98,19 +96,22 @@ class FiniteSemigroup:
         return f"FiniteSemigroup(n={len(self)}, generators={self.generators})"
 
 
-def _closure(table, seed) -> set:
-    """Subsemigroup generated by the seed indices."""
-    closed = set(seed)
-    frontier = list(closed)
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for y in list(closed):
-                for z in (table[x][y], table[y][x]):
-                    if z not in closed:
-                        closed.add(z)
-                        fresh.append(z)
-        frontier = fresh
+def _closure(table, gens) -> set:
+    """Subsemigroup generated by ``gens``, as the set of generator words.
+
+    Breadth-first search along right multiplication by the generators:
+    O(n·|A|) lookups.  In an associative table the words are closed under
+    every product, so no pair of found elements needs multiplying.
+    """
+    closed = set(gens)
+    queue = list(closed)
+    for x in queue:
+        row = table[x]
+        for g in gens:
+            z = row[g]
+            if z not in closed:
+                closed.add(z)
+                queue.append(z)
     return closed
 
 
@@ -320,22 +321,66 @@ def enumerate_oracle(oracle: Oracle, generators: Sequence, *,
     return table_from_ball(ball)
 
 
+def cayley_table(right: Sequence[Sequence[int]], gens: Sequence[int]) -> list:
+    """Full multiplication table from the right Cayley graph.
+
+    ``right[x][a]`` is the index of x times generator a, and ``gens[a]`` is
+    that generator's own index.  Columns are visited breadth-first from the
+    generator columns, so each later column y is reached as p·g with p
+    visited before it; by associativity x·y = (x·p)·g, one lookup per cell.
+    Columns that no generator word reaches stay None for the caller to fill.
+    """
+    n = len(right)
+    seen = [False] * n
+    first, queue, later = [], [], []
+    for a, g in enumerate(gens):
+        if not seen[g]:
+            seen[g] = True
+            first.append((g, a))
+            queue.append(g)
+    for p in queue:
+        for a, y in enumerate(right[p]):
+            if not seen[y]:
+                seen[y] = True
+                queue.append(y)
+                later.append((y, p, a))
+    table = []
+    for rx in right:
+        row = [None] * n
+        for g, a in first:
+            row[g] = rx[a]
+        for y, p, a in later:
+            row[y] = right[row[p]][a]
+        table.append(row)
+    return table
+
+
 def table_from_ball(ball: BallEnumeration) -> FiniteSemigroup:
+    """Multiplication table of a closed ball.
+
+    The right Cayley graph takes n·|A| oracle calls, and ``cayley_table``
+    fills every other cell from it.  Only the columns of seeds that no
+    generator word reaches are multiplied out by the oracle.
+    """
     if not ball.closed:
         raise ValueError("ball is not closed")
     oracle = ball.oracle
     key = oracle.key
-    n = len(ball.elements)
-    table = []
-    for x in ball.elements:
-        row = []
-        for y in ball.elements:
-            k = key(oracle.mult(x, y))
-            if k not in ball.index:
-                raise OracleError(
-                    f"product key {k!r} not in the closed element set")
-            row.append(ball.index[k])
-        table.append(row)
+
+    def product_index(x, y) -> int:
+        k = key(oracle.mult(x, y))
+        if k not in ball.index:
+            raise OracleError(
+                f"product key {k!r} not in the closed element set")
+        return ball.index[k]
+
+    right = [[product_index(x, g) for g in ball.generators]
+             for x in ball.elements]
+    gens = [ball.index[key(g)] for g in ball.generators]
+    table = cayley_table(right, gens)
+    for y in [y for y, cell in enumerate(table[0]) if cell is None]:
+        for x, row in zip(ball.elements, table):
+            row[y] = product_index(x, ball.elements[y])
     unary = None
     if oracle.unary is not None:
         unary = []
@@ -344,7 +389,7 @@ def table_from_ball(ball: BallEnumeration) -> FiniteSemigroup:
             if k not in ball.index:
                 raise OracleError(f"unary image key {k!r} not enumerated")
             unary.append(ball.index[k])
-    gen_idx = {ball.index[key(g)] for g in ball.generators}
+    gen_idx = set(gens)
     gen_idx.update(ball.index[key(s)] for s in ball.seeds)
     names = [oracle.name(e) for e in ball.elements]
     return FiniteSemigroup(table, names=names,
@@ -829,10 +874,6 @@ class WitnessedGreen:
     classes: list
     apparently_infinite: bool
     certified: bool
-
-
-def _mult_key(ball: BallEnumeration, x, y):
-    return ball.oracle.key(ball.oracle.mult(x, y))
 
 
 def witnessed_green(ball: BallEnumeration, relation: str,

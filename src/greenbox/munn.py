@@ -262,9 +262,6 @@ class FisTriple:
     def span(self) -> int:
         return self.r + self.s
 
-    def is_idempotent(self) -> bool:
-        return self.t == 0
-
     def multiply(self, other: "FisTriple") -> "FisTriple":
         # Interval of the product: graft other's interval at t.
         r = max(self.r, other.r - self.t)

@@ -102,13 +102,6 @@ def is_reduced(w: Word) -> bool:
     return all(w[i] != -w[i + 1] for i in range(len(w) - 1))
 
 
-def concat(*ws: Word) -> Word:
-    out: tuple = ()
-    for w in ws:
-        out = out + tuple(w)
-    return out
-
-
 def parse_word(text: str, alphabet: Optional[Alphabet] = None, *,
                add_letters: Optional[bool] = None) -> Word:
     """Parse word text.

@@ -12,8 +12,8 @@ import random
 from typing import Optional, Sequence
 
 from .engine import (BallEnumeration, BudgetError, FiniteSemigroup, Oracle,
-                     adjoin_identity, ball_enumerate, direct_product,
-                     enumerate_oracle)
+                     adjoin_identity, ball_enumerate, cayley_table,
+                     direct_product, enumerate_oracle)
 from .munn import FisTriple
 
 # ---------------------------------------------------------------------------
@@ -451,7 +451,10 @@ def mn_table(n: int) -> FiniteSemigroup:
 
     An element lies in the collapsed ideal exactly when its span reaches n:
     the generator of the ideal has span n and left or right multiplication
-    never shrinks the span.
+    never shrinks the span.  Elements are ordered by (span, r, t), zero
+    last.  Only the right Cayley graph, two triple products per nonzero
+    element, is multiplied out; ``cayley_table`` fills the rest of the
+    table from it.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -463,16 +466,18 @@ def mn_table(n: int) -> FiniteSemigroup:
     elems: list = list(triples) + ["0"]
     pos = {e: i for i, e in enumerate(elems)}
     zero = pos["0"]
-    m = len(elems)
-    table = [[zero] * m for _ in range(m)]
-    for i, x in enumerate(triples):
-        for j, y in enumerate(triples):
-            z = x.multiply(y)
-            if z.span < n:
-                table[i][j] = pos[z]
+    letters = [FisTriple(0, 1, 1), FisTriple(1, 0, -1)]
+
+    def times(x: FisTriple, g: FisTriple) -> int:
+        z = x.multiply(g)
+        return pos[z] if z.span < n else zero
+
+    right = [[times(x, g) for g in letters] for x in triples]
+    right.append([zero, zero])
+    gens = [pos[g] for g in letters]
+    table = cayley_table(right, gens)
     unary = [pos[x.inverse()] for x in triples] + [zero]
     names = [f"({x.r},{x.s},{x.t})" for x in triples] + ["0"]
-    gens = [pos[FisTriple(0, 1, 1)], pos[FisTriple(1, 0, -1)]]
     return FiniteSemigroup(table, names=names, keys=elems, unary=unary,
                            generators=gens)
 

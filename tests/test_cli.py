@@ -2,7 +2,7 @@ import json
 import os
 
 from greenbox import zoo
-from greenbox.cli import main
+from greenbox.cli import console_main, main
 from greenbox.engine import format_table
 
 
@@ -232,9 +232,24 @@ def test_vmaps_idempotents_subcommand(capsys):
 
 
 def test_console_script_entry_point():
+    import importlib
+    import re
     import subprocess
-    result = subprocess.run(["greenbox", "table", "b2"],
-                            capture_output=True, text=True)
+    import sys
+    from pathlib import Path
+
+    import greenbox
+    root = Path(__file__).resolve().parents[1]
+    scripts = (root / "pyproject.toml").read_text().split("[project.scripts]")[1]
+    target = re.search(r'^greenbox\s*=\s*"([^"]+)"', scripts, re.M).group(1)
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is console_main
+    # Run the package the tests import, wherever it was installed from.
+    src = str(Path(greenbox.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-m", "greenbox", "table", "b2"],
+                            capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert "H=5 L=3 R=3 D=2 J=2" in result.stdout
 

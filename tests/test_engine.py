@@ -1,8 +1,11 @@
+import random
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from greenbox import zoo
 from greenbox.engine import (BallEnumeration, BudgetError, FiniteSemigroup,
-                             Oracle, adjoin_identity, adjoin_zero,
+                             Oracle, _closure, adjoin_identity, adjoin_zero,
                              ball_enumerate, direct_product, eggbox,
                              enumerate_oracle, format_table,
                              green_definitional, green_scc, iso_tables,
@@ -60,6 +63,110 @@ def test_enumeration_order_is_breadth_first_deterministic():
     assert ball.elements[0] == (0, 0)
     assert ball.elements[1:3] == [(1, 0), (0, 1)]
     assert ball.lengths == sorted(ball.lengths)
+
+
+# table fill: the Cayley-graph fill against one oracle product per cell
+
+
+def oracle_table(ball):
+    """Reference fill of a closed ball: n² oracle products."""
+    oracle, key, index = ball.oracle, ball.oracle.key, ball.index
+    table = [[index[key(oracle.mult(x, y))] for y in ball.elements]
+             for x in ball.elements]
+    unary = None
+    if oracle.unary is not None:
+        unary = [index[key(oracle.unary(x))] for x in ball.elements]
+    gens = {index[key(e)] for e in list(ball.generators) + list(ball.seeds)}
+    return FiniteSemigroup(table, names=[oracle.name(e) for e in ball.elements],
+                           keys=[key(e) for e in ball.elements],
+                           unary=unary, generators=gens)
+
+
+def assert_fill_matches_reference(fs, ball):
+    assert ball.closed
+    ref = oracle_table(ball)
+    assert fs.table == ref.table
+    assert fs.unary == ref.unary
+    assert fs.names == ref.names
+    assert fs.keys == ref.keys
+    assert fs.generators == ref.generators
+
+
+def closed_ball(oracle, generators, seeds=()):
+    return ball_enumerate(oracle, generators, 10 ** 6, seeds=seeds)
+
+
+def test_fill_matches_reference_on_report_closures():
+    for s in range(25):
+        rng = random.Random(s)
+        maps = [tuple(rng.randrange(4) for _ in range(4)) for _ in range(2)]
+        fs = zoo.random_transformation_semigroup(4, s, 2)
+        assert_fill_matches_reference(
+            fs, closed_ball(zoo.transformation_oracle(4), maps))
+
+
+def test_fill_matches_reference_on_full_t4():
+    ball = closed_ball(zoo.transformation_oracle(4),
+                       [(1, 2, 3, 0), (1, 0, 2, 3), (0, 0, 2, 3)])
+    assert len(ball) == 256
+    assert_fill_matches_reference(table_from_ball(ball), ball)
+
+
+def test_fill_matches_reference_on_seeded_monogenic():
+    # The seed 0 is no generator word: its column comes from the oracle.
+    ball = closed_ball(Oracle(lambda i, j: min(i + j, 3)), [1], seeds=[0])
+    assert_fill_matches_reference(table_from_ball(ball), ball)
+
+
+def test_fill_matches_reference_on_b2_oracle():
+    ball = closed_ball(matrix_unit_oracle(), [(1, 2), (2, 1)])
+    assert_fill_matches_reference(table_from_ball(ball), ball)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(*[st.integers(0, n - 1)] * n), min_size=1, max_size=3),
+    st.booleans())))
+@example((3, [(1, 2, 0), (1, 2, 0), (0, 0, 1)], True))
+def test_fill_matches_reference_on_random_generators(case):
+    n, maps, seed_identity = case
+    seeds = [tuple(range(n))] if seed_identity else []
+    ball = closed_ball(zoo.transformation_oracle(n), maps, seeds)
+    assert_fill_matches_reference(table_from_ball(ball), ball)
+
+
+def all_pairs_closure(table, seed):
+    """Reference closure: every found element times every other, both sides."""
+    closed = set(seed)
+    frontier = list(closed)
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for y in list(closed):
+                for z in (table[x][y], table[y][x]):
+                    if z not in closed:
+                        closed.add(z)
+                        fresh.append(z)
+        frontier = fresh
+    return closed
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 4), st.integers(0, 10 ** 6), st.integers(1, 3), st.data())
+def test_closure_matches_all_pairs_reference(points, seed, k, data):
+    table = zoo.random_transformation_semigroup(points, seed, k).table
+    n = len(table)
+    gens = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                    max_size=min(n, 4))))
+    expected = all_pairs_closure(table, gens)
+    assert _closure(table, gens) == expected
+    missed = n - len(expected)
+    if missed:
+        with pytest.raises(ValueError, match=rf"miss {missed} element\(s\)"):
+            FiniteSemigroup(table, generators=gens)
+    else:
+        assert FiniteSemigroup(table, generators=gens).generators == gens
 
 
 # Green's relations, both ways
@@ -395,6 +502,12 @@ def test_rees_quotient_realizes_m2_from_m3():
     assert len(q) == 5
     ok, _ = iso_tables(q, zoo.b2())
     assert ok
+
+
+def test_constructor_rejects_out_of_range_cells():
+    for table in ([[0, 2], [1, 0]], [[0, -1], [1, 0]], [[0, 1], [1]]):
+        with pytest.raises(ValueError, match="square matrix"):
+            FiniteSemigroup(table)
 
 
 def test_non_generating_set_rejected():

@@ -278,6 +278,22 @@ def test_mn_sizes():
         assert len(zoo.mn_table(n)) == zoo.mn_size(n) == zoo.mn_size_brute(n)
 
 
+def test_mn_table_matches_direct_products():
+    # Reference: all m² triple products, against the Cayley-graph fill.
+    for n in range(2, 10):
+        fs = zoo.mn_table(n)
+        pos = {k: i for i, k in enumerate(fs.keys)}
+        zero = pos["0"]
+
+        def product(x, y):
+            if x == "0" or y == "0":
+                return zero
+            z = x.multiply(y)
+            return pos[z] if z.span < n else zero
+
+        assert fs.table == [[product(x, y) for y in fs.keys] for x in fs.keys]
+
+
 def test_m2_isomorphic_to_b2():
     ok, _ = iso_tables(zoo.mn_table(2), zoo.b2())
     assert ok
