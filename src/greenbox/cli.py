@@ -43,16 +43,16 @@ def cmd_green(args) -> int:
     obj = _load_structure(args.spec, args.file)
     if isinstance(obj, engine.FiniteSemigroup):
         return cmd_table(args)
-    if isinstance(obj, zoo.PWindow):
-        for relation in (args.relation.upper(),) if args.relation else ("L", "R"):
+    window = isinstance(obj, zoo.PWindow)
+    default = "LR" if window else "LRD"
+    for relation in args.relation.upper() if args.relation else default:
+        if window:
             count = zoo.p_window_green_counts(obj.n, relation,
                                               margin=args.margin)
             print(f"witnessed {relation}-classes on window "
                   f"[-{obj.n},{obj.n}]: {count} (margin {args.margin}, "
                   "window-verified, not certified)")
-        return 0
-    relations = [args.relation.upper()] if args.relation else ["L", "R", "D"]
-    for relation in relations:
+            continue
         wg = engine.witnessed_green(obj, relation, margin=args.margin)
         counts = " ".join(f"{r}:{c}" for r, c in
                           sorted(wg.counts_by_radius.items()))

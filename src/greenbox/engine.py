@@ -5,13 +5,17 @@ computes Green's relations by two independent methods (strong connectivity
 on Cayley graphs, and direct principal-ideal comparison), and provides the
 standard constructions: direct products, Rees quotients, adjoined identity
 and zero, table isomorphism, eggbox pictures, and bounded "witnessed"
-Green analysis for semigroups that do not close within budget.
+Green analysis for balls and windows of semigroups that do not close
+within budget.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterable, Optional, Sequence
 
 RELATIONS = ("H", "L", "R", "D", "J")
@@ -162,6 +166,10 @@ def verify_associative(table, *, sample: int = 100_000, seed: int = 0,
 # enumeration from an oracle
 
 
+def _identity(e):
+    return e
+
+
 class Oracle:
     """Behavioral element interface for enumeration.
 
@@ -174,7 +182,7 @@ class Oracle:
                  unary: Optional[Callable] = None,
                  name: Optional[Callable] = None):
         self.mult = mult
-        self.key = key if key is not None else (lambda e: e)
+        self.key = key if key is not None else _identity
         self.unary = unary
         self.name = name if name is not None else (lambda e: str(e))
 
@@ -236,9 +244,11 @@ def ball_enumerate(oracle: Oracle, generators: Sequence, radius: int,
 
     def push(e, word, length) -> bool:
         k = key(e)
-        if k in index:
-            stored = elements[index[k]]
-            if stored != e:
+        i = index.get(k)
+        if i is not None:
+            # Under the identity key, equal keys already mean equal elements.
+            stored = elements[i]
+            if key is not _identity and stored != e:
                 # Key collision across structurally distinct elements: spot
                 # check multiplication behavior before trusting the key.
                 for g in generators:
@@ -856,7 +866,7 @@ def iso_tables(fs1: FiniteSemigroup, fs2: FiniteSemigroup,
 
 
 # ---------------------------------------------------------------------------
-# witnessed Green analysis on balls
+# witnessed Green analysis
 
 
 @dataclass
@@ -876,195 +886,216 @@ class WitnessedGreen:
     certified: bool
 
 
+def check_margin(margin: int) -> None:
+    """Witness multipliers reach ``margin`` times as far as the elements."""
+    if margin < 1:
+        raise ValueError("margin must be >= 1")
+
+
+_NEVER = 0xFFFF     # hit-row entry of a source that no multiplier reaches
+MAX_ROW_CELLS = 10_000_000      # sources squared; each cell takes two bytes
+
+
+def witnessed_partition(oracle: Oracle, elements: Sequence, pool: Sequence,
+                        relation: str, radius: int) -> tuple:
+    """Witnessed Green classes of ``elements`` at each radius 1..``radius``.
+
+    ``elements`` holds (element, radius at which it enters) pairs; ``pool``
+    holds (multiplier, radius from which it may be used) pairs in
+    nondecreasing radius order and contains every element.  At radius k,
+    two present elements are directly related when multipliers usable at k
+    carry each to the other: u·x for L, x·u for R, both for H, and u·x·v
+    with u, v optional for J; D joins L and R over the pool usable at k.
+    Classes are the union-find closure.
+
+    The sources are the elements, or the whole pool for D.  One scan of the
+    pool per source and side records the lowest radius at which it hits
+    each source; mutual pairs become edges tagged with the radius at which
+    both directions and both endpoints are present, and one sweep over the
+    sorted edges answers every radius.  Returns the counts by radius and
+    the dense labels of the elements present at ``radius``.  More than
+    ``MAX_ROW_CELLS`` source pairs raise BudgetError before any product.
+    """
+    relation = relation.upper()
+    if relation not in RELATIONS:
+        raise ValueError(f"unknown relation {relation!r}")
+    mult, key = oracle.mult, oracle.key
+    if relation == "D":
+        sources = pool
+        index = {key(u): p for p, (u, _) in enumerate(pool)}
+        node = [index[key(e)] for e, _ in elements]
+    else:
+        sources = elements
+        index = {key(e): i for i, (e, _) in enumerate(elements)}
+        node = range(len(elements))
+    n = len(sources)
+    if n * n > MAX_ROW_CELLS:
+        raise BudgetError(f"witnessed analysis needs {n * n} hit-row cells, "
+                          f"over the budget of {MAX_ROW_CELLS}")
+    us = [u for u, _ in pool]
+    usable = [r for _, r in pool]
+    optional = [0] + usable         # the absent multiplier, then the pool
+    reach: dict = {}                # J: key of w -> first hits of w, u·w
+
+    def first_hits(products, radii) -> array:
+        """Per source, the lowest of ``radii`` at which ``products``, taken
+        in order, hit it."""
+        if key is not _identity:
+            products = map(key, products)
+        hits = list(map(index.get, products, repeat(n)))
+        row = array("H", [_NEVER]) * (n + 1)
+        # Written last to first, so the first and lowest-radius hit of each
+        # source stays; misses land in the extra cell n, dropped after.
+        deque(map(row.__setitem__, reversed(hits), reversed(radii)), maxlen=0)
+        row.pop()
+        return row
+
+    def hit_row(x, side: str) -> array:
+        """Per source, the lowest radius at which pool multipliers carry x
+        to it: u·x for side L, x·u for R, u·x·v, u and v optional, for J."""
+        if side == "L":
+            return first_hits(map(mult, us, repeat(x)), usable)
+        if side == "R":
+            return first_hits(map(mult, repeat(x), us), usable)
+        row = array("H", [_NEVER]) * n
+        # w and u·w for each w = x·v, no earlier than the radius rv of v;
+        # x itself comes first, at radius 0.  Sources share most of their
+        # w, so the hits of each w are kept across sources.
+        for w, rv in zip([x] + [mult(x, v) for v in us], optional):
+            kw = key(w)
+            if kw not in reach:
+                reach[kw] = first_hits([w] + [mult(u, w) for u in us],
+                                       optional)
+            row = array("H", map(min, row, map(max, reach[kw], repeat(rv))))
+        return row
+
+    # An edge needs both directions; D joins L and R, so either side's
+    # edge counts, while H needs both sides.
+    tags = None
+    for side in "LR" if relation in "HD" else relation:
+        rows = [hit_row(x, side) for x, _ in sources]
+        mutual = [array("H", map(max, row, col))
+                  for row, col in zip(rows, zip(*rows))]
+        tags = mutual if tags is None else [
+            array("H", map(min if relation == "D" else max, t, m))
+            for t, m in zip(tags, mutual)]
+    enter = [r for _, r in sources]
+    present = [r for _, r in elements]
+    edges = sorted((max(t, enter[a], enter[b]), a, b)
+                   for a, row in enumerate(tags)
+                   for b, t in enumerate(row[a + 1:], a + 1) if t != _NEVER)
+    uf = _UnionFind(n)
+    counts = {}
+    done = 0
+    for k in range(1, radius + 1):
+        while done < len(edges) and edges[done][0] <= k:
+            uf.union(edges[done][1], edges[done][2])
+            done += 1
+        counts[k] = len({uf.find(v) for v, r in zip(node, present) if r <= k})
+    labels = _dense([uf.find(v) for v, r in zip(node, present) if r <= radius])
+    return counts, labels
+
+
 def witnessed_green(ball: BallEnumeration, relation: str,
                     margin: int = 3) -> WitnessedGreen:
     """Per-radius witnessed class counts for one Green relation.
 
-    Multiplier witnesses for radius k are drawn from the ball of radius
-    k * margin.  "Apparently infinite" means three consecutive strict
-    count increases, a labeled heuristic, never a certificate.
+    The ball adapter of ``witnessed_partition``.  An element enters at its
+    word length (at least 1), and a multiplier of length l from the ball of
+    radius ``ball.radius * margin`` is usable from radius ceil(l / margin).
+    "Apparently infinite" means three consecutive strict count increases,
+    a labeled heuristic, never a certificate.
     """
-    if margin < 1:
-        raise ValueError("margin must be >= 1")
-    relation = relation.upper()
-    if relation not in RELATIONS:
-        raise ValueError(f"unknown relation {relation!r}")
+    check_margin(margin)
     ext = ball.extend(ball.radius * margin)
-    counts = {}
-    classes_final: list = []
-    for radius in range(1, ball.radius + 1):
-        sub = [i for i in range(len(ball)) if ball.lengths[i] <= radius]
-        ext_elems = [ext.elements[i] for i in range(len(ext))
-                     if ext.lengths[i] <= radius * margin]
-        labels = _witnessed_partition(ball, sub, ext_elems, relation)
-        counts[radius] = len(set(labels))
-        if radius == ball.radius:
-            classes_final = labels
+    counts, classes = witnessed_partition(
+        ball.oracle,
+        [(e, max(n, 1)) for e, n in zip(ball.elements, ball.lengths)],
+        [(u, -(-n // margin)) for u, n in zip(ext.elements, ext.lengths)],
+        relation, ball.radius)
     radii = sorted(counts)
     increases = [counts[radii[i]] < counts[radii[i + 1]]
                  for i in range(len(radii) - 1)]
-    apparently_infinite = any(
-        all(increases[i + k] for k in range(3))
-        for i in range(len(increases) - 2))
-    return WitnessedGreen(relation=relation, margin=margin,
-                          counts_by_radius=counts, classes=classes_final,
+    apparently_infinite = any(all(increases[i:i + 3])
+                              for i in range(len(increases) - 2))
+    return WitnessedGreen(relation=relation.upper(), margin=margin,
+                          counts_by_radius=counts, classes=classes,
                           apparently_infinite=apparently_infinite,
                           certified=ball.closed)
 
 
-def _witnessed_partition(ball: BallEnumeration, sub: list, multipliers: list,
-                         relation: str) -> list:
-    """Union-find closure of witnessed related pairs among ``sub``."""
-    oracle = ball.oracle
-    key = oracle.key
-    sub_keys = [key(ball.elements[i]) for i in sub]
-    uf = _UnionFind(len(sub))
+def find_witnesses(oracle: Oracle, x, y, relation: str,
+                   pool: Sequence) -> Optional[dict]:
+    """Explicit witnesses that x and y are related, or None.
 
-    def reach_sets(left: bool) -> list:
-        out = []
-        for i in sub:
-            e = ball.elements[i]
-            acc = {key(e)}
-            for u in multipliers:
-                z = oracle.mult(u, e) if left else oracle.mult(e, u)
-                acc.add(key(z))
-            out.append(acc)
-        return out
+    ``pool`` holds (multiplier, label) pairs, searched in order; the search
+    stops at the first witness.  A one-sided witness is ("identity",) or a
+    pool pair (u, label) with u·a = b (u on the right for R).  For D the
+    result names the intermediate element (``via``, ``via_word``) with its
+    L-witness to x and R-witness to y; for J a witness is (u, v) with
+    u·a·v = b, either multiplier possibly None.
+    """
+    relation = relation.upper()
+    mult, key = oracle.mult, oracle.key
 
-    def relate(reach: list) -> None:
-        for i in range(len(sub)):
-            for j in range(i + 1, len(sub)):
-                if sub_keys[j] in reach[i] and sub_keys[i] in reach[j]:
-                    uf.union(i, j)
+    def one_sided(a, b, left: bool):
+        kb = key(b)
+        if key(a) == kb:
+            return ("identity",)
+        for u, label in pool:
+            if key(mult(u, a) if left else mult(a, u)) == kb:
+                return (u, label)
+        return None
 
-    if relation == "L":
-        relate(reach_sets(left=True))
-    elif relation == "R":
-        relate(reach_sets(left=False))
-    elif relation == "H":
-        left = reach_sets(left=True)
-        right = reach_sets(left=False)
-        for i in range(len(sub)):
-            for j in range(i + 1, len(sub)):
-                if (sub_keys[j] in left[i] and sub_keys[i] in left[j]
-                        and sub_keys[j] in right[i] and sub_keys[i] in right[j]):
-                    uf.union(i, j)
-    elif relation == "D":
-        # Join of witnessed L and R over the extended ball, restricted to sub.
-        lab = _join_witnessed_lr(ball, multipliers)
-        labels = [lab[key(ball.elements[i])] for i in sub]
-        return _dense(labels)
-    elif relation == "J":
-        # Mutual membership of u x v forms, u and v optional multipliers.
-        reach = []
-        for i in sub:
-            e = ball.elements[i]
-            rights = [e] + [oracle.mult(e, v) for v in multipliers]
-            acc = set()
-            for w in rights:
-                acc.add(key(w))
-                for u in multipliers:
-                    acc.add(key(oracle.mult(u, w)))
-            reach.append(acc)
-        for i in range(len(sub)):
-            for j in range(i + 1, len(sub)):
-                if sub_keys[j] in reach[i] and sub_keys[i] in reach[j]:
-                    uf.union(i, j)
-    return _dense(uf.labels())
+    def two_sided(a, b):
+        kb = key(b)
+        if key(a) == kb:
+            return ("identity",)
+        for u in [None] + [u for u, _ in pool]:
+            ua = a if u is None else mult(u, a)
+            if key(ua) == kb:
+                return (u, None)
+            for v, _ in pool:
+                if key(mult(ua, v)) == kb:
+                    return (u, v)
+        return None
 
+    def mutual(search, a, b, *side):
+        fwd, bwd = search(a, b, *side), search(b, a, *side)
+        if fwd is not None and bwd is not None:
+            return {"u": fwd, "v": bwd}
+        return None
 
-def _join_witnessed_lr(ball: BallEnumeration, multipliers: list) -> dict:
-    oracle = ball.oracle
-    key = oracle.key
-    elems = multipliers
-    keys = [key(e) for e in elems]
-    uf = _UnionFind(len(elems))
-    for left in (True, False):
-        reach = []
-        for e in elems:
-            acc = {key(e)}
-            for u in elems:
-                z = oracle.mult(u, e) if left else oracle.mult(e, u)
-                acc.add(key(z))
-            reach.append(acc)
-        for i in range(len(elems)):
-            for j in range(i + 1, len(elems)):
-                if keys[j] in reach[i] and keys[i] in reach[j]:
-                    uf.union(i, j)
-    labels = uf.labels()
-    return {keys[i]: labels[i] for i in range(len(elems))}
+    if relation in ("L", "R"):
+        return mutual(one_sided, x, y, relation == "L")
+    if relation == "H":
+        lw = mutual(one_sided, x, y, True)
+        rw = mutual(one_sided, x, y, False)
+        return {"L": lw, "R": rw} if lw and rw else None
+    if relation == "D":
+        for c, label in pool:
+            lw = mutual(one_sided, x, c, True)
+            rw = lw and mutual(one_sided, c, y, False)
+            if rw:
+                return {"via": c, "via_word": label, "L": lw, "R": rw}
+        return None
+    if relation == "J":
+        return mutual(two_sided, x, y)
+    raise ValueError(f"unknown relation {relation!r}")
 
 
 def witnessed_related(ball: BallEnumeration, x, y, relation: str,
                       margin: int = 3) -> Optional[dict]:
-    """Explicit witnesses that x and y are related, or None if none found
-    within the margin.  For D, returns the intermediate element c together
-    with both witness pairs."""
-    relation = relation.upper()
-    oracle = ball.oracle
-    key = oracle.key
+    """Explicit witnesses that x and y are related in the ball, or None.
+
+    The ball adapter of ``find_witnesses`` at the ball's radius: the
+    multipliers are the elements usable there, those of length l with
+    ceil(l / margin) <= ``ball.radius``, each labelled by its shortest word.
+    """
+    check_margin(margin)
     ext = ball.extend(ball.radius * margin)
-
-    def one_sided(a, b, left: bool):
-        if key(a) == key(b):
-            return ("identity",)
-        for i, u in enumerate(ext.elements):
-            z = oracle.mult(u, a) if left else oracle.mult(a, u)
-            if key(z) == key(b):
-                return (u, ext.words[i])
-        return None
-
-    def l_witness(a, b):
-        fwd = one_sided(a, b, True)
-        bwd = one_sided(b, a, True)
-        if fwd is not None and bwd is not None:
-            return {"u": fwd, "v": bwd}
-        return None
-
-    def r_witness(a, b):
-        fwd = one_sided(a, b, False)
-        bwd = one_sided(b, a, False)
-        if fwd is not None and bwd is not None:
-            return {"u": fwd, "v": bwd}
-        return None
-
-    if relation == "L":
-        return l_witness(x, y)
-    if relation == "R":
-        return r_witness(x, y)
-    if relation == "H":
-        lw = l_witness(x, y)
-        rw = r_witness(x, y)
-        if lw and rw:
-            return {"L": lw, "R": rw}
-        return None
-    if relation == "D":
-        for i, c in enumerate(ext.elements):
-            lw = l_witness(x, c)
-            if lw is None:
-                continue
-            rw = r_witness(c, y)
-            if rw is not None:
-                return {"via": c, "via_word": ext.words[i], "L": lw, "R": rw}
-        return None
-    if relation == "J":
-        def two_sided(a, b):
-            if key(a) == key(b):
-                return ("identity",)
-            for u in [None] + list(ext.elements):
-                ua = a if u is None else oracle.mult(u, a)
-                if key(ua) == key(b):
-                    return (u, None)
-                for v in ext.elements:
-                    if key(oracle.mult(ua, v)) == key(b):
-                        return (u, v)
-            return None
-        fwd = two_sided(x, y)
-        bwd = two_sided(y, x)
-        if fwd is not None and bwd is not None:
-            return {"u": fwd, "v": bwd}
-        return None
-    raise ValueError(f"unknown relation {relation!r}")
+    return find_witnesses(ball.oracle, x, y, relation,
+                          list(zip(ext.elements, ext.words)))
 
 
 # ---------------------------------------------------------------------------

@@ -171,10 +171,14 @@ class Identity:
 # parsing
 
 
+MAX_TERM_SIZE = 256
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.open = 0           # parenthesised groups entered, not yet left
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -192,49 +196,66 @@ class _Scanner:
     def error(self, message: str):
         raise ValueError(f"{message} (at position {self.pos})")
 
+    def check_size(self, size: int) -> int:
+        if size > MAX_TERM_SIZE:
+            self.error(f"term exceeds {MAX_TERM_SIZE} nodes")
+        return size
+
 
 def parse_term(text: str) -> Term:
+    """Parse one term of at most MAX_TERM_SIZE nodes: variables, constants,
+    products, postfixes and parenthesised groups, x^k counting k copies of
+    x.  The cap bounds the recursion of parsing and evaluation and the cost
+    of one evaluation; it is far above every catalogue term."""
     sc = _Scanner(text)
-    t = _parse_seq(sc)
+    t, _ = _parse_seq(sc)
     sc.skip_ws()
     if sc.pos != len(sc.text):
         sc.error(f"unexpected {sc.text[sc.pos]!r}")
     return t
 
 
-def _parse_seq(sc: _Scanner) -> Term:
+def _parse_seq(sc: _Scanner) -> tuple:
+    """A juxtaposition of factors, as (term, size)."""
     factors = []
+    size = -1
     while True:
         ch = sc.peek()
         if not ch or ch in ")=":
             break
-        factors.append(_parse_factor(sc))
+        factor, factor_size = _parse_factor(sc)
+        factors.append(factor)
+        size = sc.check_size(size + factor_size + 1)
     if not factors:
         sc.error("expected a term")
     term = factors[0]
     for f in factors[1:]:
         term = Mul(term, f)
-    return term
+    return term, size
 
 
-def _parse_factor(sc: _Scanner) -> Term:
+def _parse_factor(sc: _Scanner) -> tuple:
     ch = sc.peek()
     if ch == "(":
         sc.take()
-        inner = _parse_seq(sc)
+        # Checked on the way down: a group is a node, and nesting recurses.
+        sc.open += 1
+        sc.check_size(sc.open)
+        inner, size = _parse_seq(sc)
         if sc.peek() != ")":
             sc.error("expected ')'")
         sc.take()
-        atom = inner
+        sc.open -= 1
+        atom, size = inner, sc.check_size(size + 1)
     elif ch == "0":
         sc.take()
-        atom = ZeroC()
+        atom, size = ZeroC(), 1
     elif ch.isalpha() and ch.islower():
         name = sc.take()
         while (sc.pos < len(sc.text) and sc.text[sc.pos].isdigit()):
             name += sc.text[sc.pos]
             sc.pos += 1
-        atom = Var(name)
+        atom, size = Var(name), 1
     else:
         sc.error(f"unexpected {ch!r}")
     # Postfixes bind tighter than juxtaposition and may stack.
@@ -242,7 +263,7 @@ def _parse_factor(sc: _Scanner) -> Term:
         nxt = sc.text[sc.pos] if sc.pos < len(sc.text) else ""
         if nxt == "'":
             sc.pos += 1
-            atom = Inv(atom)
+            atom, size = Inv(atom), sc.check_size(size + 1)
             continue
         if nxt == "^":
             sc.pos += 1
@@ -258,16 +279,20 @@ def _parse_factor(sc: _Scanner) -> Term:
                 sc.error("expected digits after '^'")
             k = int(digits)
             if k == 0 and sign == 1:
-                atom = IdPow(atom)
+                atom, size = IdPow(atom), sc.check_size(size + 1)
             else:
-                base = atom if sign == 1 else Inv(atom)
+                base, base_size = ((atom, size) if sign == 1
+                                   else (Inv(atom), size + 1))
+                copies = max(k, 1)
+                # The copies of the base, joined by copies - 1 products.
+                size = sc.check_size(copies * (base_size + 1) - 1)
                 out = base
-                for _ in range(k - 1):
+                for _ in range(copies - 1):
                     out = Mul(out, base)
                 atom = out
             continue
         break
-    return atom
+    return atom, size
 
 
 def parse_identity(text: str, name: Optional[str] = None) -> Identity:

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from .engine import Oracle, ball_enumerate
+
 WHOLE_X = "X"
 EMPTY = "empty"
 
@@ -244,44 +246,13 @@ def generate_ball(generators: Sequence, cap: int) -> VBall:
 
     Generators are (name, VMap) pairs; include inverses explicitly to build
     balls of inverse subsemigroups.  Distinctness is by (domain, shift).
+    The ball is ``engine.ball_enumerate`` under composition.
     """
     if cap < 1 or cap > 12:
         raise ValueError("word length cap must be between 1 and 12")
     gens = list(generators)
-    maps: list = []
-    words: list = []
-    index: dict = {}
-
-    def push(m: VMap, word: tuple) -> bool:
-        key = (m.domain, m.shift)
-        if key in index:
-            return False
-        index[key] = len(maps)
-        maps.append(m)
-        words.append(word)
-        return True
-
-    frontier = []
-    for k, (_, g) in enumerate(gens):
-        if push(g, (k,)):
-            frontier.append(len(maps) - 1)
-    closed = False
-    for _ in range(cap - 1):
-        nxt = []
-        for i in frontier:
-            for k, (_, g) in enumerate(gens):
-                m = compose(maps[i], g)
-                if push(m, words[i] + (k,)):
-                    nxt.append(len(maps) - 1)
-        if not nxt:
-            closed = True
-            break
-        frontier = nxt
-    if not closed and frontier:
-        closed = all(
-            (compose(maps[i], g).domain, compose(maps[i], g).shift) in index
-            for i in frontier for _, g in gens)
-    return VBall(gens, cap, maps, words, closed)
+    ball = ball_enumerate(Oracle(compose), [g for _, g in gens], cap)
+    return VBall(gens, cap, ball.elements, ball.words, ball.closed)
 
 
 def phi_ball(cap: int) -> VBall:

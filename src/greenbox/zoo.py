@@ -13,7 +13,8 @@ from typing import Optional, Sequence
 
 from .engine import (BallEnumeration, BudgetError, FiniteSemigroup, Oracle,
                      adjoin_identity, ball_enumerate, cayley_table,
-                     direct_product, enumerate_oracle)
+                     check_margin, direct_product, enumerate_oracle,
+                     find_witnesses, witnessed_partition)
 from .munn import FisTriple
 
 # ---------------------------------------------------------------------------
@@ -163,62 +164,31 @@ class PWindow:
 
 def p_witnessed_related(a: int, b: int, relation: str, window: int,
                         margin: int = 3) -> Optional[dict]:
-    """Witness search for P with multipliers from [-margin*window, ...]."""
-    relation = relation.upper()
-    lo, hi = -margin * window, margin * window
-
-    def one_sided(x, y, left: bool):
-        if x == y:
-            return ("identity",)
-        for u in range(lo, hi + 1):
-            z = p_mult(u, x) if left else p_mult(x, u)
-            if z == y:
-                return (u,)
-        return None
-
-    def mutual(x, y, left: bool):
-        fwd = one_sided(x, y, left)
-        bwd = one_sided(y, x, left)
-        if fwd is not None and bwd is not None:
-            return {"u": fwd, "v": bwd}
-        return None
-
-    if relation == "L":
-        return mutual(a, b, True)
-    if relation == "R":
-        return mutual(a, b, False)
-    if relation == "H":
-        lw = mutual(a, b, True)
-        rw = mutual(a, b, False)
-        if lw and rw:
-            return {"L": lw, "R": rw}
-        return None
-    if relation == "D":
-        for c in range(lo, hi + 1):
-            lw = mutual(a, c, True)
-            if lw is None:
-                continue
-            rw = mutual(c, b, False)
-            if rw is not None:
-                return {"via": c, "L": lw, "R": rw}
-        return None
-    raise ValueError(f"unsupported relation {relation!r}")
+    """Witnesses in P that a and b are related, or None: the window adapter
+    of ``engine.find_witnesses``, with the unlabelled multipliers
+    [-margin*window, margin*window] all usable at the window's one radius
+    (on balls, a multiplier of length l is usable from radius
+    ceil(l / margin)).
+    """
+    check_margin(margin)
+    pool = [(u, None) for u in range(-margin * window, margin * window + 1)]
+    return find_witnesses(Oracle(p_mult), a, b, relation, pool)
 
 
 def p_window_green_counts(window: int, relation: str, margin: int = 3) -> int:
-    """Number of witnessed classes among the window elements."""
-    elems = list(range(-window, window + 1))
-    labels = []
-    classes: list = []
-    for x in elems:
-        for ci, rep in enumerate(classes):
-            if p_witnessed_related(rep, x, relation, window, margin):
-                labels.append(ci)
-                break
-        else:
-            labels.append(len(classes))
-            classes.append(x)
-    return len(classes)
+    """Number of witnessed classes among the window elements: the
+    one-radius adapter of ``engine.witnessed_partition``.  The elements
+    [-window, window] enter at radius 1 and the multipliers
+    [-margin*window, margin*window] are usable from radius 1; on balls an
+    element enters at its word length and a multiplier of length l is
+    usable from radius ceil(l / margin).
+    """
+    check_margin(margin)
+    elements = [(x, 1) for x in range(-window, window + 1)]
+    pool = [(u, 1) for u in range(-margin * window, margin * window + 1)]
+    counts, _ = witnessed_partition(Oracle(p_mult), elements, pool,
+                                    relation, 1)
+    return counts[1]
 
 
 # ---------------------------------------------------------------------------

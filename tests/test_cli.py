@@ -64,6 +64,68 @@ def test_green_p_window(capsys):
     assert "window-verified" in out
 
 
+def window_line(relation, n, count, margin=3):
+    return (f"witnessed {relation}-classes on window [-{n},{n}]: {count} "
+            f"(margin {margin}, window-verified, not certified)\n")
+
+
+def radius_lines(relation, counts, infinite):
+    flag = "yes" if infinite else "no"
+    return (f"witnessed {relation}-classes by radius: "
+            + " ".join(f"{r}:{c}" for r, c in enumerate(counts, start=1))
+            + f"\n  apparently infinite: {flag}; not certified\n")
+
+
+BICYCLIC_6 = {"L": radius_lines("L", [2, 3, 4, 5, 6, 7], True),
+              "R": radius_lines("R", [2, 3, 4, 5, 6, 7], True),
+              "H": radius_lines("H", [3, 6, 10, 15, 21, 28], True),
+              "D": radius_lines("D", [1] * 6, False)}
+PZ_8 = {rel: window_line(rel, 8, count)
+        for rel, count in (("L", 2), ("R", 9), ("H", 9), ("D", 2))}
+GOLDEN = [
+    (["green", "bicyclic:6"],
+     BICYCLIC_6["L"] + BICYCLIC_6["R"] + BICYCLIC_6["D"]),
+    *[(["green", "bicyclic:6", "--relation", rel], BICYCLIC_6[rel])
+      for rel in "HLRD"],
+    (["green", "bicyclic:4", "--relation", "J"],
+     radius_lines("J", [1] * 4, False)),
+    (["green", "pz:8"], PZ_8["L"] + PZ_8["R"]),
+    *[(["green", "pz:8", "--relation", rel], PZ_8[rel]) for rel in "LRHD"],
+]
+
+
+def test_green_golden_output(capsys):
+    for argv, expected in GOLDEN:
+        assert run(capsys, *argv) == (0, expected, ""), argv
+
+
+def test_vmaps_ball_golden_output(capsys):
+    path = os.path.join(os.path.dirname(__file__), "golden",
+                        "vmaps_ball_cap5.txt")
+    with open(path, encoding="utf-8") as handle:
+        expected = handle.read()
+    assert run(capsys, "vmaps", "ball", "--cap", "5") == (0, expected, "")
+
+
+def test_green_p_window_j_and_margin_one(capsys):
+    assert run(capsys, "green", "pz:15", "--relation", "J") == (
+        0, window_line("J", 15, 2), "")
+    # Margin 1 counts the union-find closure, as on balls.
+    assert run(capsys, "green", "pz:10", "--margin", "1") == (
+        0, window_line("L", 10, 2, 1) + window_line("R", 10, 11, 1), "")
+
+
+def test_green_refusals_exit_2(capsys):
+    for spec in ("pz:5", "bicyclic:3"):
+        for margin in ("0", "-2"):
+            assert run(capsys, "green", spec, "--margin", margin) == (
+                2, "", "error: margin must be >= 1\n")
+    # D over the pool [-3000, 3000] would need 6001 rows of 6001 cells.
+    assert run(capsys, "green", "pz:1000", "--relation", "D") == (
+        2, "", "error: witnessed analysis needs 36012001 hit-row cells, "
+               "over the budget of 10000000\n")
+
+
 def test_munn_idempotent(capsys):
     code, out, _ = run(capsys, "munn", "a a^-1")
     assert code == 0
@@ -166,6 +228,17 @@ def test_identity_raw_text(capsys):
 def test_identity_bad_key(capsys):
     code, _, err = run(capsys, "identity", "b2", "] nonsense [")
     assert code == 2
+
+
+def test_identity_deep_terms_exit_2(capsys):
+    # Both used to end in a RecursionError traceback.
+    nested = "(" * 3000 + "x" + ")" * 3000
+    for text in ("x^2000 = x", nested + " = x"):
+        code, out, err = run(capsys, "identity", "b2", text)
+        assert (code, out) == (2, "")
+        assert err.startswith("neither a catalogue key nor an identity: "
+                              "term exceeds 256 nodes")
+        assert err.count("\n") == 1
 
 
 def test_vmaps_ball(capsys):

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from greenbox import zoo
-from greenbox.engine import (BallEnumeration, BudgetError, FiniteSemigroup,
-                             Oracle, _closure, adjoin_identity, adjoin_zero,
+from greenbox.engine import (RELATIONS, BallEnumeration, BudgetError,
+                             FiniteSemigroup, Oracle, _closure, _dense,
+                             _UnionFind, adjoin_identity, adjoin_zero,
                              ball_enumerate, direct_product, eggbox,
                              enumerate_oracle, format_table,
                              green_definitional, green_scc, iso_tables,
@@ -356,6 +357,115 @@ def test_witnessed_free_monogenic_j_apparently_infinite():
 def test_witnessed_margin_validation():
     with pytest.raises(ValueError):
         witnessed_green(zoo.bicyclic_ball(3), "L", margin=0)
+
+
+# witnessed analysis: the threshold pass against the per-radius reference
+
+
+def reference_witnessed_green(ball, relation, margin):
+    """Reference analysis: every radius k is worked out from scratch, with
+    the elements of length <= k and the multipliers of length <= k * margin.
+    Returns (counts_by_radius, classes, apparently_infinite, certified)."""
+    ext = ball.extend(ball.radius * margin)
+    counts, classes = {}, []
+    for radius in range(1, ball.radius + 1):
+        sub = [i for i in range(len(ball)) if ball.lengths[i] <= radius]
+        multipliers = [ext.elements[i] for i in range(len(ext))
+                       if ext.lengths[i] <= radius * margin]
+        labels = reference_partition(ball, sub, multipliers, relation)
+        counts[radius] = len(set(labels))
+        if radius == ball.radius:
+            classes = labels
+    radii = sorted(counts)
+    increases = [counts[radii[i]] < counts[radii[i + 1]]
+                 for i in range(len(radii) - 1)]
+    apparently_infinite = any(all(increases[i:i + 3])
+                              for i in range(len(increases) - 2))
+    return counts, classes, apparently_infinite, ball.closed
+
+
+def reference_partition(ball, sub, multipliers, relation):
+    """Union-find closure of the directly witnessed pairs among ``sub``,
+    from sets of element keys reached by the multipliers."""
+    oracle, key = ball.oracle, ball.oracle.key
+    if relation == "D":
+        # Join of witnessed L and R over the multipliers, restricted to sub.
+        lab = reference_join_lr(oracle, multipliers)
+        return _dense([lab[key(ball.elements[i])] for i in sub])
+    elems = [ball.elements[i] for i in sub]
+
+    def reach(e, side):
+        if side == "J":
+            rights = [e] + [oracle.mult(e, v) for v in multipliers]
+            return ({key(w) for w in rights}
+                    | {key(oracle.mult(u, w)) for w in rights
+                       for u in multipliers})
+        return {key(e)} | {key(oracle.mult(u, e) if side == "L"
+                               else oracle.mult(e, u)) for u in multipliers}
+
+    sides = "LR" if relation == "H" else relation
+    reaches = [[reach(e, side) for e in elems] for side in sides]
+    keys = [key(e) for e in elems]
+    uf = _UnionFind(len(elems))
+    for i in range(len(elems)):
+        for j in range(i + 1, len(elems)):
+            if all(keys[j] in r[i] and keys[i] in r[j] for r in reaches):
+                uf.union(i, j)
+    return _dense(uf.labels())
+
+
+def reference_join_lr(oracle, elems):
+    key = oracle.key
+    keys = [key(e) for e in elems]
+    uf = _UnionFind(len(elems))
+    for left in (True, False):
+        reach = [{key(e)} | {key(oracle.mult(u, e) if left
+                                 else oracle.mult(e, u)) for u in elems}
+                 for e in elems]
+        for i in range(len(elems)):
+            for j in range(i + 1, len(elems)):
+                if keys[j] in reach[i] and keys[i] in reach[j]:
+                    uf.union(i, j)
+    labels = uf.labels()
+    return {keys[i]: labels[i] for i in range(len(elems))}
+
+
+def assert_matches_reference(ball, relation, margin):
+    wg = witnessed_green(ball, relation, margin=margin)
+    assert wg.relation == relation and wg.margin == margin
+    assert ((wg.counts_by_radius, wg.classes, wg.apparently_infinite,
+             wg.certified)
+            == reference_witnessed_green(ball, relation, margin))
+
+
+@pytest.mark.parametrize("relation", RELATIONS)
+@pytest.mark.parametrize("margin", [1, 2, 3])
+def test_witnessed_green_matches_reference_on_infinite_balls(relation,
+                                                             margin):
+    # J costs a cube of the pool per radius in the reference.
+    for radius in range(1, 5 if relation == "J" else 7):
+        assert_matches_reference(zoo.bicyclic_ball(radius), relation, margin)
+        assert_matches_reference(zoo.natural_numbers_ball(radius), relation,
+                                 margin)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(RELATIONS), st.integers(1, 3),
+       st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=1, max_size=3))
+@example("J", 3, [(1, 2, 0), (1, 0, 2), (0, 0, 2)])
+# A multiplier of length l is usable from radius ceil(l / margin), not floor.
+@example("L", 2, [(0, 1, 0), (1, 2, 2), (2, 1, 2)])
+# A J row keeps the lowest radius over all (u, v): the first hit of a source
+# may come later, and x·v counts at the radius of v.
+@example("J", 1, [(0, 1, 0), (1, 0, 0)])
+@example("J", 1, [(0, 0, 1), (2, 0, 0)])
+def test_witnessed_green_matches_reference_on_closed_t3(relation, margin,
+                                                        maps):
+    # The closure of the maps on 3 points, at the radius where it closes.
+    oracle = zoo.transformation_oracle(3)
+    radius = max(closed_ball(oracle, maps).lengths)
+    assert_matches_reference(ball_enumerate(oracle, maps, radius), relation,
+                             margin)
 
 
 # isomorphism

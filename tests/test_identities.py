@@ -44,6 +44,17 @@ def test_parse_rejects_garbage():
         parse_identity("x = y = z")
 
 
+def test_parse_caps_term_size():
+    # x^128 has 128 variables and 127 products: 255 nodes.
+    assert str(parse_term("x^128")) == " ".join(["x"] * 128)
+    nested = "(" * 255 + "x" + ")" * 255
+    assert parse_term(nested) == Var("x")
+    for text in ("x^129", "x^-128", "(x^64)^2 x", "(" + nested + ")",
+                 "x^1000000000000", "(" * 3000 + "x" + ")" * 3000):
+        with pytest.raises(ValueError, match="exceeds 256 nodes"):
+            parse_term(text)
+
+
 def test_term_print_round_trip():
     for text in ["x y x", "(xy)'", "x(y^0z)^0x", "x'x(xx')'", "x^2", "0"]:
         t = parse_term(text)

@@ -35,11 +35,58 @@ def test_bicyclic_green_oracle():
     assert zoo.bicyclic_green((4, 1), (0, 0), "J")
 
 
+def assert_witnesses(mult, w, x, y, relation, pool):
+    """Every multiplier in ``w`` is in ``pool`` and maps as claimed."""
+    def apply(u, a, left):
+        if u is None:
+            return a
+        assert u in pool
+        return mult(u, a) if left else mult(a, u)
+
+    def one_sided(wit, a, b, left):
+        assert a == b if wit == ("identity",) else apply(wit[0], a, left) == b
+
+    def mutual(ws, a, b, left):
+        one_sided(ws["u"], a, b, left)
+        one_sided(ws["v"], b, a, left)
+
+    def two_sided(wit, a, b):
+        if wit == ("identity",):
+            assert a == b
+        else:
+            assert apply(wit[1], apply(wit[0], a, True), False) == b
+
+    if relation == "L":
+        mutual(w, x, y, True)
+    elif relation == "R":
+        mutual(w, x, y, False)
+    elif relation == "H":
+        mutual(w["L"], x, y, True)
+        mutual(w["R"], x, y, False)
+    elif relation == "D":
+        assert w["via"] in pool
+        mutual(w["L"], x, w["via"], True)
+        mutual(w["R"], w["via"], y, False)
+    else:
+        two_sided(w["u"], x, y)
+        two_sided(w["v"], y, x)
+
+
 def test_bicyclic_bisimplicity_witnesses_in_ball():
     from greenbox.engine import witnessed_related
     ball = zoo.bicyclic_ball(8)
+    pool = set(ball.extend(24).elements)
     for e in ball.elements:
-        assert witnessed_related(ball, e, (0, 0), "D") is not None
+        w = witnessed_related(ball, e, (0, 0), "D")
+        assert_witnesses(zoo.bicyclic_mult, w, e, (0, 0), "D", pool)
+    small = zoo.bicyclic_ball(3)
+    pool = set(small.extend(9).elements)
+    for x, y in itertools.product(small.elements, repeat=2):
+        for rel in "LRHDJ":
+            w = witnessed_related(small, x, y, rel)
+            assert (w is not None) == zoo.bicyclic_green(x, y, rel)
+            if w is not None:
+                assert_witnesses(zoo.bicyclic_mult, w, x, y, rel, pool)
 
 
 # B2
@@ -118,11 +165,29 @@ def test_p_completely_regular_on_window():
         assert zoo.p_mult(x, xi) == zoo.p_mult(xi, x)
 
 
+def p_closed_form_count(window, relation):
+    reps = []
+    for x in range(-window, window + 1):
+        if not any(zoo.p_green(r, x, relation) for r in reps):
+            reps.append(x)
+    return len(reps)
+
+
 def test_p_witnessed_window_counts():
+    # The window [-10, 10] holds 11 evens, one L- and R-class, and 10 odds,
+    # one L-class and 10 R-classes.
     assert zoo.p_window_green_counts(10, "L") == 2
-    # Evens form one R-class, odds are singletons: 10 evens + 1 .. wait
-    # window [-10, 10] holds 11 evens and 10 odds.
     assert zoo.p_window_green_counts(10, "R") == 1 + 10
+    # At margin 1 no multiplier joins 10 to -10 directly; the union-find
+    # closure still does, through 0.
+    for n in range(1, 13):
+        for rel in "LRHDJ":
+            for margin in (1, 2, 3):
+                assert (zoo.p_window_green_counts(n, rel, margin=margin)
+                        == p_closed_form_count(n, rel))
+    for margin in (0, -1):
+        with pytest.raises(ValueError, match="margin must be >= 1"):
+            zoo.p_window_green_counts(5, "L", margin=margin)
 
 
 def test_p_witnessed_matches_closed_form():
@@ -131,6 +196,18 @@ def test_p_witnessed_matches_closed_form():
             for rel in ("L", "R", "H"):
                 witnessed = zoo.p_witnessed_related(a, b, rel, 6) is not None
                 assert witnessed == zoo.p_green(a, b, rel)
+    # Every relation on every window up to 12, on the pairs among the ends
+    # and the centre of the window (D and J searches cost a square of the
+    # pool per unrelated pair).
+    for n in range(1, 13):
+        pool = range(-3 * n, 3 * n + 1)
+        ends = sorted({-n, 1 - n, -1, 0, 1, n - 1, n})
+        for a, b in itertools.product(ends, repeat=2):
+            for rel in "LRHDJ":
+                w = zoo.p_witnessed_related(a, b, rel, n)
+                assert (w is not None) == zoo.p_green(a, b, rel)
+                if w is not None:
+                    assert_witnesses(zoo.p_mult, w, a, b, rel, pool)
 
 
 # constant families
