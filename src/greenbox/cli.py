@@ -128,10 +128,10 @@ def cmd_identity(args) -> int:
                   file=sys.stderr)
             return 2
     if isinstance(obj, zoo.PWindow):
-        window = args.window if args.window is not None else obj.n
-        elements = range(-window, window + 1)
+        if args.window is not None:
+            obj = zoo.PWindow(args.window)
         for ident in idents:
-            result = identities.check_identity_window(obj, ident, elements)
+            result = identities.check_identity_window(obj, ident, obj.elements)
             _print_identity_result(ident, result)
         return 0
     if not isinstance(obj, engine.FiniteSemigroup):

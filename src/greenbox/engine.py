@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import random
 from array import array
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Callable, Iterable, Optional, Sequence
 
 RELATIONS = ("H", "L", "R", "D", "J")
@@ -187,39 +188,115 @@ class Oracle:
         self.name = name if name is not None else (lambda e: str(e))
 
 
+class _Growth:
+    """Breadth-first growth of the semigroup generated under an oracle.
+
+    Every ball of the same (oracle, generators, seeds) is a prefix of one
+    growth, and a larger ball resumes it.  Elements appear in word-length
+    order with ties broken by generator index (so reports are
+    deterministic) and are expanded one at a time in that order;
+    ``right[i]`` is the right Cayley row of the i-th non-seed element.
+    Seeds have length 0 and are not expanded.
+    """
+
+    def __init__(self, oracle: Oracle, generators: Sequence, seeds: Sequence):
+        if not generators:
+            raise ValueError("generator set must be nonempty")
+        self.oracle = oracle
+        self.generators = list(generators)
+        self.seeds = list(seeds)
+        self.elements, self.words, self.lengths, self.right = [], [], [], []
+        self.index: dict = {}
+        for s in self.seeds:
+            self._push(s, (), 0)
+        self.n_seeds = len(self.elements)
+        self.gens = [self._push(g, (a,), 1)
+                     for a, g in enumerate(self.generators)]
+
+    def _push(self, e, word: tuple, length: int) -> int:
+        """Index of e, appended as a new element when its key is new."""
+        key = self.oracle.key
+        k = key(e)
+        i = self.index.get(k)
+        if i is None:
+            i = self.index[k] = len(self.elements)
+            self.elements.append(e)
+            self.words.append(word)
+            self.lengths.append(length)
+        elif key is not _identity and self.elements[i] != e:
+            # Key collision across structurally distinct elements: spot
+            # check multiplication behavior before trusting the key.  Under
+            # the identity key, equal keys already mean equal elements.
+            mult, stored = self.oracle.mult, self.elements[i]
+            for g in self.generators:
+                if (key(mult(e, g)) != key(mult(stored, g))
+                        or key(mult(g, e)) != key(mult(g, stored))):
+                    raise OracleError(
+                        f"canonical key {k!r} collides across elements "
+                        f"with different multiplication behavior")
+        return i
+
+    def size(self, radius: int) -> int:
+        """Number of elements of length <= radius.  Expands elements until
+        one longer than radius appears or none is left: the ball of this
+        radius is then complete, and closed iff nothing longer exists."""
+        elements, lengths, right = self.elements, self.lengths, self.right
+        mult, push = self.oracle.mult, self._push
+        while lengths[-1] <= radius:
+            i = self.n_seeds + len(right)
+            if i == len(elements):
+                break
+            x, word, length = elements[i], self.words[i], lengths[i] + 1
+            right.append([push(mult(x, g), word + (a,), length)
+                          for a, g in enumerate(self.generators)])
+        return bisect_right(lengths, radius)
+
+    def reach(self, radius: int, max_elements: int) -> int:
+        """Largest r <= radius such that every level from 2 to r adds
+        elements and keeps the count within max_elements."""
+        if radius < 1:
+            raise ValueError("radius must be >= 1")
+        r = 1
+        while r < radius and self.size(r) < self.size(r + 1) <= max_elements:
+            r += 1
+        return r
+
+    def ball(self, radius: int, max_elements: int) -> "BallEnumeration":
+        """The ball of this radius; BudgetError if a level stops it short."""
+        r = self.reach(radius, max_elements)
+        if r < radius and self.size(r + 1) > self.size(r):
+            raise BudgetError(f"ball exceeded {max_elements} elements")
+        return BallEnumeration(self, radius)
+
+
 class BallEnumeration:
     """Elements of word length <= radius in the generators.
 
     ``closed`` is True when the ball is multiplication-closed, i.e. it is
-    the whole generated semigroup.  ``words`` hold one shortest witness per
-    element as a tuple of generator indices; seeds get the empty word.
+    the whole generated semigroup: expanding it adds no longer element.
+    ``words`` hold one shortest witness per element as a tuple of generator
+    indices; seeds get the empty word.
     """
 
-    def __init__(self, oracle: Oracle, generators: Sequence, seeds: Sequence,
-                 radius: int, elements: list, words: list, lengths: list,
-                 closed: bool):
-        self.oracle = oracle
-        self.generators = list(generators)
-        self.seeds = list(seeds)
-        self.radius = radius
-        self.elements = elements
-        self.words = words
-        self.lengths = lengths
-        self.closed = closed
-        self.index = {oracle.key(e): i for i, e in enumerate(elements)}
-        self._extensions: dict = {}
+    def __init__(self, growth: _Growth, radius: int):
+        n = growth.size(radius)
+        self._growth, self.radius = growth, radius
+        self.oracle, self.generators = growth.oracle, growth.generators
+        self.seeds = growth.seeds
+        self.elements = growth.elements[:n]
+        self.words = growth.words[:n]
+        self.lengths = growth.lengths[:n]
+        self.index = dict(islice(growth.index.items(), n))
+        self.closed = n == len(growth.elements)
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def extend(self, radius: int, max_elements: int = 1_000_000) -> "BallEnumeration":
+        """The ball of a larger radius, resuming the shared growth."""
         if radius <= self.radius or self.closed:
             return self
-        if radius not in self._extensions:
-            self._extensions[radius] = ball_enumerate(
-                self.oracle, self.generators, radius,
-                seeds=self.seeds, max_elements=max_elements)
-        return self._extensions[radius]
+        return self._growth.ball(radius, max_elements)
 
     def __repr__(self) -> str:
         return (f"BallEnumeration(radius={self.radius}, n={len(self)}, "
@@ -231,72 +308,10 @@ def ball_enumerate(oracle: Oracle, generators: Sequence, radius: int,
                    max_elements: int = 1_000_000) -> BallEnumeration:
     """Breadth-first ball of the generated semigroup, one radius at a time.
 
-    Elements appear in word-length order with ties broken by generator index,
-    which makes all downstream reports deterministic.
+    Raises BudgetError when a level up to the radius pushes the element
+    count past max_elements.
     """
-    if not generators:
-        raise ValueError("generator set must be nonempty")
-    key = oracle.key
-    elements: list = []
-    words: list = []
-    lengths: list = []
-    index: dict = {}
-
-    def push(e, word, length) -> bool:
-        k = key(e)
-        i = index.get(k)
-        if i is not None:
-            # Under the identity key, equal keys already mean equal elements.
-            stored = elements[i]
-            if key is not _identity and stored != e:
-                # Key collision across structurally distinct elements: spot
-                # check multiplication behavior before trusting the key.
-                for g in generators:
-                    if (key(oracle.mult(e, g)) != key(oracle.mult(stored, g))
-                            or key(oracle.mult(g, e))
-                            != key(oracle.mult(g, stored))):
-                        raise OracleError(
-                            f"canonical key {k!r} collides across elements "
-                            f"with different multiplication behavior")
-            return False
-        index[k] = len(elements)
-        elements.append(e)
-        words.append(word)
-        lengths.append(length)
-        return True
-
-    for s in seeds:
-        push(s, (), 0)
-    frontier = []
-    for gi, g in enumerate(generators):
-        if push(g, (gi,), 1):
-            frontier.append(len(elements) - 1)
-    closed = False
-    level = 1
-    while level < radius:
-        nxt = []
-        for i in frontier:
-            for gi, g in enumerate(generators):
-                z = oracle.mult(elements[i], g)
-                if push(z, words[i] + (gi,), level + 1):
-                    nxt.append(len(elements) - 1)
-                    if len(elements) > max_elements:
-                        raise BudgetError(
-                            f"ball exceeded {max_elements} elements")
-        if not nxt:
-            closed = True
-            break
-        frontier = nxt
-        level += 1
-    if not closed and frontier:
-        # Peek one more level to detect closure exactly at the radius.
-        closed = all(
-            key(oracle.mult(elements[i], g)) in index
-            for i in frontier for g in generators)
-    elif not frontier:
-        closed = True
-    return BallEnumeration(oracle, generators, seeds, radius,
-                           elements, words, lengths, closed)
+    return _Growth(oracle, generators, seeds).ball(radius, max_elements)
 
 
 def enumerate_oracle(oracle: Oracle, generators: Sequence, *,
@@ -305,30 +320,13 @@ def enumerate_oracle(oracle: Oracle, generators: Sequence, *,
     """Close the generators under the oracle.
 
     Returns a FiniteSemigroup when the closure is reached within budget,
-    otherwise the BallEnumeration at the budget boundary (a normal result,
-    not an error).  An oracle whose canonical keys collide across distinct
-    multiplication behavior raises OracleError.
+    otherwise the BallEnumeration at the largest radius whose elements fit
+    (a normal result, not an error).  An oracle whose canonical keys
+    collide across distinct multiplication behavior raises OracleError.
     """
-    try:
-        ball = ball_enumerate(oracle, generators, max_word_length,
-                              seeds=seeds, max_elements=max_elements)
-    except BudgetError:
-        # Re-enumerate up to the largest radius that stayed within budget.
-        radius = 1
-        ball = ball_enumerate(oracle, generators, radius, seeds=seeds,
-                              max_elements=max_elements)
-        while not ball.closed:
-            try:
-                bigger = ball_enumerate(oracle, generators, radius + 1,
-                                        seeds=seeds, max_elements=max_elements)
-            except BudgetError:
-                break
-            ball = bigger
-            radius += 1
-        return ball
-    if not ball.closed:
-        return ball
-    return table_from_ball(ball)
+    growth = _Growth(oracle, generators, seeds)
+    ball = BallEnumeration(growth, growth.reach(max_word_length, max_elements))
+    return table_from_ball(ball) if ball.closed else ball
 
 
 def cayley_table(right: Sequence[Sequence[int]], gens: Sequence[int]) -> list:
@@ -368,14 +366,16 @@ def cayley_table(right: Sequence[Sequence[int]], gens: Sequence[int]) -> list:
 def table_from_ball(ball: BallEnumeration) -> FiniteSemigroup:
     """Multiplication table of a closed ball.
 
-    The right Cayley graph takes n·|A| oracle calls, and ``cayley_table``
-    fills every other cell from it.  Only the columns of seeds that no
-    generator word reaches are multiplied out by the oracle.
+    The enumeration already holds the right Cayley row of every non-seed
+    element, and ``cayley_table`` fills every other cell from the rows.
+    Only the seed rows, and the columns of seeds that no generator word
+    reaches, are multiplied out by the oracle.
     """
     if not ball.closed:
         raise ValueError("ball is not closed")
-    oracle = ball.oracle
+    oracle, growth = ball.oracle, ball._growth
     key = oracle.key
+    seeds = range(growth.n_seeds)
 
     def product_index(x, y) -> int:
         k = key(oracle.mult(x, y))
@@ -384,10 +384,9 @@ def table_from_ball(ball: BallEnumeration) -> FiniteSemigroup:
                 f"product key {k!r} not in the closed element set")
         return ball.index[k]
 
-    right = [[product_index(x, g) for g in ball.generators]
-             for x in ball.elements]
-    gens = [ball.index[key(g)] for g in ball.generators]
-    table = cayley_table(right, gens)
+    right = [[product_index(ball.elements[s], g) for g in ball.generators]
+             for s in seeds] + growth.right
+    table = cayley_table(right, growth.gens)
     for y in [y for y, cell in enumerate(table[0]) if cell is None]:
         for x, row in zip(ball.elements, table):
             row[y] = product_index(x, ball.elements[y])
@@ -399,12 +398,9 @@ def table_from_ball(ball: BallEnumeration) -> FiniteSemigroup:
             if k not in ball.index:
                 raise OracleError(f"unary image key {k!r} not enumerated")
             unary.append(ball.index[k])
-    gen_idx = set(gens)
-    gen_idx.update(ball.index[key(s)] for s in ball.seeds)
-    names = [oracle.name(e) for e in ball.elements]
-    return FiniteSemigroup(table, names=names,
-                           keys=[key(e) for e in ball.elements],
-                           unary=unary, generators=gen_idx)
+    return FiniteSemigroup(table, names=[oracle.name(e) for e in ball.elements],
+                           keys=[key(e) for e in ball.elements], unary=unary,
+                           generators=set(growth.gens).union(seeds))
 
 
 # ---------------------------------------------------------------------------

@@ -374,12 +374,19 @@ class CheckResult:
         return self.holds
 
 
-def _check_over(structure, identity: Identity, elements,
-                window_verified: bool) -> CheckResult:
+MAX_EVALUATIONS = 10_000_000
+
+
+def _check_over(structure, identity: Identity, elements, window_verified: bool,
+                max_evaluations: int = MAX_EVALUATIONS) -> CheckResult:
     structure = as_structure(structure)
     variables = identity.variables()
+    n, k = len(elements), len(variables)
+    if n ** k > max_evaluations:
+        raise ValueError(
+            f"{n}^{k} assignments exceed the budget of {max_evaluations}")
     checked = 0
-    for combo in itertools.product(elements, repeat=len(variables)):
+    for combo in itertools.product(elements, repeat=k):
         assignment = dict(zip(variables, combo))
         checked += 1
         if (eval_term(structure, identity.lhs, assignment)
@@ -390,25 +397,20 @@ def _check_over(structure, identity: Identity, elements,
 
 
 def check_identity_exhaustive(fs, identity: Identity, *,
-                              max_evaluations: int = 10_000_000) -> CheckResult:
+                              max_evaluations: int = MAX_EVALUATIONS) -> CheckResult:
     """All assignments over the whole structure, in element-index order, so
     the first counterexample is deterministic."""
     structure = as_structure(fs)
-    n = len(structure.elements)
-    k = len(identity.variables())
-    if n ** k > max_evaluations:
-        raise ValueError(
-            f"{n}^{k} assignments exceed the budget of {max_evaluations}")
-    return _check_over(structure, identity, structure.elements, False)
+    return _check_over(structure, identity, structure.elements, False,
+                       max_evaluations)
 
 
 def check_identity_window(structure, identity: Identity,
                           window) -> CheckResult:
     """Exhaustive over a finite element window; the verdict is explicitly
     window-verified, standing in for the universal claim without certifying
-    it."""
-    elements = list(window)
-    return _check_over(structure, identity, elements, True)
+    it.  The window has the same assignment budget as the exhaustive check."""
+    return _check_over(structure, identity, list(window), True)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +478,7 @@ class ClassifyEntry:
     reason: Optional[str] = None
 
 
-def classify(fs, *, max_evaluations: int = 10_000_000) -> list:
+def classify(fs, *, max_evaluations: int = MAX_EVALUATIONS) -> list:
     """Run every applicable catalogue entry against the structure."""
     structure = as_structure(fs)
     has_unary = _has_unary(structure)

@@ -388,8 +388,6 @@ def entry_cross_validation(seed: int = 0) -> ReportEntry:
     sizes = []
     for s in range(25):
         result = zoo.random_transformation_semigroup(4, seed + s, 2)
-        if not isinstance(result, engine.FiniteSemigroup):
-            result = engine.table_from_ball(result)
         sizes.append(len(result))
         g1 = engine.green_scc(result)
         g2 = engine.green_definitional(result)

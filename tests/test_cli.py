@@ -124,6 +124,10 @@ def test_green_refusals_exit_2(capsys):
     assert run(capsys, "green", "pz:1000", "--relation", "D") == (
         2, "", "error: witnessed analysis needs 36012001 hit-row cells, "
                "over the budget of 10000000\n")
+    for spec, relation in (("bicyclic:0", "L"), ("bicyclic:-4", None)):
+        args = ["green", spec] + (["--relation", relation] if relation else [])
+        assert run(capsys, *args) == (
+            2, "", f"error: bad zoo spec {spec!r}: radius must be >= 1\n")
 
 
 def test_munn_idempotent(capsys):
@@ -217,6 +221,17 @@ def test_identity_window(capsys):
                        "--window", "15")
     assert code == 0
     assert "window-verified" in out
+
+
+def test_identity_window_refusals_exit_2(capsys):
+    # The first used to run 601^3 assignments unbudgeted; the second printed
+    # a vacuous verdict over an empty window.
+    assert run(capsys, "identity", "pz:300", "x(yz) = (xy)z") == (
+        2, "", "error: 601^3 assignments exceed the budget of 10000000\n")
+    for window in ("0", "-2"):
+        assert run(capsys, "identity", "pz:5", "xy = yx",
+                   "--window", window) == (
+            2, "", "error: window bound must be >= 1\n")
 
 
 def test_identity_raw_text(capsys):

@@ -66,6 +66,158 @@ def test_enumeration_order_is_breadth_first_deterministic():
     assert ball.lengths == sorted(ball.lengths)
 
 
+# enumeration: the resumable growth against the fresh search it replaced
+
+
+def reference_ball(oracle, generators, radius, seeds=(), max_elements=10 ** 6):
+    """A fresh breadth-first search from radius 1 that peeks one level past
+    the radius without storing it; raises BudgetError mid-level."""
+    key = oracle.key
+    elements, words, lengths, index = [], [], [], {}
+
+    def push(e, word, length):
+        if key(e) in index:
+            return False
+        index[key(e)] = len(elements)
+        elements.append(e)
+        words.append(word)
+        lengths.append(length)
+        return True
+
+    for s in seeds:
+        push(s, (), 0)
+    frontier = [len(elements) - 1 for a, g in enumerate(generators)
+                if push(g, (a,), 1)]
+    for length in range(2, radius + 1):
+        if not frontier:
+            break
+        nxt = []
+        for i in frontier:
+            for a, g in enumerate(generators):
+                if push(oracle.mult(elements[i], g), words[i] + (a,), length):
+                    nxt.append(len(elements) - 1)
+                    if len(elements) > max_elements:
+                        raise BudgetError("reference ball over budget")
+        frontier = nxt
+    closed = all(key(oracle.mult(elements[i], g)) in index
+                 for i in frontier for g in generators)
+    return elements, words, lengths, index, closed
+
+
+def reference_budget_ball(oracle, generators, seeds, max_elements):
+    """Fresh balls of radius 1, 2, ... until one closes or one level pushes
+    the count past max_elements: the largest radius that fits."""
+    radius = 1
+    ball = reference_ball(oracle, generators, 1, seeds, max_elements)
+    while not ball[-1]:
+        try:
+            ball = reference_ball(oracle, generators, radius + 1, seeds,
+                                  max_elements)
+        except BudgetError:
+            break
+        radius += 1
+    return radius, ball
+
+
+def ball_fields(ball):
+    return ball.elements, ball.words, ball.lengths, ball.index, ball.closed
+
+
+@st.composite
+def enumeration_cases(draw):
+    kind = draw(st.sampled_from(["bicyclic", "free monogenic", "T3"]))
+    if kind == "bicyclic":
+        return zoo.bicyclic_oracle(), [(1, 0), (0, 1)], [(0, 0)]
+    if kind == "free monogenic":
+        return Oracle(lambda x, y: x + y), [1], []
+    maps = draw(st.lists(st.tuples(*[st.integers(0, 2)] * 3),
+                         min_size=1, max_size=3))
+    seeds = [(0, 1, 2)] if draw(st.booleans()) else []
+    return zoo.transformation_oracle(3), maps, seeds
+
+
+@settings(max_examples=80, deadline=None)
+@given(enumeration_cases(), st.lists(st.integers(1, 9), min_size=3,
+                                     max_size=3, unique=True).map(sorted))
+def test_extend_matches_fresh_enumeration(case, radii):
+    oracle, generators, seeds = case
+    r, mid, big = radii
+    small = ball_enumerate(oracle, generators, r, seeds=seeds)
+    # Grow past mid first, so the mid ball is a prefix of a longer growth.
+    for radius in (big, mid):
+        ext = small.extend(radius)
+        fresh = ball_enumerate(oracle, generators, radius, seeds=seeds)
+        assert ball_fields(ext) == ball_fields(fresh)
+        assert ball_fields(fresh) == reference_ball(oracle, generators,
+                                                    radius, seeds)
+        assert ext.radius == (r if small.closed else radius)
+
+
+def test_budget_ball_matches_fresh_reenumeration():
+    cases = [(zoo.bicyclic_oracle(), [(1, 0), (0, 1)], [(0, 0)], m)
+             for m in range(1, 61)]
+    cases.append((zoo.transformation_oracle(4),
+                  [(1, 2, 3, 0), (1, 0, 2, 3), (0, 0, 2, 3)], [], 100))
+    for oracle, generators, seeds, max_elements in cases:
+        ball = enumerate_oracle(oracle, generators, seeds=seeds,
+                                max_elements=max_elements)
+        radius, ref = reference_budget_ball(oracle, generators, seeds,
+                                            max_elements)
+        assert isinstance(ball, BallEnumeration)
+        assert ball.radius == radius
+        assert ball_fields(ball) == ref
+        with pytest.raises(BudgetError):
+            ball_enumerate(oracle, generators, radius + 1, seeds=seeds,
+                           max_elements=max_elements)
+
+
+def counting_oracle(oracle):
+    calls = [0]
+    mult = oracle.mult
+
+    def counted(x, y):
+        calls[0] += 1
+        return mult(x, y)
+    oracle.mult = counted
+    return oracle, calls
+
+
+def test_enumeration_oracle_call_counts():
+    # A closed enumeration makes one product per element and generator,
+    # seeds included, and the table reuses them.
+    full_t4 = [(1, 2, 3, 0), (1, 0, 2, 3), (0, 0, 2, 3)]
+    for seeds in ([], [(0, 1, 2, 3)]):
+        oracle, calls = counting_oracle(zoo.transformation_oracle(4))
+        fs = enumerate_oracle(oracle, full_t4, seeds=seeds)
+        assert (len(fs), calls[0]) == (256, 256 * 3)
+    oracle, calls = counting_oracle(zoo.transformation_oracle(5))
+    fs = enumerate_oracle(oracle, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4),
+                                   (0, 0, 2, 3, 4)])
+    assert (len(fs), calls[0]) == (3125, 9375)
+    # The budget stop reuses its levels instead of re-enumerating them.
+    oracle, calls = counting_oracle(zoo.bicyclic_oracle())
+    ball = enumerate_oracle(oracle, [(1, 0), (0, 1)], seeds=[(0, 0)],
+                            max_elements=5000)
+    assert (ball.radius, len(ball)) == (98, 4950)
+    assert calls[0] <= 10_100
+    # The closure check expands the last level only until a longer element
+    # appears: rows of the 35 shorter non-seed elements and one of length 8.
+    oracle, calls = counting_oracle(zoo.bicyclic_oracle())
+    ball = ball_enumerate(oracle, [(1, 0), (0, 1)], 8, seeds=[(0, 0)])
+    assert calls[0] == 2 * 36
+    witnessed_green(ball, "D")
+    assert calls[0] <= 211_920
+
+
+def test_radius_below_one_rejected():
+    oracle, generators = zoo.bicyclic_oracle(), [(1, 0), (0, 1)]
+    for radius in (0, -4):
+        with pytest.raises(ValueError, match="radius must be >= 1"):
+            ball_enumerate(oracle, generators, radius)
+        with pytest.raises(ValueError, match="radius must be >= 1"):
+            enumerate_oracle(oracle, generators, max_word_length=radius)
+
+
 # table fill: the Cayley-graph fill against one oracle product per cell
 
 

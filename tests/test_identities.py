@@ -155,6 +155,14 @@ def test_budget_refusal():
         check_identity_exhaustive(fs, ident)
 
 
+def test_window_budget_refusal():
+    # The window check shares the exhaustive check's budget: 601^3 > 10^7.
+    window = zoo.PWindow(300)
+    with pytest.raises(ValueError, match="budget"):
+        check_identity_window(window, parse_identity("x(yz) = (xy)z"),
+                              window.elements)
+
+
 def test_rolstar_on_p_window():
     window = zoo.PWindow(15)
     result = check_identity_window(window, catalogue_entry("rolstar")[0],
