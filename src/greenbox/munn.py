@@ -2,8 +2,8 @@
 
 An inverse automaton is a pointed, connected, edge-labeled graph that is
 deterministic counting derived inverse transitions.  Only positive-letter
-edges are stored; a negative transition is answered by the reverse index,
-which keeps an edge and its inverse from drifting apart.
+edges are stored; both directions of an edge are answered by one signed
+transition map, which keeps an edge and its inverse from drifting apart.
 
 Munn trees solve the word problem of the free inverse semigroup: two words
 are equal exactly when their Munn trees are isomorphic as pointed automata.
@@ -22,10 +22,13 @@ class InverseAutomaton:
 
     ``edges`` is a tuple of ``(src, letter, dst)`` with ``letter >= 1``.
     ``base`` is the start vertex, ``final`` the optional end vertex.
-    Transition maps are built lazily and require determinism.
+    ``worklist`` is an optional ``(owner, vertices)`` hint left by the step
+    that built the automaton: only ``vertices`` can fail the local test of
+    that step's ``owner`` (see ``stephen.r_expand``); None means every
+    vertex must be checked.
     """
 
-    __slots__ = ("n", "edges", "base", "final", "_out", "_inn")
+    __slots__ = ("n", "edges", "base", "final", "worklist", "_delta")
 
     def __init__(self, n: int, edges: Iterable[tuple], base: int,
                  final: Optional[int] = None):
@@ -33,38 +36,40 @@ class InverseAutomaton:
         self.edges = tuple(edges)
         self.base = base
         self.final = final
-        self._out = None
-        self._inn = None
+        self.worklist = None
+        self._delta = None
 
-    def _maps(self):
-        if self._out is None:
-            out = [dict() for _ in range(self.n)]
-            inn = [dict() for _ in range(self.n)]
-            for u, a, v in self.edges:
-                if out[u].get(a, v) != v or inn[v].get(a, u) != u:
-                    raise ValueError("automaton is not deterministic")
-                out[u][a] = v
-                inn[v][a] = u
-            self._out = out
-            self._inn = inn
-        return self._out, self._inn
+    def transitions(self) -> list:
+        """Per-vertex dict from signed letter to target, built once.
+
+        An edge ``(u, a, v)`` gives ``u --a--> v`` and ``v --(-a)--> u``;
+        a second target for one signed letter raises ``ValueError``.  Each
+        dict lists its letters in the order a1, -a1, a2, -a2, ... (ascending
+        a), which is the neighbour order of the canonical breadth-first
+        numbering.
+        """
+        if self._delta is None:
+            delta = [{} for _ in range(self.n)]
+            by_letter: dict = {}
+            for e in self.edges:
+                by_letter.setdefault(e[1], []).append(e)
+            for a in sorted(by_letter):
+                group = by_letter[a]
+                for u, _, v in group:
+                    if delta[u].setdefault(a, v) != v:
+                        raise ValueError("automaton is not deterministic")
+                for u, _, v in group:
+                    if delta[v].setdefault(-a, u) != u:
+                        raise ValueError("automaton is not deterministic")
+            self._delta = delta
+        return self._delta
 
     def step(self, v: int, x: int) -> Optional[int]:
         """Follow signed letter x from vertex v, or None if undefined."""
-        out, inn = self._maps()
-        if x > 0:
-            return out[v].get(x)
-        return inn[v].get(-x)
+        return self.transitions()[v].get(x)
 
     def walk(self, v: int, w: Word) -> Optional[int]:
-        for x in w:
-            v = self.step(v, x)
-            if v is None:
-                return None
-        return v
-
-    def letters(self) -> tuple:
-        return tuple(sorted({a for _, a, _ in self.edges}))
+        return follow(self.transitions(), v, w)
 
     def undirected_edge_count(self) -> int:
         return len(set(self.edges))
@@ -75,6 +80,15 @@ class InverseAutomaton:
     def __repr__(self) -> str:
         return (f"InverseAutomaton(n={self.n}, edges={len(self.edges)}, "
                 f"base={self.base}, final={self.final})")
+
+
+def follow(delta: list, v: int, w: Word) -> Optional[int]:
+    """Read w from vertex v in a transition map, or None if undefined."""
+    for x in w:
+        v = delta[v].get(x)
+        if v is None:
+            return None
+    return v
 
 
 def linear_automaton(w: Word) -> InverseAutomaton:
@@ -91,13 +105,15 @@ def linear_automaton(w: Word) -> InverseAutomaton:
 
 
 def fold(aut: InverseAutomaton, extra_merges: Sequence[tuple] = (),
-         edge_order: Optional[Sequence[int]] = None) -> InverseAutomaton:
+         edge_order: Optional[Sequence[int]] = None,
+         image: Optional[list] = None) -> InverseAutomaton:
     """Quotient by repeated edge folding until deterministic.
 
     Vertices are identified with a disjoint-set structure whose
     representative is always the smallest original index, so the output
     numbering is stable.  Folding is confluent; ``edge_order`` exists so
-    tests can shuffle the processing order.
+    tests can shuffle the processing order.  When ``image`` is a list, it
+    is extended with the output vertex of every input vertex, in order.
     """
     n = aut.n
     parent = list(range(n))
@@ -158,12 +174,17 @@ def fold(aut: InverseAutomaton, extra_merges: Sequence[tuple] = (),
         out[u][a] = v
         inn[v][a] = u
 
-    roots = sorted({find(x) for x in range(n)})
+    rep = [find(x) for x in range(n)]
+    roots = [x for x in range(n) if rep[x] == x]
     renumber = {r: i for i, r in enumerate(roots)}
-    edges = sorted({(renumber[r], a, renumber[find(t)])
-                    for r in roots for a, t in out[r].items()})
-    final = None if aut.final is None else renumber[find(aut.final)]
-    return InverseAutomaton(len(roots), edges, renumber[find(aut.base)], final)
+    img = [renumber[r] for r in rep]
+    # Only roots keep out-edges, one per letter, so the edges are distinct.
+    edges = sorted([(img[r], a, img[t])
+                    for r in roots for a, t in out[r].items()])
+    if image is not None:
+        image.extend(img)
+    final = None if aut.final is None else img[aut.final]
+    return InverseAutomaton(len(roots), edges, img[aut.base], final)
 
 
 def munn_tree(w: Word) -> InverseAutomaton:
@@ -174,36 +195,84 @@ def munn_tree(w: Word) -> InverseAutomaton:
     return t
 
 
+# Anchors advanced together by the unpointed key; it bounds the numberings
+# held at once to ANCHOR_BATCH * V entries when many anchors tie for long, as
+# on vertex-transitive graphs.
+ANCHOR_BATCH = 64
+
+
 def canonical_key(aut: InverseAutomaton, pointed: bool = True):
-    """Canonical form: BFS renumbering with sorted signed-letter neighbor order.
+    """Canonical form: BFS renumbering with signed-letter neighbor order
+    a1, -a1, a2, -a2, ...; the base is vertex 0.
 
     Two deterministic connected automata are isomorphic (as pointed automata
     when ``pointed``, as bare labeled graphs otherwise) exactly when their
-    keys compare equal.  The unpointed key minimizes over all anchor choices.
-    """
-    letters = aut.letters()
+    keys compare equal.  The unpointed key is the least key over all anchor
+    choices.
 
-    def bfs_key(anchor: int, with_marks: bool):
-        num = {anchor: 0}
-        order = [anchor]
-        i = 0
-        while i < len(order):
-            v = order[i]
-            i += 1
-            for a in letters:
-                for t in (aut.step(v, a), aut.step(v, -a)):
-                    if t is not None and t not in num:
+    The sorted edge tuple of a BFS numbering is the concatenation of one
+    block per vertex in visit order: vertex k's positive out-edges
+    ``(k, a, num[target])`` by ascending a.  The unpointed key advances
+    a batch of anchors one block at a time and drops an anchor as soon as
+    its block exceeds the least block of that round, or the whole batch as
+    soon as that least block exceeds the best key's block from earlier
+    batches.  Each block ends with a ``(k + 1,)`` sentinel: all anchors
+    number the same edges, so a block that is a proper prefix of another
+    is followed by a later vertex's edge and compares larger, as the
+    sentinel does.
+    """
+    delta = aut.transitions()
+    if pointed:
+        num = {aut.base: 0}
+        order = [aut.base]
+        edges = []
+        for k, v in enumerate(order):
+            for x, t in delta[v].items():
+                if t not in num:
+                    num[t] = len(order)
+                    order.append(t)
+                if x > 0:
+                    edges.append((k, x, num[t]))
+        fin = None if aut.final is None else num[aut.final]
+        return (aut.n, 0, fin, tuple(edges))
+    return (aut.n, _least_edges(delta))
+
+
+def _least_edges(delta: list) -> tuple:
+    """The least BFS edge tuple over all anchors, by batched lockstep."""
+    n = len(delta)
+    best = None          # blocks of the least key so far, with sentinels
+    for start in range(0, n, ANCHOR_BATCH):
+        stop = min(start + ANCHOR_BATCH, n)
+        alive = [({v: 0}, [v]) for v in range(start, stop)]
+        blocks = []
+        below = best is None    # this batch's prefix already below best's?
+        for k in range(n):
+            least = None
+            survivors = []
+            for num, order in alive:
+                block = []
+                for x, t in delta[order[k]].items():
+                    if t not in num:
                         num[t] = len(order)
                         order.append(t)
-        edges = tuple(sorted((num[u], a, num[v]) for u, a, v in set(aut.edges)))
-        if with_marks:
-            fin = None if aut.final is None else num[aut.final]
-            return (aut.n, num[aut.base], fin, edges)
-        return (aut.n, edges)
-
-    if pointed:
-        return bfs_key(aut.base, True)
-    return min(bfs_key(v, False) for v in range(aut.n))
+                    if x > 0:
+                        block.append((k, x, num[t]))
+                block.append((k + 1,))
+                if least is None or block < least:
+                    least = block
+                    survivors = [(num, order)]
+                elif block == least:
+                    survivors.append((num, order))
+            if not below:
+                if least > best[k]:
+                    break
+                below = least < best[k]
+            alive = survivors
+            blocks.append(least)
+        else:
+            best = blocks       # below best's key, or equal to it
+    return tuple(e for block in best for e in block[:-1])
 
 
 def isomorphic(a: InverseAutomaton, b: InverseAutomaton,
@@ -293,20 +362,10 @@ def fis_a_triple(u: Word) -> FisTriple:
 
 def to_dot(aut: InverseAutomaton, alphabet: Optional[Alphabet] = None,
            name: str = "automaton") -> str:
-    """DOT export: stable BFS numbering, base marked with an external arrow,
-    final drawn double-circled, positive edge labels only."""
-    letters = aut.letters()
-    num = {aut.base: 0}
-    order = [aut.base]
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for a in letters:
-            for t in (aut.step(v, a), aut.step(v, -a)):
-                if t is not None and t not in num:
-                    num[t] = len(order)
-                    order.append(t)
+    """DOT export in the numbering of the pointed canonical key: base marked
+    with an external arrow, final drawn double-circled, positive edge labels
+    only."""
+    _, base, final, edges = canonical_key(aut)
 
     def label(a: int) -> str:
         if alphabet is not None and a - 1 < len(alphabet):
@@ -314,11 +373,11 @@ def to_dot(aut: InverseAutomaton, alphabet: Optional[Alphabet] = None,
         return f"a{a}"
 
     lines = [f"digraph {name} {{", "  rankdir=LR;", "  node [shape=circle];"]
-    if aut.final is not None:
-        lines.append(f"  {num[aut.final]} [shape=doublecircle];")
+    if final is not None:
+        lines.append(f"  {final} [shape=doublecircle];")
     lines.append('  __start [shape=none, label=""];')
-    lines.append(f"  __start -> {num[aut.base]};")
-    for u, a, v in sorted((num[u], a, num[v]) for u, a, v in set(aut.edges)):
+    lines.append(f"  __start -> {base};")
+    for u, a, v in edges:
         lines.append(f'  {u} -> {v} [label="{label(a)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from .engine import FiniteSemigroup
-from .munn import InverseAutomaton, canonical_key, fold, munn_tree
+from .munn import InverseAutomaton, canonical_key, fold, follow, munn_tree
 from .munn import to_dot as dot_export  # stage automata share the exporter
 from .words import (Alphabet, Word, WordSyntaxError, format_word, invert_word,
                     parse_word)
@@ -96,20 +96,26 @@ def r_expand(aut: InverseAutomaton, pres: Presentation) -> tuple:
     Returns (automaton, merges, applied) where merges are endpoint pairs
     produced by empty conclusion sides (monoid mode) and applied counts the
     expansions.  The result may be nondeterministic; the caller folds.
+    A stage made by ``stephen_step`` for the same presentation carries a
+    worklist; only its vertices are tested, in ascending order, which finds
+    exactly what a scan of every vertex finds.
     """
+    hint = aut.worklist
+    scan = hint[1] if hint is not None and hint[0] is pres else range(aut.n)
+    delta = aut.transitions()
     to_adjoin = []
     merges = []
     seen = set()
     for premise, conclusion in pres.sides():
-        for p in range(aut.n):
-            q = p if not premise else aut.walk(p, premise)
+        for p in scan:
+            q = follow(delta, p, premise)
             if q is None:
                 continue
             if not conclusion:
                 if p != q:
                     merges.append((p, q))
                 continue
-            if aut.walk(p, conclusion) == q:
+            if follow(delta, p, conclusion) == q:
                 continue
             key = (p, conclusion, q)
             if key not in seen:
@@ -133,9 +139,51 @@ def r_expand(aut: InverseAutomaton, pres: Presentation) -> tuple:
 
 
 def stephen_step(aut: InverseAutomaton, pres: Presentation) -> InverseAutomaton:
-    """One stage: expand synchronously, then fold once."""
+    """One stage: expand synchronously, then fold once.  The result carries
+    the worklist of its own R-expansion."""
     grown, merges, _ = r_expand(aut, pres)
-    return fold(grown, extra_merges=merges)
+    image: list = []
+    nxt = fold(grown, extra_merges=merges, image=image)
+    new_edges = grown.edges[len(aut.edges):]
+    touched = {image[u] for u, _, _ in new_edges}
+    touched.update(image[v] for _, _, v in new_edges)
+    touched.update(image[p] for p, _ in merges)
+    nxt.worklist = (pres, _near(nxt, touched, image, pres))
+    return nxt
+
+
+def _near(aut: InverseAutomaton, touched: set, image: list,
+          pres: Presentation) -> list:
+    """Ascending vertices within distance L - 1 of a changed vertex, L being
+    the longest relation side.
+
+    A vertex changed when its class merged two or more vertices, or holds
+    an endpoint of a new path or merge (``touched``; fresh vertices are
+    endpoints of new edges).  Any other vertex has the transitions of its
+    one preimage, renumbered.  A side's walk of at most L steps leaves only
+    vertices within L - 1 of its start, so from a vertex farther than that
+    from every changed one, both sides read as they did from its preimage.
+    That preimage needed no expansion or merge, else it would be an
+    endpoint, so the vertex needs none either.
+    """
+    near = set(touched)
+    seen = bytearray(aut.n)
+    for v in image:
+        if seen[v]:
+            near.add(v)
+        seen[v] = 1
+    delta = aut.transitions()
+    ring = list(near)
+    radius = max((len(w) for side in pres.sides() for w in side), default=1)
+    for _ in range(radius - 1):
+        outer = []
+        for v in ring:
+            for t in delta[v].values():
+                if t not in near:
+                    near.add(t)
+                    outer.append(t)
+        ring = outer
+    return sorted(near)
 
 
 @dataclass
@@ -144,6 +192,8 @@ class StageTrace:
     stages: list = field(default_factory=list)   # folded automata
     closed: bool = False
     stages_used: int = 0
+    stop: str = ""     # "fixpoint", or the budget that ran out:
+                       # "stages" or "vertices"
 
     @property
     def last(self) -> InverseAutomaton:
@@ -161,29 +211,45 @@ def initial_stage(u: Word, pres: Presentation) -> InverseAutomaton:
     return InverseAutomaton(1, (), base=0, final=0)
 
 
+def _check_budgets(max_stages: int, max_vertices: int) -> None:
+    if max_stages < 1:
+        raise ValueError("stages must be >= 1")
+    if max_vertices < 1:
+        raise ValueError("vertices must be >= 1")
+
+
+def _same_stage(a: InverseAutomaton, b: InverseAutomaton) -> bool:
+    """Pointed isomorphism, keyed only when the counts already agree."""
+    return (a.n == b.n and len(a.edges) == len(b.edges)
+            and canonical_key(a) == canonical_key(b))
+
+
 def stephen_run(u: Word, pres: Presentation, *, max_stages: int = 40,
                 max_vertices: int = 20_000) -> StageTrace:
     """Iterate stages to a fixpoint or to budget.
 
-    Budget exhaustion is a normal closed=False trace, never an error.  The
-    fixpoint test compares pointed canonical forms of successive stages.
+    Budget exhaustion is a normal closed=False trace, never an error; the
+    trace's ``stop`` names the reason.  The fixpoint test compares pointed
+    canonical forms of successive stages.
     """
+    _check_budgets(max_stages, max_vertices)
     trace = StageTrace(word=u)
     stage = initial_stage(u, pres)
     trace.stages.append(stage)
     trace.stages_used = 1
-    prev_key = canonical_key(stage)
     while trace.stages_used < max_stages:
         nxt = stephen_step(stage, pres)
         if nxt.n > max_vertices:
+            trace.stop = "vertices"
             return trace
-        key = canonical_key(nxt)
-        if key == prev_key:
+        if _same_stage(stage, nxt):
             trace.closed = True
+            trace.stop = "fixpoint"
             return trace
         trace.stages.append(nxt)
         trace.stages_used += 1
-        stage, prev_key = nxt, key
+        stage = nxt
+    trace.stop = "stages"
     return trace
 
 
@@ -202,37 +268,37 @@ def tau_equal(u: Word, v: Word, pres: Presentation, *, max_stages: int = 40,
     accepts u (acceptance is monotone along stages).  Distinctness needs
     both traces closed with different pointed canonical forms.
     """
+    _check_budgets(max_stages, max_vertices)
     su = initial_stage(u, pres)
     sv = initial_stage(v, pres)
-    ku, kv = canonical_key(su), canonical_key(sv)
     closed_u = closed_v = False
     for _ in range(max_stages):
         if accepts(su, v) and accepts(sv, u):
             return "equal"
         if closed_u and closed_v:
-            return "equal" if ku == kv else "distinct"
+            same = canonical_key(su) == canonical_key(sv)
+            return "equal" if same else "distinct"
         if not closed_u:
             nxt = stephen_step(su, pres)
             if nxt.n > max_vertices:
                 return "unknown"
-            k = canonical_key(nxt)
-            if k == ku:
+            if _same_stage(su, nxt):
                 closed_u = True
             else:
-                su, ku = nxt, k
+                su = nxt
         if not closed_v:
             nxt = stephen_step(sv, pres)
             if nxt.n > max_vertices:
                 return "unknown"
-            k = canonical_key(nxt)
-            if k == kv:
+            if _same_stage(sv, nxt):
                 closed_v = True
             else:
-                sv, kv = nxt, k
+                sv = nxt
     if closed_u and closed_v:
         if accepts(su, v) and accepts(sv, u):
             return "equal"
-        return "equal" if ku == kv else "distinct"
+        same = canonical_key(su) == canonical_key(sv)
+        return "equal" if same else "distinct"
     return "unknown"
 
 

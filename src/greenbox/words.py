@@ -10,6 +10,7 @@ Text grammar: letters are identifiers matching ``[a-z][a-z0-9]*``, an inverse
 is written ``x^-1``, positive powers ``x^3``, negative powers ``x^-3``.
 Adjacent factors are separated by whitespace, or by nothing when the alphabet
 is known and longest-match scanning is unambiguous (single-character names).
+A parsed word has at most ``MAX_WORD_LETTERS`` letters.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ Word = tuple  # tuple of nonzero ints
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9]*")
 _INT_RE = re.compile(r"-?[0-9]+")
+
+MAX_WORD_LETTERS = 100_000
 
 
 class WordSyntaxError(ValueError):
@@ -127,15 +130,23 @@ def parse_word(text: str, alphabet: Optional[Alphabet] = None, *,
             continue
         if not ch.isalpha() or not ch.islower():
             raise WordSyntaxError(f"unexpected character {ch!r}", pos)
+        start = pos
         name, pos = _scan_name(text, pos, alphabet, add)
         exponent = 1
         if pos < n and text[pos] == "^":
             m = _INT_RE.match(text, pos + 1)
             if not m:
                 raise WordSyntaxError("expected integer exponent after '^'", pos + 1)
-            exponent = int(m.group())
+            if len(m.group().lstrip("-0")) > len(str(MAX_WORD_LETTERS)):
+                # Over budget, and maybe past int()'s digit limit.
+                exponent = MAX_WORD_LETTERS + 1
+            else:
+                exponent = int(m.group())
             pos = m.end()
         signed = alphabet.index(name) + 1
+        if len(out) + abs(exponent) > MAX_WORD_LETTERS:
+            raise WordSyntaxError(
+                f"word longer than {MAX_WORD_LETTERS} letters", start)
         if exponent >= 0:
             out.extend([signed] * exponent)
         else:

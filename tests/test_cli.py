@@ -153,6 +153,14 @@ def test_munn_empty_word_rejected(capsys):
     assert code == 2
 
 
+def test_word_budget_refusals_exit_2(capsys):
+    assert run(capsys, "munn", "a^100000000") == (
+        2, "", "error: word longer than 100000 letters (at position 0)\n")
+    assert run(capsys, "stephen", "inv-monoid a ; a^200000 = 1", "a") == (
+        2, "", "error: relation 1: word longer than 100000 letters "
+               "(at position 0)\n")
+
+
 def test_munn_dot_output(tmp_path, capsys):
     path = tmp_path / "tree.dot"
     code, out, _ = run(capsys, "munn", "a b", "--dot", str(path))
@@ -195,6 +203,16 @@ def test_stephen_presentation_file(tmp_path, capsys):
     code, out, _ = run(capsys, "stephen", str(path), "b", "--equal", "b b")
     assert code == 0
     assert "equal" in out
+
+
+def test_stephen_budgets_below_one_exit_2(capsys):
+    for extra, message in ((["--stages", "0"], "stages must be >= 1"),
+                           (["--stages", "-3"], "stages must be >= 1"),
+                           (["--max-vertices", "0"], "vertices must be >= 1"),
+                           (["--stages", "0", "--equal", "b b"],
+                            "stages must be >= 1")):
+        assert run(capsys, "stephen", M_TEXT, "b", *extra) == (
+            2, "", f"error: {message}\n")
 
 
 def test_stephen_parse_error(capsys):

@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from greenbox import munn
 from greenbox.munn import (FisTriple, InverseAutomaton, canonical_key,
                            fis_a_triple, fis_equal, fis_multiply, fold,
                            is_fis_idempotent, linear_automaton, munn_tree,
                            to_dot)
-from greenbox.words import Alphabet, free_reduce, invert_word
+from greenbox.words import Alphabet, free_reduce, invert_word, parse_word
 
 A, B = 1, 2
 
@@ -281,3 +283,138 @@ def test_fold_matches_naive_on_grafted_automata():
         glued = InverseAutomaton(x.n + y.n, edges + [(x.final, 9, y.base + off)],
                                  x.base, y.final + off)
         assert canonical_key(fold(glued)) == canonical_key(naive_fold(glued))
+
+
+# Reference canonical key: one full breadth-first key per anchor, minimum over
+# all anchors, on transition maps built here from the edge list.
+
+
+def reference_maps(aut):
+    out = [dict() for _ in range(aut.n)]
+    inn = [dict() for _ in range(aut.n)]
+    for u, a, v in aut.edges:
+        assert out[u].get(a, v) == v and inn[v].get(a, u) == u
+        out[u][a] = v
+        inn[v][a] = u
+    return out, inn
+
+
+def reference_key(aut, pointed=True):
+    out, inn = reference_maps(aut)
+    letters = sorted({a for _, a, _ in aut.edges})
+
+    def bfs_key(anchor, with_marks):
+        num = {anchor: 0}
+        order = [anchor]
+        i = 0
+        while i < len(order):
+            v = order[i]
+            i += 1
+            for a in letters:
+                for t in (out[v].get(a), inn[v].get(a)):
+                    if t is not None and t not in num:
+                        num[t] = len(order)
+                        order.append(t)
+        edges = tuple(sorted((num[u], a, num[v]) for u, a, v in set(aut.edges)))
+        if with_marks:
+            fin = None if aut.final is None else num[aut.final]
+            return (aut.n, num[aut.base], fin, edges)
+        return (aut.n, edges)
+
+    if pointed:
+        return bfs_key(aut.base, True)
+    return min(bfs_key(v, False) for v in range(aut.n))
+
+
+def munn_theorem_equal(u, v):
+    """Munn (1974): equal free reductions and equal sets of reduced prefixes."""
+    def prefixes(w):
+        return {free_reduce(w[:i]) for i in range(len(w) + 1)}
+    return free_reduce(u) == free_reduce(v) and prefixes(u) == prefixes(v)
+
+
+def signed_words(letters, min_size=1, max_size=30):
+    return st.lists(st.tuples(st.integers(1, letters), st.sampled_from([1, -1]))
+                    .map(lambda p: p[0] * p[1]),
+                    min_size=min_size, max_size=max_size).map(tuple)
+
+
+any_words = st.integers(1, 3).flatmap(signed_words)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_words)
+@example((B, B, -B))
+def test_canonical_key_matches_all_anchor_reference(w):
+    tree = munn_tree(w)
+    assert canonical_key(tree) == reference_key(tree)
+    unpointed = reference_key(tree, False)
+    assert canonical_key(tree, pointed=False) == unpointed
+    # Batches of two and three anchors: later batches beat, tie with or
+    # lose to the best key of the earlier ones.
+    for batch in (2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(munn, "ANCHOR_BATCH", batch)
+            assert canonical_key(tree, pointed=False) == unpointed
+
+
+def test_unpointed_key_on_long_words():
+    rng = random.Random(47)
+    for length in (150, 300):
+        tree = munn_tree(rand_word(rng, letters=2, max_len=length))
+        assert canonical_key(tree, pointed=False) == reference_key(tree, False)
+
+
+def test_unpointed_key_with_prefix_block():
+    # From vertex 1, vertex 2's block is empty, a proper prefix of vertex 0's
+    # block as seen from anchor 0; it must still compare larger.
+    tree = munn_tree((B, B, -B))
+    assert canonical_key(tree, pointed=False) == (3, ((0, B, 1), (1, B, 2)))
+    assert canonical_key(tree, pointed=False) == reference_key(tree, False)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 130])
+def test_cycle_keys_tie_on_every_anchor(n):
+    one = InverseAutomaton(n, [(i, A, (i + 1) % n) for i in range(n)], 0, n - 1)
+    two = InverseAutomaton(n, [(i, A if i % 2 else B, (i + 1) % n)
+                               for i in range(n)], 1 % n, 0)
+    for aut in (one, two):
+        assert canonical_key(aut) == reference_key(aut)
+        assert canonical_key(aut, pointed=False) == reference_key(aut, False)
+    shifted = InverseAutomaton(n, [((i + 3) % n, A, (i + 4) % n)
+                                   for i in range(n)], 2 % n, 1 % n)
+    assert canonical_key(shifted, pointed=False) == canonical_key(one, False)
+
+
+def test_transitions_reject_nondeterminism():
+    aut = InverseAutomaton(3, [(0, A, 1), (2, A, 1)], 0)
+    with pytest.raises(ValueError):
+        aut.step(0, A)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_words, any_words)
+def test_fis_equal_matches_munn_theorem(u, v):
+    assert fis_equal(u, v) == munn_theorem_equal(u, v)
+    sandwich = u + invert_word(u) + u
+    assert fis_equal(u, sandwich) and munn_theorem_equal(u, sandwich)
+    assert (fis_equal(u + v, sandwich + v)
+            == munn_theorem_equal(u + v, sandwich + v))
+
+
+def test_munn_theorem_examples():
+    assert munn_theorem_equal((A, -A, A), (A,))
+    assert not munn_theorem_equal((A, -A), (-A, A))
+    assert not munn_theorem_equal((A, B, -B), (A,))
+
+
+def test_dot_numbering_is_the_pointed_key_numbering():
+    alpha = Alphabet(["a", "b"])
+    tree = munn_tree(parse_word("a^3 a^-3 b a^-1", alpha))
+    assert to_dot(tree, alpha) == (
+        "digraph automaton {\n  rankdir=LR;\n  node [shape=circle];\n"
+        "  4 [shape=doublecircle];\n"
+        '  __start [shape=none, label=""];\n  __start -> 0;\n'
+        '  0 -> 1 [label="a"];\n  0 -> 2 [label="b"];\n'
+        '  1 -> 3 [label="a"];\n  3 -> 5 [label="a"];\n'
+        '  4 -> 2 [label="a"];\n}\n')

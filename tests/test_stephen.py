@@ -1,16 +1,20 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from greenbox import zoo
 from greenbox.engine import green_scc, iso_tables
-from greenbox.munn import InverseAutomaton, canonical_key, fis_equal, munn_tree
+from greenbox.munn import (InverseAutomaton, canonical_key, fis_equal, fold,
+                           munn_tree)
 from greenbox.stephen import (Presentation, accepts, dclass_signature,
-                              parse_presentation, presented_table, r_expand,
-                              stephen_run, stephen_step, tau_equal)
+                              initial_stage, parse_presentation,
+                              presented_table, r_expand, stephen_run,
+                              stephen_step, tau_equal)
 from greenbox.words import Alphabet
+from test_munn import reference_key, reference_maps, signed_words
 
-A, B = 1, 2
+A, B, C = 1, 2, 3
 
 M_TEXT = "inv-monoid a b ; b b = b ; b = b a b a^-1 ; a a^-1 = 1"
 IDEM_TEXT = "inv-semigroup a ; a a = a"
@@ -139,6 +143,33 @@ def test_budget_exhaustion_is_normal():
     trace = stephen_run((B,), pres, max_stages=3)
     assert not trace.closed
     assert trace.stages_used == 3
+    assert trace.stop == "stages"
+
+
+def test_stop_reason_fixpoint():
+    trace = stephen_run((A,), parse_presentation(IDEM_TEXT))
+    assert (trace.closed, trace.stop) == (True, "fixpoint")
+
+
+def test_stop_reason_vertices():
+    pres = parse_presentation(M_TEXT)
+    trace = stephen_run((B,), pres, max_stages=40, max_vertices=6)
+    assert (trace.closed, trace.stop) == (False, "vertices")
+    assert trace.stages_used < 40
+    assert stephen_step(trace.last, pres).n > 6
+
+
+@pytest.mark.parametrize("budgets, message", [
+    ({"max_stages": 0}, "stages must be >= 1"),
+    ({"max_stages": -3}, "stages must be >= 1"),
+    ({"max_vertices": 0}, "vertices must be >= 1"),
+])
+def test_budgets_below_one_are_refused(budgets, message):
+    pres = parse_presentation(IDEM_TEXT)
+    with pytest.raises(ValueError, match=message):
+        stephen_run((A,), pres, **budgets)
+    with pytest.raises(ValueError, match=message):
+        tau_equal((A,), (A, A), pres, **budgets)
 
 
 def test_empty_word_needs_monoid_mode():
@@ -313,3 +344,161 @@ def test_stage_dot_export():
     text = dot_export(trace.last, pres.alphabet, name="stage3")
     assert text.startswith("digraph stage3")
     assert '[label="b"]' in text and '[label="a"]' in text
+
+
+# Reference stage loop: R-expansion as a scan of every vertex on maps built
+# here, and the fixpoint test by all-anchor reference keys at every stage.
+
+
+def reference_r_expand(aut, pres):
+    out, inn = reference_maps(aut)
+
+    def walk(v, w):
+        for x in w:
+            v = out[v].get(x) if x > 0 else inn[v].get(-x)
+            if v is None:
+                return None
+        return v
+
+    to_adjoin, merges, seen = [], [], set()
+    for premise, conclusion in pres.sides():
+        for p in range(aut.n):
+            q = walk(p, premise)
+            if q is None:
+                continue
+            if not conclusion:
+                if p != q:
+                    merges.append((p, q))
+                continue
+            if walk(p, conclusion) == q:
+                continue
+            if (p, conclusion, q) not in seen:
+                seen.add((p, conclusion, q))
+                to_adjoin.append((p, conclusion, q))
+    edges, n = list(aut.edges), aut.n
+    for p, word, q in to_adjoin:
+        path = [p] + list(range(n, n + len(word) - 1)) + [q]
+        n += len(word) - 1
+        for x, u, v in zip(word, path, path[1:]):
+            edges.append((u, x, v) if x > 0 else (v, -x, u))
+    grown = InverseAutomaton(n, edges, aut.base, aut.final)
+    return grown, merges, len(to_adjoin) + len(merges)
+
+
+def reference_step(aut, pres):
+    grown, merges, _ = reference_r_expand(aut, pres)
+    return fold(grown, extra_merges=merges)
+
+
+def reference_run(u, pres, max_stages, max_vertices):
+    stage = initial_stage(u, pres)
+    stages, key = [stage], reference_key(stage)
+    while len(stages) < max_stages:
+        nxt = reference_step(stage, pres)
+        if nxt.n > max_vertices:
+            return stages, False
+        if reference_key(nxt) == key:
+            return stages, True
+        stages.append(nxt)
+        stage, key = nxt, reference_key(nxt)
+    return stages, False
+
+
+def reference_tau(u, v, pres, max_stages, max_vertices):
+    su, sv = initial_stage(u, pres), initial_stage(v, pres)
+    ku, kv = reference_key(su), reference_key(sv)
+    closed_u = closed_v = False
+    for _ in range(max_stages):
+        if accepts(su, v) and accepts(sv, u):
+            return "equal"
+        if closed_u and closed_v:
+            return "equal" if ku == kv else "distinct"
+        if not closed_u:
+            nxt = reference_step(su, pres)
+            if nxt.n > max_vertices:
+                return "unknown"
+            k = reference_key(nxt)
+            if k == ku:
+                closed_u = True
+            else:
+                su, ku = nxt, k
+        if not closed_v:
+            nxt = reference_step(sv, pres)
+            if nxt.n > max_vertices:
+                return "unknown"
+            k = reference_key(nxt)
+            if k == kv:
+                closed_v = True
+            else:
+                sv, kv = nxt, k
+    if closed_u and closed_v:
+        if accepts(su, v) and accepts(sv, u):
+            return "equal"
+        return "equal" if ku == kv else "distinct"
+    return "unknown"
+
+
+REFERENCE_PRESENTATIONS = [
+    "inv-semigroup a b",          # free
+    IDEM_TEXT,                    # a a = a
+    M_TEXT,                       # the a^n b monoid
+    # two commuting bicyclic generators
+    "inv-monoid a b ; a a^-1 = 1 ; b b^-1 = 1 ; a b = b a",
+    "inv-monoid a b ; a b = 1",   # an empty side
+    "inv-monoid a ; a a a = 1",   # Z/3: every anchor ties
+    B2_TEXT,
+]
+
+
+def assert_same_trace(u, pres, max_stages, max_vertices):
+    trace = stephen_run(u, pres, max_stages=max_stages,
+                        max_vertices=max_vertices)
+    stages, closed = reference_run(u, pres, max_stages, max_vertices)
+    assert trace.closed == closed
+    assert ([(a.n, a.edges, a.base, a.final) for a in trace.stages]
+            == [(a.n, a.edges, a.base, a.final) for a in stages])
+    for stage in trace.stages[-2:]:
+        assert canonical_key(stage) == reference_key(stage)
+        assert (canonical_key(stage, pointed=False)
+                == reference_key(stage, False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(REFERENCE_PRESENTATIONS), signed_words(2, 1, 8),
+       signed_words(2, 1, 8))
+def test_worklist_stages_match_full_rescan(text, u, v):
+    pres = parse_presentation(text)
+    k = len(pres.alphabet)
+    u = tuple(x for x in u if abs(x) <= k) or (A,)
+    v = tuple(x for x in v if abs(x) <= k) or (A,)
+    assert_same_trace(u, pres, 12, 2000)
+    assert (tau_equal(u, v, pres, max_stages=10, max_vertices=2000)
+            == reference_tau(u, v, pres, 10, 2000))
+
+
+relation_sides = signed_words(3, 0, 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(relation_sides, relation_sides), min_size=1,
+                max_size=3),
+       st.booleans(), signed_words(3, 3, 20))
+@example(rels=[((-A, -A), (-B, -C))], monoid=False,
+         u=(A, C, -A, -A, C, B, -C, A))
+@example(rels=[((A, B), (-B, -B))], monoid=False, u=(-B, -B))
+def test_worklist_matches_full_rescan_on_random_presentations(rels, monoid, u):
+    # The first example folds vertices together far from the new paths, so
+    # merged classes must enter the worklist; in the second a side's walk
+    # uses a vertex L - 1 steps from the touched ones.
+    if not monoid:
+        rels = [(l or (A,), r or (B,)) for l, r in rels]
+    pres = Presentation(Alphabet(["a", "b", "c"]), rels, monoid_mode=monoid)
+    stage = munn_tree(u)
+    for _ in range(8):
+        grown, merges, applied = r_expand(stage, pres)
+        ref_grown, ref_merges, ref_applied = reference_r_expand(stage, pres)
+        assert (grown.n, grown.edges, merges, applied) == (
+            ref_grown.n, ref_grown.edges, ref_merges, ref_applied)
+        stage = stephen_step(stage, pres)
+        if stage.n > 600:
+            break

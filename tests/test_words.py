@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from greenbox.words import (Alphabet, WordSyntaxError, format_word,
-                            free_reduce, invert_word, is_reduced, parse_word)
+from greenbox.words import (MAX_WORD_LETTERS, Alphabet, WordSyntaxError,
+                            format_word, free_reduce, invert_word, is_reduced,
+                            parse_word)
 
 ABC = Alphabet(["a", "b", "c"])
 A, B, C = 1, 2, 3
@@ -116,3 +117,15 @@ def test_invert_is_anti_homomorphism(u, v):
 @given(words_st)
 def test_printer_parser_round_trip(w):
     assert parse_word(format_word(w, ABC), ABC) == w
+
+
+def test_word_length_budget():
+    budget = MAX_WORD_LETTERS
+    assert len(parse_word(f"a^{budget}", ABC)) == budget
+    assert len(parse_word(f"b a^{budget - 1}", ABC)) == budget
+    assert parse_word("a^0000000000000000000003 b^-00", ABC) == (A, A, A)
+    for text in (f"a^{budget + 1}", f"a^-{budget + 1}", f"a^{budget} b",
+                 "a^100000000", f"c a^{budget // 2} b^-{budget // 2}",
+                 "a^" + "9" * 5000, "a^-" + "9" * 5000):
+        with pytest.raises(WordSyntaxError, match="longer than 100000 letters"):
+            parse_word(text, ABC)
