@@ -5,6 +5,10 @@ deterministic counting derived inverse transitions.  Only positive-letter
 edges are stored; both directions of an edge are answered by one signed
 transition map, which keeps an edge and its inverse from drifting apart.
 
+Folding runs on a ``LiveGraph``, which grows in place and folds only what
+was added since it last settled; ``fold`` loads an automaton into a fresh
+one.  Stephen's procedure keeps one live graph across all its stages.
+
 Munn trees solve the word problem of the free inverse semigroup: two words
 are equal exactly when their Munn trees are isomorphic as pointed automata.
 """
@@ -12,7 +16,7 @@ are equal exactly when their Munn trees are isomorphic as pointed automata.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .words import Alphabet, Word, free_reduce, letter_index
 
@@ -22,13 +26,9 @@ class InverseAutomaton:
 
     ``edges`` is a tuple of ``(src, letter, dst)`` with ``letter >= 1``.
     ``base`` is the start vertex, ``final`` the optional end vertex.
-    ``worklist`` is an optional ``(owner, vertices)`` hint left by the step
-    that built the automaton: only ``vertices`` can fail the local test of
-    that step's ``owner`` (see ``stephen.r_expand``); None means every
-    vertex must be checked.
     """
 
-    __slots__ = ("n", "edges", "base", "final", "worklist", "_delta")
+    __slots__ = ("n", "edges", "base", "final", "_delta")
 
     def __init__(self, n: int, edges: Iterable[tuple], base: int,
                  final: Optional[int] = None):
@@ -36,7 +36,6 @@ class InverseAutomaton:
         self.edges = tuple(edges)
         self.base = base
         self.final = final
-        self.worklist = None
         self._delta = None
 
     def transitions(self) -> list:
@@ -104,95 +103,222 @@ def linear_automaton(w: Word) -> InverseAutomaton:
     return InverseAutomaton(len(w) + 1, edges, base=0, final=len(w))
 
 
-def fold(aut: InverseAutomaton, extra_merges: Sequence[tuple] = (),
-         edge_order: Optional[Sequence[int]] = None,
-         image: Optional[list] = None) -> InverseAutomaton:
-    """Quotient by repeated edge folding until deterministic.
+class Mark(NamedTuple):
+    """How far a live graph had grown: vertex ids allocated, lengths of
+    its edge and union logs, and live classes."""
 
-    Vertices are identified with a disjoint-set structure whose
-    representative is always the smallest original index, so the output
-    numbering is stable.  Folding is confluent; ``edge_order`` exists so
-    tests can shuffle the processing order.  When ``image`` is a list, it
-    is extended with the output vertex of every input vertex, in order.
+    ids: int
+    edges: int
+    unions: int
+    vertices: int
+
+
+class LiveGraph:
+    """A folded automaton that grows in place: vertices, edges and merges
+    are added at any time, and ``settle`` folds them in.
+
+    Vertices are ids 0, 1, ...; ``add_vertex`` allocates the next one.
+    Folding identifies ids in a disjoint-set structure whose root is always
+    the smallest id of its class, and each root keeps one signed
+    transition map in ``delta``.  ``settle`` works off a queue of pending
+    edges and merges, one coincidence at a time, as coset enumeration does
+    (Holt, Eick & O'Brien, *Handbook of Computational Group Theory*,
+    ch. 5), so only what was added since the last settle is processed.
+    Once settled, every target in a root's map is a root, ``n`` counts the
+    classes, and ``base`` and ``final`` are roots.
+
+    Every added edge and every union is logged in order; ``quotient``
+    rebuilds the automaton any prefix of the logs describes.
     """
-    n = aut.n
-    parent = list(range(n))
 
-    def find(x: int) -> int:
+    __slots__ = ("parent", "delta", "n", "base", "final", "edges", "unions",
+                 "_pending", "_merges")
+
+    def __init__(self, n: int, edges: Iterable[tuple] = (), base: int = 0,
+                 final: Optional[int] = None):
+        self.parent = list(range(n))
+        self.delta = [{} for _ in range(n)]
+        self.n = n
+        self.base = base
+        self.final = final
+        self.edges = list(edges)
+        self.unions: list = []       # (keep, lose) root pairs
+        self._pending = self.edges[::-1]
+        self._merges: list = []
+
+    @classmethod
+    def settled(cls, aut: InverseAutomaton) -> "LiveGraph":
+        """A live graph holding aut, folded."""
+        graph = cls(aut.n, aut.edges, aut.base, aut.final)
+        graph.settle()
+        return graph
+
+    def add_vertex(self) -> int:
+        v = len(self.parent)
+        self.parent.append(v)
+        self.delta.append({})
+        self.n += 1
+        return v
+
+    def add_edge(self, u: int, a: int, v: int) -> None:
+        self.edges.append((u, a, v))
+        self._pending.append((u, a, v))
+
+    def merge(self, x: int, y: int) -> None:
+        self._merges.append((x, y))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    out = [dict() for _ in range(n)]
-    inn = [dict() for _ in range(n)]
-    if edge_order is None:
-        pending = list(aut.edges)
-    else:
-        pending = [aut.edges[i] for i in edge_order]
-    pending.reverse()
-    merges = [(a, b) for a, b in extra_merges]
-
-    def unite(x: int, y: int) -> None:
-        x, y = find(x), find(y)
+    def _unite(self, x: int, y: int) -> None:
+        x, y = self.find(x), self.find(y)
         if x == y:
             return
         keep, lose = (x, y) if x < y else (y, x)
-        parent[lose] = keep
-        for a, t in out[lose].items():
-            pending.append((lose, a, t))
-        for a, s in inn[lose].items():
-            pending.append((s, a, lose))
-        out[lose] = {}
-        inn[lose] = {}
+        self.parent[lose] = keep
+        self.unions.append((keep, lose))
+        self.n -= 1
+        pending = self._pending
+        for b, t in self.delta[lose].items():
+            pending.append((lose, b, t) if b > 0 else (t, -b, lose))
+        self.delta[lose] = None
 
-    while pending or merges:
-        if merges:
-            unite(*merges.pop())
-            continue
-        u, a, v = pending.pop()
-        u, v = find(u), find(v)
-        w = out[u].get(a)
-        if w is not None:
-            w = find(w)
-            out[u][a] = w
-            if w != v:
-                # Two a-edges out of u: fold the targets, then revisit the
-                # edge so its reverse index is reconciled as well.
-                unite(w, v)
-                pending.append((u, a, v))
-                continue
-        s = inn[v].get(a)
-        if s is not None:
-            s = find(s)
-            inn[v][a] = s
-            if s != u:
-                # Two a-edges into v: fold the sources.
-                unite(s, u)
-                pending.append((u, a, v))
-                continue
-        out[u][a] = v
-        inn[v][a] = u
+    def settle(self) -> None:
+        """Fold the queued merges and edges in until deterministic.
 
-    rep = [find(x) for x in range(n)]
-    roots = [x for x in range(n) if rep[x] == x]
-    renumber = {r: i for i, r in enumerate(roots)}
-    img = [renumber[r] for r in rep]
-    # Only roots keep out-edges, one per letter, so the edges are distinct.
-    edges = sorted([(img[r], a, img[t])
-                    for r in roots for a, t in out[r].items()])
-    if image is not None:
-        image.extend(img)
-    final = None if aut.final is None else img[aut.final]
-    return InverseAutomaton(len(roots), edges, img[aut.base], final)
+        Folding is confluent, so the classes and edges do not depend on
+        the order of the queue.
+        """
+        parent, delta = self.parent, self.delta
+        pending, merges = self._pending, self._merges
+        find, unite = self.find, self._unite
+        while pending or merges:
+            if merges:
+                unite(*merges.pop())
+                continue
+            u, a, v = pending.pop()
+            # Most ids are roots; find only the others.
+            if parent[u] != u:
+                u = find(u)
+            if parent[v] != v:
+                v = find(v)
+            du, dv = delta[u], delta[v]
+            w = du.get(a)
+            if w is not None:
+                if parent[w] != w:
+                    w = find(w)
+                    du[a] = w
+                if w != v:
+                    # Two a-edges out of u: fold the targets, then revisit
+                    # the edge so its reverse entry is reconciled as well.
+                    unite(w, v)
+                    pending.append((u, a, v))
+                    continue
+            s = dv.get(-a)
+            if s is not None:
+                if parent[s] != s:
+                    s = find(s)
+                    dv[-a] = s
+                if s != u:
+                    # Two a-edges into v: fold the sources.
+                    unite(s, u)
+                    pending.append((u, a, v))
+                    continue
+            du[a] = v
+            dv[-a] = u
+        self.base = find(self.base)
+        if self.final is not None:
+            self.final = find(self.final)
+
+    def roots(self) -> list:
+        return [v for v, p in enumerate(self.parent) if v == p]
+
+    def walk(self, v: int, w: Word) -> Optional[int]:
+        """Read w from root v of the settled graph, or None if undefined."""
+        return follow(self.delta, v, w)
+
+    def mark(self) -> Mark:
+        return Mark(len(self.parent), len(self.edges), len(self.unions),
+                    self.n)
+
+    def snapshot(self) -> InverseAutomaton:
+        """The settled graph as an automaton, roots numbered in ascending
+        order."""
+        return quotient(len(self.parent), self.edges, self.unions, self.base,
+                        self.final)
+
+
+def quotient(n: int, edges: Sequence[tuple], unions: Sequence[tuple],
+             base: int, final: Optional[int]) -> InverseAutomaton:
+    """The automaton on vertices 0..n-1 with ``edges`` after ``unions``.
+
+    ``unions`` are ``(keep, lose)`` root pairs with ``keep < lose``, as a
+    live graph logs them, so each class is numbered by the rank of its
+    smallest member and the edges between classes are deduplicated.
+    """
+    num = list(range(n))
+    for keep, lose in unions:
+        num[lose] = keep
+    k = 0
+    for x in range(n):
+        # num[x] < x is a vertex x was merged into, numbered already.
+        if num[x] == x:
+            num[x] = k
+            k += 1
+        else:
+            num[x] = num[num[x]]
+    edges = sorted({(num[u], a, num[v]) for u, a, v in edges})
+    return InverseAutomaton(k, edges, num[base],
+                            None if final is None else num[final])
+
+
+def fold(aut: InverseAutomaton, extra_merges: Sequence[tuple] = (),
+         edge_order: Optional[Sequence[int]] = None) -> InverseAutomaton:
+    """Quotient by repeated edge folding until deterministic.
+
+    aut is loaded into a fresh live graph, settled and snapshot, so each
+    class is represented by its smallest original index and the output
+    numbering is stable.  Folding is confluent; ``edge_order`` exists so
+    tests can shuffle the processing order.
+    """
+    edges = (aut.edges if edge_order is None
+             else [aut.edges[i] for i in edge_order])
+    graph = LiveGraph(aut.n, edges, aut.base, aut.final)
+    for x, y in extra_merges:
+        graph.merge(x, y)
+    graph.settle()
+    return graph.snapshot()
 
 
 def munn_tree(w: Word) -> InverseAutomaton:
-    """Fold the linear automaton of w; the result is always a tree."""
-    t = fold(linear_automaton(w))
-    if not t.is_tree():
-        raise RuntimeError("folded linear automaton is not a tree")
-    return t
+    """The Munn tree of w, read off w: at each letter follow the existing
+    edge or create the next vertex.
+
+    Vertices are numbered in first-visit order, which is the numbering
+    ``fold`` gives the linear automaton of w (a class is represented by its
+    earliest position), so the tree equals ``fold(linear_automaton(w))``.
+    """
+    if not w:
+        raise ValueError("Munn tree needs a nonempty word")
+    delta = [{}]
+    edges = []
+    v = 0
+    for x in w:
+        t = delta[v].get(x)
+        if t is None:
+            t = len(delta)
+            delta.append({-x: v})
+            delta[v][x] = t
+            edges.append((v, x, t) if x > 0 else (t, -x, v))
+        v = t
+    tree = InverseAutomaton(len(delta), sorted(edges), 0, v)
+    if not tree.is_tree():
+        raise RuntimeError("Munn tree is not a tree")
+    return tree
 
 
 # Anchors advanced together by the unpointed key; it bounds the numberings

@@ -6,13 +6,26 @@ back to a deterministic automaton.  Acceptance of a word by any stage
 persists in the limit, which turns the stage sequence into a semidecision
 procedure for the word problem.  Underlying graphs, with the distinguished
 vertices forgotten, classify D-classes.
+
+A run keeps one live folded graph (``munn.LiveGraph``) across all its
+stages.  Each stage tests only the roots near what the last stage changed,
+gives its new paths fresh vertex ids above all existing ones, and settles
+just the new edges and merges through the graph's coincidence queue.  The
+graph logs every edge and union, and ``StageTrace.stages`` rebuilds a
+stage from the logs only when it is asked for (``--dot-dir``, canonical
+keys, tests); each rebuilt stage is numbered exactly as a full refold
+numbers it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
+from typing import Optional
+
 from .engine import FiniteSemigroup
-from .munn import InverseAutomaton, canonical_key, fold, follow, munn_tree
+from .munn import (InverseAutomaton, LiveGraph, Mark, canonical_key, follow,
+                   munn_tree, quotient)
 from .munn import to_dot as dot_export  # stage automata share the exporter
 from .words import (Alphabet, Word, WordSyntaxError, format_word, invert_word,
                     parse_word)
@@ -89,20 +102,25 @@ def parse_presentation(text: str) -> Presentation:
 # stages
 
 
-def r_expand(aut: InverseAutomaton, pres: Presentation) -> tuple:
+def r_expand(graph, pres: Presentation,
+             since: Optional[Mark] = None) -> tuple:
     """All applicable R-expansions against the current stage, applied at
     once with fresh interior vertices.
 
-    Returns (automaton, merges, applied) where merges are endpoint pairs
-    produced by empty conclusion sides (monoid mode) and applied counts the
-    expansions.  The result may be nondeterministic; the caller folds.
-    A stage made by ``stephen_step`` for the same presentation carries a
-    worklist; only its vertices are tested, in ascending order, which finds
-    exactly what a scan of every vertex finds.
+    ``graph`` is a settled ``LiveGraph``: the new paths are added to it and
+    queued, the merges produced by empty conclusion sides (monoid mode)
+    are queued, and the caller settles.  An ``InverseAutomaton`` is loaded
+    into a fresh live graph first, and the grown automaton, unfolded, is
+    returned in its place.  Returns (grown, merges, applied), applied
+    counting the expansions.
+
+    With ``since``, the graph's mark one stage back, only roots near what
+    changed after it are tested (see ``_near``), in ascending order, which
+    finds exactly what a scan of every root finds.
     """
-    hint = aut.worklist
-    scan = hint[1] if hint is not None and hint[0] is pres else range(aut.n)
-    delta = aut.transitions()
+    live = graph if isinstance(graph, LiveGraph) else LiveGraph.settled(graph)
+    scan = live.roots() if since is None else _near(live, since, pres)
+    delta = live.delta
     to_adjoin = []
     merges = []
     seen = set()
@@ -121,58 +139,54 @@ def r_expand(aut: InverseAutomaton, pres: Presentation) -> tuple:
             if key not in seen:
                 seen.add(key)
                 to_adjoin.append(key)
-    edges = list(aut.edges)
-    n = aut.n
     for p, word, q in to_adjoin:
         prev = p
         for i, x in enumerate(word):
-            nxt = q if i == len(word) - 1 else n
-            if i < len(word) - 1:
-                n += 1
+            nxt = q if i == len(word) - 1 else live.add_vertex()
             if x > 0:
-                edges.append((prev, x, nxt))
+                live.add_edge(prev, x, nxt)
             else:
-                edges.append((nxt, -x, prev))
+                live.add_edge(nxt, -x, prev)
             prev = nxt
-    grown = InverseAutomaton(n, edges, aut.base, aut.final)
-    return grown, merges, len(to_adjoin) + len(merges)
+    for p, q in merges:
+        live.merge(p, q)
+    if live is not graph:
+        graph = InverseAutomaton(len(live.parent), live.edges, graph.base,
+                                 graph.final)
+    return graph, merges, len(to_adjoin) + len(merges)
 
 
-def stephen_step(aut: InverseAutomaton, pres: Presentation) -> InverseAutomaton:
-    """One stage: expand synchronously, then fold once.  The result carries
-    the worklist of its own R-expansion."""
-    grown, merges, _ = r_expand(aut, pres)
-    image: list = []
-    nxt = fold(grown, extra_merges=merges, image=image)
-    new_edges = grown.edges[len(aut.edges):]
-    touched = {image[u] for u, _, _ in new_edges}
-    touched.update(image[v] for _, _, v in new_edges)
-    touched.update(image[p] for p, _ in merges)
-    nxt.worklist = (pres, _near(nxt, touched, image, pres))
-    return nxt
+def stephen_step(graph, pres: Presentation, since: Optional[Mark] = None):
+    """One stage: expand synchronously, then settle what was added.
+
+    A ``LiveGraph`` grows in place and is returned; an ``InverseAutomaton``
+    is loaded into a fresh live graph and the next stage is returned as an
+    automaton.
+    """
+    live = graph if isinstance(graph, LiveGraph) else LiveGraph.settled(graph)
+    r_expand(live, pres, since)
+    live.settle()
+    return live if live is graph else live.snapshot()
 
 
-def _near(aut: InverseAutomaton, touched: set, image: list,
-          pres: Presentation) -> list:
-    """Ascending vertices within distance L - 1 of a changed vertex, L being
+def _near(graph: LiveGraph, since: Mark, pres: Presentation) -> list:
+    """Ascending roots within distance L - 1 of a changed class, L being
     the longest relation side.
 
-    A vertex changed when its class merged two or more vertices, or holds
-    an endpoint of a new path or merge (``touched``; fresh vertices are
-    endpoints of new edges).  Any other vertex has the transitions of its
-    one preimage, renumbered.  A side's walk of at most L steps leaves only
-    vertices within L - 1 of its start, so from a vertex farther than that
-    from every changed one, both sides read as they did from its preimage.
-    That preimage needed no expansion or merge, else it would be an
-    endpoint, so the vertex needs none either.
+    A class changed when it holds an endpoint of an edge logged after
+    ``since`` (fresh vertices are endpoints of new edges) or took part in
+    a union logged after it, which covers every merge.  Any other class is
+    one vertex of the stage before, with the same transitions, targets
+    renamed.  A side's walk of at most L steps leaves only vertices within
+    L - 1 of its start, so from a root farther than that from every
+    changed class, both sides read as they did a stage before.  That root
+    needed no expansion or merge then, else it would hold an endpoint, so
+    it needs none now.
     """
-    near = set(touched)
-    seen = bytearray(aut.n)
-    for v in image:
-        if seen[v]:
-            near.add(v)
-        seen[v] = 1
-    delta = aut.transitions()
+    find = graph.find
+    near = {find(x) for u, _, v in graph.edges[since.edges:] for x in (u, v)}
+    near.update(find(keep) for keep, _ in graph.unions[since.unions:])
+    delta = graph.delta
     ring = list(near)
     radius = max((len(w) for side in pres.sides() for w in side), default=1)
     for _ in range(radius - 1):
@@ -186,21 +200,84 @@ def _near(aut: InverseAutomaton, touched: set, image: list,
     return sorted(near)
 
 
-@dataclass
+class StageLog(Sequence):
+    """The stages of one run, kept as the logs of its live graph.
+
+    The graph logs every edge and union in order, and after each stage
+    the log records the graph's mark.  Stage i is rebuilt from the logs'
+    marked prefixes by ``munn.quotient`` when it is asked for, and is not
+    kept.  Roots are numbered in ascending id order, a monotone map, so
+    each stage numbers its vertices exactly as refolding every stage in
+    full does: each class by its smallest index, in ascending order.
+    """
+
+    def __init__(self, graph: LiveGraph):
+        self.edges = graph.edges
+        self.unions = graph.unions
+        self.base = graph.base
+        self.final = graph.final
+        self.marks = [graph.mark()]
+
+    def __len__(self) -> int:
+        return len(self.marks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        m = self.marks[i]
+        return quotient(m.ids, self.edges[:m.edges], self.unions[:m.unions],
+                        self.base, self.final)
+
+
 class StageTrace:
-    word: Word
-    stages: list = field(default_factory=list)   # folded automata
-    closed: bool = False
-    stages_used: int = 0
-    stop: str = ""     # "fixpoint", or the budget that ran out:
-                       # "stages" or "vertices"
+    """One Stephen run: its stages, and whether and why it stopped.
+
+    While the run goes on, ``graph`` is its live graph, settled at the
+    last stage (or at an unchanged successor of it); the run drops it
+    when it ends.  ``stop`` is "fixpoint", or the budget that ran out:
+    "stages" or "vertices".
+    """
+
+    def __init__(self, word: Word, pres: Presentation):
+        self.word = word
+        self.graph = LiveGraph.settled(initial_stage(word, pres))
+        self.stages = StageLog(self.graph)
+        self.closed = False
+        self.stop = ""
+
+    @property
+    def stages_used(self) -> int:
+        return len(self.stages)
 
     @property
     def last(self) -> InverseAutomaton:
         return self.stages[-1]
 
     def vertex_counts(self) -> list:
-        return [a.n for a in self.stages]
+        return [m.vertices for m in self.stages.marks]
+
+    def advance(self, pres: Presentation, max_vertices: int) -> bool:
+        """Build the next stage; False when the run stops at it.
+
+        A stage whose R-expansion adds no path and merges nothing is its
+        own successor, and conversely: the quotient map onto the next stage
+        is its only pointed morphism, so an isomorphism onto the next
+        stage would carry the adjoined path, or the merged pair, back into
+        this stage.  Hence the fixpoint test is that the logs did not grow.
+        """
+        marks = self.stages.marks
+        graph = stephen_step(self.graph, pres,
+                             marks[-2] if len(marks) > 1 else None)
+        mark, last = graph.mark(), marks[-1]
+        if mark.vertices > max_vertices:
+            self.stop = "vertices"
+            return False
+        if (mark.edges, mark.unions) == (last.edges, last.unions):
+            self.closed = True
+            self.stop = "fixpoint"
+            return False
+        marks.append(mark)
+        return True
 
 
 def initial_stage(u: Word, pres: Presentation) -> InverseAutomaton:
@@ -218,43 +295,27 @@ def _check_budgets(max_stages: int, max_vertices: int) -> None:
         raise ValueError("vertices must be >= 1")
 
 
-def _same_stage(a: InverseAutomaton, b: InverseAutomaton) -> bool:
-    """Pointed isomorphism, keyed only when the counts already agree."""
-    return (a.n == b.n and len(a.edges) == len(b.edges)
-            and canonical_key(a) == canonical_key(b))
-
-
 def stephen_run(u: Word, pres: Presentation, *, max_stages: int = 40,
                 max_vertices: int = 20_000) -> StageTrace:
     """Iterate stages to a fixpoint or to budget.
 
     Budget exhaustion is a normal closed=False trace, never an error; the
-    trace's ``stop`` names the reason.  The fixpoint test compares pointed
-    canonical forms of successive stages.
+    trace's ``stop`` names the reason.
     """
     _check_budgets(max_stages, max_vertices)
-    trace = StageTrace(word=u)
-    stage = initial_stage(u, pres)
-    trace.stages.append(stage)
-    trace.stages_used = 1
+    trace = StageTrace(u, pres)
     while trace.stages_used < max_stages:
-        nxt = stephen_step(stage, pres)
-        if nxt.n > max_vertices:
-            trace.stop = "vertices"
-            return trace
-        if _same_stage(stage, nxt):
-            trace.closed = True
-            trace.stop = "fixpoint"
-            return trace
-        trace.stages.append(nxt)
-        trace.stages_used += 1
-        stage = nxt
-    trace.stop = "stages"
+        if not trace.advance(pres, max_vertices):
+            break
+    else:
+        trace.stop = "stages"
+    trace.graph = None
     return trace
 
 
-def accepts(aut: InverseAutomaton, w: Word) -> bool:
-    """True when w labels a path from base to final."""
+def accepts(aut, w: Word) -> bool:
+    """True when w labels a path from base to final, in an automaton or a
+    settled live graph."""
     if aut.final is None:
         raise ValueError("automaton has no final vertex")
     return aut.walk(aut.base, w) == aut.final
@@ -266,40 +327,29 @@ def tau_equal(u: Word, v: Word, pres: Presentation, *, max_stages: int = 40,
 
     Equality holds as soon as some stage of u accepts v and some stage of v
     accepts u (acceptance is monotone along stages).  Distinctness needs
-    both traces closed with different pointed canonical forms.
+    both traces closed with different pointed canonical forms.  Both runs
+    are read on their live graphs.
     """
     _check_budgets(max_stages, max_vertices)
-    su = initial_stage(u, pres)
-    sv = initial_stage(v, pres)
-    closed_u = closed_v = False
-    for _ in range(max_stages):
-        if accepts(su, v) and accepts(sv, u):
+    tu, tv = StageTrace(u, pres), StageTrace(v, pres)
+
+    def verdict() -> str:
+        if accepts(tu.graph, v) and accepts(tv.graph, u):
             return "equal"
-        if closed_u and closed_v:
-            same = canonical_key(su) == canonical_key(sv)
-            return "equal" if same else "distinct"
-        if not closed_u:
-            nxt = stephen_step(su, pres)
-            if nxt.n > max_vertices:
-                return "unknown"
-            if _same_stage(su, nxt):
-                closed_u = True
-            else:
-                su = nxt
-        if not closed_v:
-            nxt = stephen_step(sv, pres)
-            if nxt.n > max_vertices:
-                return "unknown"
-            if _same_stage(sv, nxt):
-                closed_v = True
-            else:
-                sv = nxt
-    if closed_u and closed_v:
-        if accepts(su, v) and accepts(sv, u):
-            return "equal"
-        same = canonical_key(su) == canonical_key(sv)
+        same = (canonical_key(tu.graph.snapshot())
+                == canonical_key(tv.graph.snapshot()))
         return "equal" if same else "distinct"
-    return "unknown"
+
+    for _ in range(max_stages):
+        if accepts(tu.graph, v) and accepts(tv.graph, u):
+            return "equal"
+        if tu.closed and tv.closed:
+            return verdict()
+        for trace in (tu, tv):
+            if (not trace.closed and not trace.advance(pres, max_vertices)
+                    and trace.stop == "vertices"):
+                return "unknown"
+    return verdict() if tu.closed and tv.closed else "unknown"
 
 
 def dclass_signature(u: Word, pres: Presentation, *, max_stages: int = 40,

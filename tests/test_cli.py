@@ -215,6 +215,31 @@ def test_stephen_budgets_below_one_exit_2(capsys):
             2, "", f"error: {message}\n")
 
 
+COMMUTING_TEXT = "inv-monoid a b ; a a^-1 = 1 ; b b^-1 = 1 ; a b = b a"
+STEPHEN_GOLDEN = [
+    ("stephen_m_b_6.txt", [M_TEXT, "b", "--stages", "6"]),
+    ("stephen_commuting_10.txt",
+     [COMMUTING_TEXT, "a b a a b b", "--stages", "10"]),
+]
+
+
+def test_stephen_golden_output_and_dot_files(tmp_path, capsys):
+    # Each golden file holds the exit code, stdout (the directory written
+    # as DIR), any stderr, and every stageNN.dot file under a header line.
+    for name, argv in STEPHEN_GOLDEN:
+        out_dir = tmp_path / name / "stages"
+        code, out, err = run(capsys, "stephen", *argv, "--dot-dir",
+                             str(out_dir))
+        parts = [f"exit: {code}\n", out.replace(str(out_dir), "DIR")]
+        if err:
+            parts.append("--- stderr\n" + err)
+        for stage in sorted(os.listdir(out_dir)):
+            parts.append(f"--- {stage}\n" + (out_dir / stage).read_text())
+        path = os.path.join(os.path.dirname(__file__), "golden", name)
+        with open(path, encoding="utf-8") as handle:
+            assert "".join(parts) == handle.read(), name
+
+
 def test_stephen_parse_error(capsys):
     code, _, err = run(capsys, "stephen", "inv-semigroup a ; a =", "a")
     assert code == 2

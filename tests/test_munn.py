@@ -130,6 +130,16 @@ def test_multiply_random_pairs():
         assert canonical_key(lhs) == canonical_key(munn_tree(u + v))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: signed_words(k, 1, 40)))
+def test_munn_tree_walk_matches_fold_of_linear_automaton(w):
+    # First-visit order is fold's smallest-index numbering, so the trees
+    # agree vertex for vertex, not just up to isomorphism.
+    tree, folded = munn_tree(w), fold(linear_automaton(w))
+    assert (tree.n, tree.edges, tree.base, tree.final) == (
+        folded.n, folded.edges, folded.base, folded.final)
+
+
 def test_fold_confluence_under_shuffles():
     rng = random.Random(17)
     for _ in range(50):

@@ -7,10 +7,10 @@ from greenbox import zoo
 from greenbox.engine import green_scc, iso_tables
 from greenbox.munn import (InverseAutomaton, canonical_key, fis_equal, fold,
                            munn_tree)
-from greenbox.stephen import (Presentation, accepts, dclass_signature,
-                              initial_stage, parse_presentation,
-                              presented_table, r_expand, stephen_run,
-                              stephen_step, tau_equal)
+from greenbox.stephen import (Presentation, StageTrace, accepts,
+                              dclass_signature, initial_stage,
+                              parse_presentation, presented_table, r_expand,
+                              stephen_run, stephen_step, tau_equal)
 from greenbox.words import Alphabet
 from test_munn import reference_key, reference_maps, signed_words
 
@@ -391,17 +391,18 @@ def reference_step(aut, pres):
 
 
 def reference_run(u, pres, max_stages, max_vertices):
+    """Every stage by a full refold, and the reason the run stopped."""
     stage = initial_stage(u, pres)
     stages, key = [stage], reference_key(stage)
     while len(stages) < max_stages:
         nxt = reference_step(stage, pres)
         if nxt.n > max_vertices:
-            return stages, False
+            return stages, "vertices"
         if reference_key(nxt) == key:
-            return stages, True
+            return stages, "fixpoint"
         stages.append(nxt)
         stage, key = nxt, reference_key(nxt)
-    return stages, False
+    return stages, "stages"
 
 
 def reference_tau(u, v, pres, max_stages, max_vertices):
@@ -453,8 +454,8 @@ REFERENCE_PRESENTATIONS = [
 def assert_same_trace(u, pres, max_stages, max_vertices):
     trace = stephen_run(u, pres, max_stages=max_stages,
                         max_vertices=max_vertices)
-    stages, closed = reference_run(u, pres, max_stages, max_vertices)
-    assert trace.closed == closed
+    stages, stop = reference_run(u, pres, max_stages, max_vertices)
+    assert (trace.closed, trace.stop) == (stop == "fixpoint", stop)
     assert ([(a.n, a.edges, a.base, a.final) for a in trace.stages]
             == [(a.n, a.edges, a.base, a.final) for a in stages])
     for stage in trace.stages[-2:]:
@@ -479,14 +480,36 @@ def test_worklist_stages_match_full_rescan(text, u, v):
 relation_sides = signed_words(3, 0, 3)
 
 
+def assert_settled(graph):
+    """The live-graph invariant that walks rely on: every transition of a
+    live class leads to a live class, which has the reverse transition."""
+    roots = graph.roots()
+    assert len(roots) == graph.n
+    for r in roots:
+        for x, t in graph.delta[r].items():
+            assert graph.parent[t] == t
+            assert graph.delta[t][-x] == r
+    assert graph.parent[graph.base] == graph.base
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.tuples(relation_sides, relation_sides), min_size=1,
                 max_size=3),
-       st.booleans(), signed_words(3, 3, 20))
+       st.booleans(), signed_words(3, 3, 20), signed_words(3, 1, 8),
+       st.tuples(st.integers(1, 12), st.integers(1, 400)))
 @example(rels=[((-A, -A), (-B, -C))], monoid=False,
-         u=(A, C, -A, -A, C, B, -C, A))
-@example(rels=[((A, B), (-B, -B))], monoid=False, u=(-B, -B))
-def test_worklist_matches_full_rescan_on_random_presentations(rels, monoid, u):
+         u=(A, C, -A, -A, C, B, -C, A), v=(A,), budgets=(12, 400))
+@example(rels=[((A, B), (-B, -B))], monoid=False, u=(-B, -B), v=(B,),
+         budgets=(12, 400))
+# Runs that stop by fixpoint, by stages and by vertices.
+@example(rels=[((A, A), (A,))], monoid=False, u=(A, -A, A), v=(A, A),
+         budgets=(12, 400))
+@example(rels=[((A, -A), ()), ((B, -B), ()), ((A, B), (B, A))], monoid=True,
+         u=(A, B, A), v=(B, A, A), budgets=(5, 400))
+@example(rels=[((A, -A), ()), ((B, -B), ()), ((A, B), (B, A))], monoid=True,
+         u=(A, B, A), v=(B, A, A), budgets=(12, 20))
+def test_worklist_matches_full_rescan_on_random_presentations(rels, monoid, u,
+                                                              v, budgets):
     # The first example folds vertices together far from the new paths, so
     # merged classes must enter the worklist; in the second a side's walk
     # uses a vertex L - 1 steps from the touched ones.
@@ -502,3 +525,17 @@ def test_worklist_matches_full_rescan_on_random_presentations(rels, monoid, u):
         stage = stephen_step(stage, pres)
         if stage.n > 600:
             break
+    # One live graph across the stages: every stage rebuilt from its logs,
+    # the stop reason and the verdict match the full refold, and each
+    # settle leaves the graph walkable.
+    max_stages, max_vertices = budgets
+    assert_same_trace(u, pres, max_stages, max_vertices)
+    assert (tau_equal(u, v, pres, max_stages=max_stages,
+                      max_vertices=max_vertices)
+            == reference_tau(u, v, pres, max_stages, max_vertices))
+    trace = StageTrace(u, pres)
+    assert_settled(trace.graph)
+    while trace.stages_used < max_stages and trace.advance(pres,
+                                                          max_vertices):
+        assert_settled(trace.graph)
+    assert_settled(trace.graph)
