@@ -28,13 +28,7 @@ def cmd_table(args) -> int:
         print("spec does not denote a closed finite semigroup; "
               "use 'green' for balls and windows", file=sys.stderr)
         return 2
-    gs = engine.green_scc(obj)
-    check = engine.green_definitional(obj)
-    if (gs.h, gs.l, gs.r, gs.d, gs.j) != (check.h, check.l, check.r,
-                                          check.d, check.j):
-        print("internal error: Green algorithms disagree", file=sys.stderr)
-        return 1
-    sys.stdout.write(engine.format_eggbox(obj, gs))
+    sys.stdout.write(engine.format_eggbox(obj))
     print("elements: " + " ".join(obj.names))
     return 0
 

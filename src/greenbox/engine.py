@@ -762,8 +762,10 @@ def subsemigroup(fs: FiniteSemigroup, seed: Iterable[int]) -> tuple:
     table = [[pos[fs.table[x][y]] for y in embedding] for x in embedding]
     unary = [pos[fs.unary[x]] for x in embedding] if fs.unary is not None else None
     names = [fs.names[x] for x in embedding]
-    sub = FiniteSemigroup(table, names=names, unary=unary,
-                          generators=[pos[x] for x in sorted(set(seed))])
+    # The closure adds unary images, so the seed alone need not generate
+    # it; the seed and the unary images of the closure do, under products.
+    gens = {pos[x] for x in closure} | set(unary or ())
+    sub = FiniteSemigroup(table, names=names, unary=unary, generators=gens)
     return sub, embedding
 
 
@@ -890,6 +892,7 @@ def check_margin(margin: int) -> None:
 
 _NEVER = 0xFFFF     # hit-row entry of a source that no multiplier reaches
 MAX_ROW_CELLS = 10_000_000      # sources squared; each cell takes two bytes
+MAX_POOL_ELEMENTS = 100_000     # multipliers: the ball of radius margin·r
 
 
 def witnessed_partition(oracle: Oracle, elements: Sequence, pool: Sequence,
@@ -1000,10 +1003,11 @@ def witnessed_green(ball: BallEnumeration, relation: str,
     word length (at least 1), and a multiplier of length l from the ball of
     radius ``ball.radius * margin`` is usable from radius ceil(l / margin).
     "Apparently infinite" means three consecutive strict count increases,
-    a labeled heuristic, never a certificate.
+    a labeled heuristic, never a certificate.  A multiplier ball over
+    ``MAX_POOL_ELEMENTS`` raises BudgetError.
     """
     check_margin(margin)
-    ext = ball.extend(ball.radius * margin)
+    ext = ball.extend(ball.radius * margin, MAX_POOL_ELEMENTS)
     counts, classes = witnessed_partition(
         ball.oracle,
         [(e, max(n, 1)) for e, n in zip(ball.elements, ball.lengths)],
@@ -1087,9 +1091,10 @@ def witnessed_related(ball: BallEnumeration, x, y, relation: str,
     The ball adapter of ``find_witnesses`` at the ball's radius: the
     multipliers are the elements usable there, those of length l with
     ceil(l / margin) <= ``ball.radius``, each labelled by its shortest word.
+    A multiplier ball over ``MAX_POOL_ELEMENTS`` raises BudgetError.
     """
     check_margin(margin)
-    ext = ball.extend(ball.radius * margin)
+    ext = ball.extend(ball.radius * margin, MAX_POOL_ELEMENTS)
     return find_witnesses(ball.oracle, x, y, relation,
                           list(zip(ext.elements, ext.words)))
 

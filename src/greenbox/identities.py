@@ -10,46 +10,55 @@ Term grammar: a term is a juxtaposition of factors; a factor is a variable
 constant ``0``; postfixes are ``'`` (unary), ``^0`` (derived idempotent) and
 integer powers ``^3`` / ``^-2`` (negative powers invert first).  An identity
 is ``lhs = rhs``.
+
+A check reads the structure once (``_read``: its product, unary operation,
+zero, complete regularity and elements) and compiles each side of the
+identity once (``_compile``) into a closure over the tuple of variable
+values.  A side needing an operation the structure lacks is refused while
+it compiles: once per identity, before any assignment, at the first
+offending node in pre-order, left side first.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from operator import itemgetter
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .engine import FiniteSemigroup
 
 
 class Term:
-    def variables(self) -> set:
-        raise NotImplementedError
+    """A term node.  ``children`` are its subterms, left to right; every
+    question about a term is a question about its pre-order walk."""
+
+    children: tuple = ()
+
+    def nodes(self):
+        """This node, then the walk of each child in turn."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
+
+    def variables(self) -> list:
+        return sorted({t.name for t in self.nodes() if isinstance(t, Var)})
 
     def uses_unary(self) -> bool:
-        raise NotImplementedError
+        return any(isinstance(t, (Inv, IdPow)) for t in self.nodes())
 
     def uses_idempotent_power(self) -> bool:
-        raise NotImplementedError
+        return any(isinstance(t, IdPow) for t in self.nodes())
 
     def uses_zero(self) -> bool:
-        raise NotImplementedError
+        return any(isinstance(t, ZeroC) for t in self.nodes())
 
 
 @dataclass(frozen=True)
 class Var(Term):
     name: str
-
-    def variables(self):
-        return {self.name}
-
-    def uses_unary(self):
-        return False
-
-    def uses_idempotent_power(self):
-        return False
-
-    def uses_zero(self):
-        return False
 
     def __str__(self):
         return self.name
@@ -60,18 +69,9 @@ class Mul(Term):
     left: Term
     right: Term
 
-    def variables(self):
-        return self.left.variables() | self.right.variables()
-
-    def uses_unary(self):
-        return self.left.uses_unary() or self.right.uses_unary()
-
-    def uses_idempotent_power(self):
-        return (self.left.uses_idempotent_power()
-                or self.right.uses_idempotent_power())
-
-    def uses_zero(self):
-        return self.left.uses_zero() or self.right.uses_zero()
+    @property
+    def children(self):
+        return (self.left, self.right)
 
     def __str__(self):
         # Parsing is left-associative, so only a right Mul child needs parens.
@@ -86,17 +86,9 @@ class Mul(Term):
 class Inv(Term):
     arg: Term
 
-    def variables(self):
-        return self.arg.variables()
-
-    def uses_unary(self):
-        return True
-
-    def uses_idempotent_power(self):
-        return self.arg.uses_idempotent_power()
-
-    def uses_zero(self):
-        return self.arg.uses_zero()
+    @property
+    def children(self):
+        return (self.arg,)
 
     def __str__(self):
         s = str(self.arg)
@@ -109,17 +101,9 @@ class IdPow(Term):
 
     arg: Term
 
-    def variables(self):
-        return self.arg.variables()
-
-    def uses_unary(self):
-        return True
-
-    def uses_idempotent_power(self):
-        return True
-
-    def uses_zero(self):
-        return self.arg.uses_zero()
+    @property
+    def children(self):
+        return (self.arg,)
 
     def __str__(self):
         s = str(self.arg)
@@ -128,40 +112,22 @@ class IdPow(Term):
 
 @dataclass(frozen=True)
 class ZeroC(Term):
-    def variables(self):
-        return set()
-
-    def uses_unary(self):
-        return False
-
-    def uses_idempotent_power(self):
-        return False
-
-    def uses_zero(self):
-        return True
-
     def __str__(self):
         return "0"
 
 
 @dataclass(frozen=True)
-class Identity:
+class Identity(Term):
+    """lhs = rhs.  Its children are the two sides, so the term questions
+    are answered for both sides at once."""
+
     lhs: Term
     rhs: Term
     name: Optional[str] = None
 
-    def variables(self) -> list:
-        return sorted(self.lhs.variables() | self.rhs.variables())
-
-    def uses_unary(self) -> bool:
-        return self.lhs.uses_unary() or self.rhs.uses_unary()
-
-    def uses_idempotent_power(self) -> bool:
-        return (self.lhs.uses_idempotent_power()
-                or self.rhs.uses_idempotent_power())
-
-    def uses_zero(self) -> bool:
-        return self.lhs.uses_zero() or self.rhs.uses_zero()
+    @property
+    def children(self):
+        return (self.lhs, self.rhs)
 
     def __str__(self):
         return f"{self.lhs} = {self.rhs}"
@@ -306,60 +272,67 @@ def parse_identity(text: str, name: Optional[str] = None) -> Identity:
 # evaluation
 
 
-class TableStructure:
-    """Adapter presenting a FiniteSemigroup to the term evaluator."""
-
-    def __init__(self, fs: FiniteSemigroup):
-        self.fs = fs
-        self.elements = list(range(len(fs)))
-        self.completely_regular = fs.is_completely_regular()
-        self.zero_element = fs.zero
-
-    def mult(self, a, b):
-        return self.fs.table[a][b]
-
-    def unary(self, a):
-        if self.fs.unary is None:
-            raise ValueError("structure has no unary operation")
-        return self.fs.unary[a]
+class _Ops(NamedTuple):
+    mult: Callable
+    unary: Optional[Callable]
+    zero: Optional[int]
+    completely_regular: bool
+    elements: Sequence
 
 
-def as_structure(obj):
-    if isinstance(obj, FiniteSemigroup):
-        return TableStructure(obj)
-    return obj
+def _read(structure) -> _Ops:
+    """The operations of a FiniteSemigroup, or of a structure such as
+    ``zoo.PWindow`` that carries ``mult``, ``unary``, ``zero_element``,
+    ``completely_regular`` and ``elements``."""
+    if isinstance(structure, FiniteSemigroup):
+        table, unary = structure.table, structure.unary
+        return _Ops(lambda a, b: table[a][b],
+                    None if unary is None else unary.__getitem__,
+                    structure.zero, structure.is_completely_regular(),
+                    range(len(table)))
+    return _Ops(structure.mult, structure.unary, structure.zero_element,
+                structure.completely_regular, structure.elements)
 
 
-def _has_unary(structure) -> bool:
-    if isinstance(structure, TableStructure):
-        return structure.fs.unary is not None
-    return getattr(structure, "unary", None) is not None
+def _compile(term: Term, ops: _Ops, slots: dict) -> Callable:
+    """A closure from the tuple of variable values, variable v at position
+    ``slots[v]``, to the value of ``term``; concatenation associates to
+    the left.  An operation the structure lacks is refused here."""
+    if isinstance(term, Var):
+        return itemgetter(slots[term.name])
+    if isinstance(term, Mul):
+        mult = ops.mult
+        left = _compile(term.left, ops, slots)
+        right = _compile(term.right, ops, slots)
+        return lambda values: mult(left(values), right(values))
+    if isinstance(term, Inv):
+        if ops.unary is None:
+            raise ValueError(f"term {term} needs a unary operation")
+        unary, arg = ops.unary, _compile(term.arg, ops, slots)
+        return lambda values: unary(arg(values))
+    if isinstance(term, IdPow):
+        if not ops.completely_regular:
+            raise ValueError(
+                "x^0 is only meaningful on completely regular structures")
+        mult, unary = ops.mult, ops.unary
+        arg = _compile(term.arg, ops, slots)
+
+        def idempotent(values):
+            x = arg(values)
+            return mult(x, unary(x))
+        return idempotent
+    if isinstance(term, ZeroC):
+        zero = ops.zero
+        if zero is None:
+            raise ValueError("zero constant needs a structure with a zero")
+        return lambda values: zero
+    raise TypeError(f"not a term: {term!r}")
 
 
 def eval_term(structure, term: Term, assignment: dict):
-    """Structural recursion; concatenation associates to the left."""
-    structure = as_structure(structure)
-    if isinstance(term, Var):
-        return assignment[term.name]
-    if isinstance(term, Mul):
-        return structure.mult(eval_term(structure, term.left, assignment),
-                              eval_term(structure, term.right, assignment))
-    if isinstance(term, Inv):
-        if not _has_unary(structure):
-            raise ValueError(f"term {term} needs a unary operation")
-        return structure.unary(eval_term(structure, term.arg, assignment))
-    if isinstance(term, IdPow):
-        if not getattr(structure, "completely_regular", False):
-            raise ValueError(
-                "x^0 is only meaningful on completely regular structures")
-        x = eval_term(structure, term.arg, assignment)
-        return structure.mult(x, structure.unary(x))
-    if isinstance(term, ZeroC):
-        zero = getattr(structure, "zero_element", None)
-        if zero is None:
-            raise ValueError("zero constant needs a structure with a zero")
-        return zero
-    raise TypeError(f"not a term: {term!r}")
+    """The value of ``term`` under ``assignment``: compile, then call."""
+    slots = {name: i for i, name in enumerate(assignment)}
+    return _compile(term, _read(structure), slots)(tuple(assignment.values()))
 
 
 @dataclass
@@ -377,32 +350,30 @@ class CheckResult:
 MAX_EVALUATIONS = 10_000_000
 
 
-def _check_over(structure, identity: Identity, elements, window_verified: bool,
+def _check_over(ops: _Ops, identity: Identity, elements, window_verified: bool,
                 max_evaluations: int = MAX_EVALUATIONS) -> CheckResult:
-    structure = as_structure(structure)
+    """The budget comes first, then each side compiles once, lhs first."""
     variables = identity.variables()
     n, k = len(elements), len(variables)
     if n ** k > max_evaluations:
         raise ValueError(
             f"{n}^{k} assignments exceed the budget of {max_evaluations}")
-    checked = 0
-    for combo in itertools.product(elements, repeat=k):
-        assignment = dict(zip(variables, combo))
-        checked += 1
-        if (eval_term(structure, identity.lhs, assignment)
-                != eval_term(structure, identity.rhs, assignment)):
-            return CheckResult(identity, False, assignment, checked,
-                               window_verified)
-    return CheckResult(identity, True, None, checked, window_verified)
+    slots = {v: i for i, v in enumerate(variables)}
+    lhs = _compile(identity.lhs, ops, slots)
+    rhs = _compile(identity.rhs, ops, slots)
+    for checked, values in enumerate(itertools.product(elements, repeat=k), 1):
+        if lhs(values) != rhs(values):
+            return CheckResult(identity, False, dict(zip(variables, values)),
+                               checked, window_verified)
+    return CheckResult(identity, True, None, n ** k, window_verified)
 
 
 def check_identity_exhaustive(fs, identity: Identity, *,
                               max_evaluations: int = MAX_EVALUATIONS) -> CheckResult:
     """All assignments over the whole structure, in element-index order, so
     the first counterexample is deterministic."""
-    structure = as_structure(fs)
-    return _check_over(structure, identity, structure.elements, False,
-                       max_evaluations)
+    ops = _read(fs)
+    return _check_over(ops, identity, ops.elements, False, max_evaluations)
 
 
 def check_identity_window(structure, identity: Identity,
@@ -410,7 +381,7 @@ def check_identity_window(structure, identity: Identity,
     """Exhaustive over a finite element window; the verdict is explicitly
     window-verified, standing in for the universal claim without certifying
     it.  The window has the same assignment budget as the exhaustive check."""
-    return _check_over(structure, identity, list(window), True)
+    return _check_over(_read(structure), identity, list(window), True)
 
 
 # ---------------------------------------------------------------------------
@@ -480,37 +451,25 @@ class ClassifyEntry:
 
 def classify(fs, *, max_evaluations: int = MAX_EVALUATIONS) -> list:
     """Run every applicable catalogue entry against the structure."""
-    structure = as_structure(fs)
-    has_unary = _has_unary(structure)
-    cr = getattr(structure, "completely_regular", False)
-    has_zero = getattr(structure, "zero_element", None) is not None
+    ops = _read(fs)
+    lacks = [(Term.uses_unary, ops.unary is None, "no unary operation"),
+             (Term.uses_idempotent_power, not ops.completely_regular,
+              "not completely regular"),
+             (Term.uses_zero, ops.zero is None, "no zero element")]
     report = []
     for key, ids in catalogue().items():
-        needs_unary = any(i.uses_unary() for i in ids)
-        needs_cr = any(i.uses_idempotent_power() for i in ids)
-        needs_zero = any(i.uses_zero() for i in ids)
-        if needs_unary and not has_unary:
-            report.append(ClassifyEntry(key, "skipped",
-                                        reason="no unary operation"))
+        reason = next((why for uses, lacking, why in lacks
+                       if lacking and any(map(uses, ids))), None)
+        if reason is not None:
+            report.append(ClassifyEntry(key, "skipped", reason=reason))
             continue
-        if needs_cr and not cr:
-            report.append(ClassifyEntry(key, "skipped",
-                                        reason="not completely regular"))
-            continue
-        if needs_zero and not has_zero:
-            report.append(ClassifyEntry(key, "skipped",
-                                        reason="no zero element"))
-            continue
-        failed = None
         for ident in ids:
-            result = check_identity_exhaustive(
-                structure, ident, max_evaluations=max_evaluations)
+            result = _check_over(ops, ident, ops.elements, False,
+                                 max_evaluations)
             if not result.holds:
-                failed = result
+                report.append(ClassifyEntry(
+                    key, "fails", counterexample=result.counterexample))
                 break
-        if failed is None:
-            report.append(ClassifyEntry(key, "holds"))
         else:
-            report.append(ClassifyEntry(key, "fails",
-                                        counterexample=failed.counterexample))
+            report.append(ClassifyEntry(key, "holds"))
     return report

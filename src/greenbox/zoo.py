@@ -152,11 +152,8 @@ class PWindow:
         self.completely_regular = True
         self.zero_element = None
 
-    def mult(self, a: int, b: int) -> int:
-        return p_mult(a, b)
-
-    def unary(self, a: int) -> int:
-        return p_unary(a)
+    mult = staticmethod(p_mult)
+    unary = staticmethod(p_unary)
 
     def __repr__(self) -> str:
         return f"PWindow({self.n})"

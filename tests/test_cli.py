@@ -128,6 +128,9 @@ def test_green_refusals_exit_2(capsys):
         args = ["green", spec] + (["--relation", relation] if relation else [])
         assert run(capsys, *args) == (
             2, "", f"error: bad zoo spec {spec!r}: radius must be >= 1\n")
+    # The multiplier ball of radius 8 * 1000 used to end in a MemoryError.
+    assert run(capsys, "green", "bicyclic:8", "--margin", "1000") == (
+        2, "", "error: ball exceeded 100000 elements\n")
 
 
 def test_munn_idempotent(capsys):
@@ -286,6 +289,35 @@ def test_identity_raw_text(capsys):
 def test_identity_bad_key(capsys):
     code, _, err = run(capsys, "identity", "b2", "] nonsense [")
     assert code == 2
+
+
+IDENTITY_GOLDEN = [
+    ["b2", "inverse"],
+    ["lz:2", "inverse"],
+    ["pz:6", "inverse"],
+    ["pz:5", "rolstar", "--window", "3"],
+    ["np:3", "i-semigroup"],
+    ["b2", "x^0 = x"],
+    ["np:3", "x' = x"],
+    ["b2", "0 = x"],
+    ["mn:4", "v w x y z = z y x w v"],
+]
+
+
+def test_identity_golden_output(capsys):
+    # Per command: the arguments, the exit code, stdout and any stderr.
+    # Refusals come before the first assignment of the identity they name,
+    # so i-semigroup on np:3 prints its first verdict and then exits 2.
+    parts = []
+    for argv in IDENTITY_GOLDEN:
+        code, out, err = run(capsys, "identity", *argv)
+        shown = " ".join(repr(a) if " " in a else a for a in argv)
+        parts.append(f"$ identity {shown}\nexit: {code}\n{out}")
+        if err:
+            parts.append("--- stderr\n" + err)
+    path = os.path.join(os.path.dirname(__file__), "golden", "identity.txt")
+    with open(path, encoding="utf-8") as handle:
+        assert "".join(parts) == handle.read()
 
 
 def test_identity_deep_terms_exit_2(capsys):

@@ -689,6 +689,14 @@ def test_regular_subsemigroup_restriction():
                     rel, embedding[i], embedding[j])
 
 
+def test_inverse_subsemigroup_of_a_is_b2():
+    # The closure of a adds a', aa', a'a and 0; the seed alone does not
+    # generate it under products, so the unary images are generators too.
+    sub, embedding = subsemigroup(zoo.b2(), [0])
+    assert embedding == [0, 1, 2, 3, 4]
+    assert iso_tables(sub, zoo.b2())[0]
+
+
 # table text format
 
 

@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from greenbox import zoo
-from greenbox.engine import FiniteSemigroup, rees_quotient
-from greenbox.identities import (IdPow, Inv, Mul, Var, ZeroC,
+from greenbox.engine import FiniteSemigroup, adjoin_zero, rees_quotient
+from greenbox.identities import (MAX_EVALUATIONS, IdPow, Inv, Mul, Var, ZeroC,
                                  catalogue, catalogue_entry,
                                  check_identity_exhaustive,
                                  check_identity_window, classify, eval_term,
@@ -232,3 +235,150 @@ def test_identity_with_disjoint_variable_sides():
     # x x' = y y' fails on B2 (sided idempotents differ).
     result = check_identity_exhaustive(zoo.b2(), parse_identity("xx' = yy'"))
     assert not result.holds
+
+
+# reference: the recursive evaluator, which re-reads the structure at every
+# node of every assignment; the compiled checker must agree with it exactly
+
+
+class ReferenceTable:
+    """Adapter presenting a FiniteSemigroup to the reference evaluator."""
+
+    def __init__(self, fs):
+        self.fs = fs
+        self.elements = list(range(len(fs)))
+        self.completely_regular = fs.is_completely_regular()
+        self.zero_element = fs.zero
+
+    def mult(self, a, b):
+        return self.fs.table[a][b]
+
+    def unary(self, a):
+        if self.fs.unary is None:
+            raise ValueError("structure has no unary operation")
+        return self.fs.unary[a]
+
+
+def reference_structure(obj):
+    return ReferenceTable(obj) if isinstance(obj, FiniteSemigroup) else obj
+
+
+def reference_has_unary(structure):
+    if isinstance(structure, ReferenceTable):
+        return structure.fs.unary is not None
+    return getattr(structure, "unary", None) is not None
+
+
+def reference_eval_term(structure, term, assignment):
+    structure = reference_structure(structure)
+    if isinstance(term, Var):
+        return assignment[term.name]
+    if isinstance(term, Mul):
+        return structure.mult(
+            reference_eval_term(structure, term.left, assignment),
+            reference_eval_term(structure, term.right, assignment))
+    if isinstance(term, Inv):
+        if not reference_has_unary(structure):
+            raise ValueError(f"term {term} needs a unary operation")
+        return structure.unary(
+            reference_eval_term(structure, term.arg, assignment))
+    if isinstance(term, IdPow):
+        if not getattr(structure, "completely_regular", False):
+            raise ValueError(
+                "x^0 is only meaningful on completely regular structures")
+        x = reference_eval_term(structure, term.arg, assignment)
+        return structure.mult(x, structure.unary(x))
+    if isinstance(term, ZeroC):
+        zero = getattr(structure, "zero_element", None)
+        if zero is None:
+            raise ValueError("zero constant needs a structure with a zero")
+        return zero
+    raise TypeError(f"not a term: {term!r}")
+
+
+def reference_variables(term):
+    if isinstance(term, Var):
+        return {term.name}
+    if isinstance(term, Mul):
+        return reference_variables(term.left) | reference_variables(term.right)
+    if isinstance(term, (Inv, IdPow)):
+        return reference_variables(term.arg)
+    return set()
+
+
+def reference_check_over(structure, identity, elements, window_verified,
+                         max_evaluations=MAX_EVALUATIONS):
+    """(holds, counterexample, checked, window_verified)."""
+    structure = reference_structure(structure)
+    variables = sorted(reference_variables(identity.lhs)
+                       | reference_variables(identity.rhs))
+    n, k = len(elements), len(variables)
+    if n ** k > max_evaluations:
+        raise ValueError(
+            f"{n}^{k} assignments exceed the budget of {max_evaluations}")
+    checked = 0
+    for combo in itertools.product(elements, repeat=k):
+        assignment = dict(zip(variables, combo))
+        checked += 1
+        if (reference_eval_term(structure, identity.lhs, assignment)
+                != reference_eval_term(structure, identity.rhs, assignment)):
+            return False, assignment, checked, window_verified
+    return True, None, checked, window_verified
+
+
+# Tables without a unary operation, a non-completely-regular table, tables
+# without a zero, a completely regular table with a zero, and pz windows.
+REFERENCE_STRUCTURES = [
+    zoo.b2(),                                   # unary, not CR, zero
+    zoo.parse_zoo("np:3"),                      # no unary, zero
+    FiniteSemigroup([[0, 0], [1, 1]]),          # no unary, no zero
+    zoo.right_zero(3),                          # CR, no zero
+    adjoin_zero(zoo.left_zero(2)),              # CR, zero
+    zoo.PWindow(2),
+    zoo.PWindow(3),
+]
+
+TERM_TEXTS = st.recursive(
+    st.sampled_from(["x", "y", "z", "x", "y", "z", "0"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map(lambda p: f"({p[0]}) ({p[1]})"),
+        inner.map(lambda t: f"({t})'"),
+        inner.map(lambda t: f"({t})^0"),
+        st.tuples(inner, st.sampled_from(["^2", "^3", "^-1", "^-2"])).map(
+            lambda p: f"({p[0]}){p[1]}")),
+    max_leaves=6)
+
+
+def outcome(check):
+    try:
+        result = check()
+    except Exception as exc:        # compared by type and message
+        return type(exc), str(exc)
+    if isinstance(result, tuple):
+        return result
+    return (result.holds, result.counterexample, result.checked,
+            result.window_verified)
+
+
+@settings(max_examples=500, deadline=None)
+@given(structure=st.sampled_from(REFERENCE_STRUCTURES), lhs=TERM_TEXTS,
+       rhs=TERM_TEXTS,
+       budget=st.one_of(st.just(MAX_EVALUATIONS), st.integers(1, 130)))
+def test_compiled_checker_matches_recursive_reference(structure, lhs, rhs,
+                                                      budget):
+    try:
+        ident = parse_identity(f"{lhs} = {rhs}")
+    except ValueError:
+        assume(False)           # over the term size cap
+    if isinstance(structure, zoo.PWindow):
+        window = structure.elements
+        new = outcome(lambda: check_identity_window(structure, ident, window))
+        old = outcome(lambda: reference_check_over(structure, ident, window,
+                                                   True))
+    else:
+        elements = list(range(len(structure)))
+        new = outcome(lambda: check_identity_exhaustive(
+            structure, ident, max_evaluations=budget))
+        old = outcome(lambda: reference_check_over(structure, ident, elements,
+                                                   False, budget))
+    assert new == old
