@@ -30,6 +30,9 @@ class BudgetError(ValueError):
     """A requested computation exceeds its declared desk-scale budget."""
 
 
+MAX_TABLE_CELLS = 10_000_000    # n² cells of a multiplication table
+
+
 # ---------------------------------------------------------------------------
 # core structures
 
@@ -102,22 +105,12 @@ class FiniteSemigroup:
 
 
 def _closure(table, gens) -> set:
-    """Subsemigroup generated by ``gens``, as the set of generator words.
-
-    Breadth-first search along right multiplication by the generators:
-    O(n·|A|) lookups.  In an associative table the words are closed under
-    every product, so no pair of found elements needs multiplying.
-    """
-    closed = set(gens)
-    queue = list(closed)
-    for x in queue:
-        row = table[x]
-        for g in gens:
-            z = row[g]
-            if z not in closed:
-                closed.add(z)
-                queue.append(z)
-    return closed
+    """Subsemigroup generated by ``gens``: the right Cayley search over the
+    table's generator columns.  In an associative table the generator words
+    are closed under every product, so no pair needs multiplying."""
+    first, later = _right_search([[row[g] for g in gens] for row in table],
+                                 gens)
+    return {g for g, _ in first}.union(y for y, _, _ in later)
 
 
 def find_identity(table) -> Optional[int]:
@@ -329,17 +322,16 @@ def enumerate_oracle(oracle: Oracle, generators: Sequence, *,
     return table_from_ball(ball) if ball.closed else ball
 
 
-def cayley_table(right: Sequence[Sequence[int]], gens: Sequence[int]) -> list:
-    """Full multiplication table from the right Cayley graph.
+def _right_search(right: Sequence[Sequence[int]], gens: Sequence[int]) -> tuple:
+    """Breadth-first search of the right Cayley graph from the generators.
 
     ``right[x][a]`` is the index of x times generator a, and ``gens[a]`` is
-    that generator's own index.  Columns are visited breadth-first from the
-    generator columns, so each later column y is reached as p·g with p
-    visited before it; by associativity x·y = (x·p)·g, one lookup per cell.
-    Columns that no generator word reaches stay None for the caller to fill.
+    that generator's own index.  Returns (first, later): ``first`` holds
+    (g, a) for each distinct generator g = gens[a], and ``later`` holds
+    (y, p, a) for every other element reached, in visiting order, with
+    y = p·gens[a] and p visited before y.
     """
-    n = len(right)
-    seen = [False] * n
+    seen = [False] * len(right)
     first, queue, later = [], [], []
     for a, g in enumerate(gens):
         if not seen[g]:
@@ -352,6 +344,27 @@ def cayley_table(right: Sequence[Sequence[int]], gens: Sequence[int]) -> list:
                 seen[y] = True
                 queue.append(y)
                 later.append((y, p, a))
+    return first, later
+
+
+def check_table_size(n: int) -> None:
+    """BudgetError when a table of n elements exceeds ``MAX_TABLE_CELLS``."""
+    if n * n > MAX_TABLE_CELLS:
+        raise BudgetError(f"a table of {n} elements needs {n * n} cells, "
+                          f"over the budget of {MAX_TABLE_CELLS}")
+
+
+def cayley_table(right: Sequence[Sequence[int]], gens: Sequence[int]) -> list:
+    """Full multiplication table from the right Cayley graph.
+
+    Columns are visited in ``_right_search`` order, so each later column
+    y is reached as p·g with p visited before it; by associativity
+    x·y = (x·p)·g, one lookup per cell.  Columns that no generator word
+    reaches stay None for the caller to fill.
+    """
+    n = len(right)
+    check_table_size(n)
+    first, later = _right_search(right, gens)
     table = []
     for rx in right:
         row = [None] * n
@@ -540,32 +553,27 @@ def _join(p1: Sequence, p2: Sequence) -> list:
 def green_scc(fs: FiniteSemigroup) -> GreenStructure:
     """Green's relations via mutual reachability on Cayley graphs.
 
-    Right Cayley edges x -> x g give R, left edges x -> g x give L, the
-    union of both edge kinds gives J.  H is the meet of L and R, D their
-    join.
+    Right Cayley edges x -> x g give R, left edges x -> g x give L.  H is
+    the meet of L and R, D their join, and J is read as D: in every finite
+    semigroup D = J.
     """
     n = len(fs)
     t = fs.table
     gens = fs.generators
     r = _sccs(n, lambda x: (t[x][g] for g in gens))
     l = _sccs(n, lambda x: (t[g][x] for g in gens))
-
-    def both(x):
-        for g in gens:
-            yield t[x][g]
-            yield t[g][x]
-
-    j = _sccs(n, both)
     h = _dense(list(zip(l, r)))
     d = _join(l, r)
-    return GreenStructure(h=h, l=l, r=r, d=d, j=j)
+    return GreenStructure(h=h, l=l, r=r, d=d, j=d)
 
 
 def green_definitional(fs: FiniteSemigroup) -> GreenStructure:
     """Green's relations by comparing principal ideals as element sets.
 
     Independent of green_scc; the two must agree on every closed table,
-    which the test suite asserts as the cross-validation oracle.
+    which the test suite asserts as the cross-validation oracle.  J is
+    computed here from two-sided ideals, not read as D, so the agreement
+    also checks D = J.
     """
     n = len(fs)
     t = fs.table
@@ -648,8 +656,7 @@ def format_eggbox(fs: FiniteSemigroup, gs: Optional[GreenStructure] = None) -> s
 # constructions
 
 
-def direct_product(factors: Sequence[FiniteSemigroup], *,
-                   max_size: int = 20_000) -> FiniteSemigroup:
+def direct_product(factors: Sequence[FiniteSemigroup]) -> FiniteSemigroup:
     """Componentwise product.  Generators are all elements: the product of
     the factor generating sets does not generate in general, and Cayley
     reachability needs a true generating set."""
@@ -658,8 +665,7 @@ def direct_product(factors: Sequence[FiniteSemigroup], *,
     size = 1
     for f in factors:
         size *= len(f)
-    if size > max_size:
-        raise BudgetError(f"product size {size} exceeds bound {max_size}")
+    check_table_size(size)
     import itertools
     tuples = list(itertools.product(*[range(len(f)) for f in factors]))
     pos = {t: i for i, t in enumerate(tuples)}
@@ -739,24 +745,19 @@ def adjoin_zero(fs: FiniteSemigroup) -> FiniteSemigroup:
 def subsemigroup(fs: FiniteSemigroup, seed: Iterable[int]) -> tuple:
     """Closure of ``seed`` under multiplication (and unary when present).
 
-    Returns (sub, embedding) where embedding[i] is the index in fs of
-    element i of the subsemigroup.
+    The product closure of the seed is re-seeded with its unary images
+    until nothing new appears.  Returns (sub, embedding) where
+    embedding[i] is the index in fs of element i of the subsemigroup.
     """
-    closure = sorted(set(seed))
-    current = set(closure)
-    frontier = list(closure)
-    while frontier:
-        new = []
-        for x in frontier:
-            candidates = [fs.table[x][y] for y in current]
-            candidates += [fs.table[y][x] for y in current]
-            if fs.unary is not None:
-                candidates.append(fs.unary[x])
-            for z in candidates:
-                if z not in current:
-                    current.add(z)
-                    new.append(z)
-        frontier = new
+    seed = set(seed)
+    gens = set(seed)
+    current = _closure(fs.table, sorted(gens))
+    while fs.unary is not None:
+        images = {fs.unary[x] for x in current} - current
+        if not images:
+            break
+        gens |= images
+        current = _closure(fs.table, sorted(gens))
     embedding = sorted(current)
     pos = {x: i for i, x in enumerate(embedding)}
     table = [[pos[fs.table[x][y]] for y in embedding] for x in embedding]
@@ -764,7 +765,7 @@ def subsemigroup(fs: FiniteSemigroup, seed: Iterable[int]) -> tuple:
     names = [fs.names[x] for x in embedding]
     # The closure adds unary images, so the seed alone need not generate
     # it; the seed and the unary images of the closure do, under products.
-    gens = {pos[x] for x in closure} | set(unary or ())
+    gens = {pos[x] for x in seed} | set(unary or ())
     sub = FiniteSemigroup(table, names=names, unary=unary, generators=gens)
     return sub, embedding
 

@@ -393,7 +393,8 @@ def entry_cross_validation(seed: int = 0) -> ReportEntry:
         g2 = engine.green_definitional(result)
         if (g1.h, g1.l, g1.r, g1.d, g1.j) != (g2.h, g2.l, g2.r, g2.d, g2.j):
             agree = False
-        if g1.d != g1.j:
+        # green_scc reads J as D, so only the ideal-based J can test D = J.
+        if g2.d != g2.j:
             dj = False
         if g1.h != engine._dense(list(zip(g1.l, g1.r))):
             meet = False

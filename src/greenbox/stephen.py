@@ -23,7 +23,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import FiniteSemigroup
+from .engine import FiniteSemigroup, Oracle, enumerate_oracle
 from .munn import (InverseAutomaton, LiveGraph, Mark, canonical_key, follow,
                    munn_tree, quotient)
 from .munn import to_dot as dot_export  # stage automata share the exporter
@@ -373,15 +373,15 @@ def presented_table(pres: Presentation, *, max_stages: int = 40,
                     max_elements: int = 200) -> FiniteSemigroup:
     """Multiplication table of a presented inverse semigroup, when finite.
 
-    Elements are identified with pointed canonical forms of their closed
-    Schutzenberger automata; breadth-first search over generator words stops
-    when a whole level brings no new element.  Raises when any trace fails
-    to close or the element budget is exceeded.
+    Elements are the pointed canonical forms of their closed Schutzenberger
+    automata, enumerated by ``engine.enumerate_oracle`` from the letters
+    and their inverses.  Each element keeps the first word seen for it,
+    which names it; a product classifies the concatenated words, and the
+    inverse the inverted word.  Only the right Cayley graph is classified,
+    n·|A| Stephen runs, and ``cayley_table`` fills the rest of the table.
+    Raises when any trace fails to close or the element budget is exceeded.
     """
-    gens: list = []
-    for i in range(len(pres.alphabet)):
-        gens.append((i + 1,))
-        gens.append((-(i + 1),))
+    words: dict = {}
 
     def classify(w: Word):
         trace = stephen_run(w, pres, max_stages=max_stages,
@@ -390,40 +390,16 @@ def presented_table(pres: Presentation, *, max_stages: int = 40,
             raise RuntimeError(
                 f"trace of {format_word(w, pres.alphabet)!r} did not close; "
                 "the presented semigroup may be infinite")
-        return canonical_key(trace.last)
+        key = canonical_key(trace.last)
+        words.setdefault(key, w)
+        return key
 
-    reps: list = []
-    index: dict = {}
-
-    def add(w: Word) -> int:
-        key = classify(w)
-        if key in index:
-            return index[key]
-        index[key] = len(reps)
-        reps.append(w)
-        if len(reps) > max_elements:
-            raise RuntimeError(f"more than {max_elements} elements")
-        return index[key]
-
-    frontier = []
-    for g in gens:
-        before = len(reps)
-        i = add(g)
-        if len(reps) > before:
-            frontier.append(i)
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for g in gens:
-                before = len(reps)
-                j = add(reps[i] + g)
-                if len(reps) > before:
-                    nxt.append(j)
-        frontier = nxt
-    n = len(reps)
-    table = [[add(reps[i] + reps[j]) for j in range(n)] for i in range(n)]
-    unary = [add(invert_word(reps[i])) for i in range(n)]
-    names = [format_word(w, pres.alphabet) for w in reps]
-    gen_idx = sorted({add(g) for g in gens})
-    return FiniteSemigroup(table, names=names, unary=unary,
-                           generators=gen_idx)
+    oracle = Oracle(lambda x, y: classify(words[x] + words[y]),
+                    unary=lambda x: classify(invert_word(words[x])),
+                    name=lambda x: format_word(words[x], pres.alphabet))
+    gens = [classify((sign * (i + 1),))
+            for i in range(len(pres.alphabet)) for sign in (1, -1)]
+    fs = enumerate_oracle(oracle, gens, max_elements=max_elements)
+    if not isinstance(fs, FiniteSemigroup):
+        raise RuntimeError(f"more than {max_elements} elements")
+    return fs

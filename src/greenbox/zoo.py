@@ -9,12 +9,12 @@ so the engine's two general algorithms can be cross-validated against it.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .engine import (BallEnumeration, BudgetError, FiniteSemigroup, Oracle,
                      adjoin_identity, ball_enumerate, cayley_table,
-                     check_margin, direct_product, enumerate_oracle,
-                     find_witnesses, witnessed_partition)
+                     check_margin, check_table_size, direct_product,
+                     enumerate_oracle, find_witnesses, witnessed_partition)
 from .munn import FisTriple
 
 # ---------------------------------------------------------------------------
@@ -99,6 +99,7 @@ def monogenic_monoid(p: int) -> FiniteSemigroup:
     if p < 1:
         raise ValueError("index must be >= 1")
     n = p + 1
+    check_table_size(n)
     table = [[min(i + j, p) for j in range(n)] for i in range(n)]
     names = ["1"] + [f"a^{i}" if i > 1 else "a" for i in range(1, n)]
     return FiniteSemigroup(table, names=names, generators=[0, 1])
@@ -196,6 +197,7 @@ def right_zero(n: int) -> FiniteSemigroup:
     """x y = y; one R-class, singleton L-classes.  Bands carry x' = x."""
     if n < 1:
         raise ValueError("size must be >= 1")
+    check_table_size(n)
     table = [[j for j in range(n)] for _ in range(n)]
     return FiniteSemigroup(table, names=[f"r{i + 1}" for i in range(n)],
                            unary=list(range(n)), generators=range(n))
@@ -205,6 +207,7 @@ def left_zero(n: int) -> FiniteSemigroup:
     """x y = x; one L-class, singleton R-classes."""
     if n < 1:
         raise ValueError("size must be >= 1")
+    check_table_size(n)
     table = [[i for _ in range(n)] for i in range(n)]
     return FiniteSemigroup(table, names=[f"l{i + 1}" for i in range(n)],
                            unary=list(range(n)), generators=range(n))
@@ -214,6 +217,7 @@ def null_semigroup(n: int) -> FiniteSemigroup:
     """All products are the zero; n counts the zero element."""
     if n < 1:
         raise ValueError("size must be >= 1")
+    check_table_size(n)
     table = [[0] * n for _ in range(n)]
     names = ["0"] + [f"b{i}" for i in range(1, n)]
     return FiniteSemigroup(table, names=names, generators=range(1, n) or [0])
@@ -229,7 +233,7 @@ def transformation_oracle(n: int) -> Oracle:
                   name=lambda f: "".join(str(x) for x in f))
 
 
-def transformation_semigroup(n: int, maps: Sequence[Sequence[int]],
+def transformation_semigroup(n: int, maps: Iterable[Sequence[int]],
                              max_elements: int = 10_000):
     """Closure of total maps on [n] under composition."""
     if n > 5:
@@ -244,8 +248,13 @@ def transformation_semigroup(n: int, maps: Sequence[Sequence[int]],
 
 def random_transformation_semigroup(n: int, seed: int, k: int,
                                     max_elements: int = 10_000):
+    """Closure of k maps on [n] drawn from ``random.Random(seed)``.  The
+    maps are drawn lazily, after the domain and generator budgets pass."""
+    if k > max_elements:
+        raise BudgetError(f"{k} generators exceed the element budget "
+                          f"of {max_elements}")
     rng = random.Random(seed)
-    maps = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(k)]
+    maps = (tuple(rng.randrange(n) for _ in range(n)) for _ in range(k))
     return transformation_semigroup(n, maps, max_elements=max_elements)
 
 
@@ -297,26 +306,39 @@ def _stable_factor_set(cap: int) -> set:
         k += 1
 
 
+def _word_quotient(words: Sequence[str], letters: Sequence[str]) -> FiniteSemigroup:
+    """The words plus a zero, with u * v = uv when the concatenation is
+    again a word and 0 otherwise.
+
+    The word set must be factor-closed.  Then every word is reached from
+    its letters through its prefixes, and uv = (u p) c for v = p c, so
+    ``cayley_table`` fills the table from the right rows u -> uc alone.
+    The letters that are words generate; with none, the zero does.
+    """
+    elems = list(words) + ["0"]
+    pos = {w: i for i, w in enumerate(elems)}
+    zero = pos["0"]
+    letters = [c for c in letters if c in pos]
+    gens = [pos[c] for c in letters] or [zero]
+    right = [[pos.get(u + c, zero) for c in letters] for u in words]
+    right.append([zero] * len(gens))
+    return FiniteSemigroup(cayley_table(right, gens), names=elems,
+                           generators=gens)
+
+
 def sw_semigroup(cap: int) -> FiniteSemigroup:
     """Finite stand-in for the square-free-factor semigroup: the factors of
     the reference word of length <= cap plus a zero, with u * v = uv when
-    the concatenation is again an element and 0 otherwise."""
+    the concatenation is again an element and 0 otherwise.
+
+    A square-free ternary word is aperiodic, so it has at least l + 1
+    factors of each length l (Morse-Hedlund): the table budget is checked
+    on that lower bound before the factors are collected."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    check_table_size(cap * (cap + 3) // 2 + 1)
     factors = sorted(_stable_factor_set(cap), key=lambda w: (len(w), w))
-    elems = factors + ["0"]
-    pos = {w: i for i, w in enumerate(elems)}
-    zero = pos["0"]
-    n = len(elems)
-    table = [[zero] * n for _ in range(n)]
-    fset = set(factors)
-    for i, u in enumerate(factors):
-        for j, v in enumerate(factors):
-            w = u + v
-            if w in fset:
-                table[i][j] = pos[w]
-    gens = [pos[c] for c in "abc" if c in pos]
-    return FiniteSemigroup(table, names=elems, generators=gens or range(n))
+    return _word_quotient(factors, "abc")
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +401,7 @@ def free_nil(pattern: str, letters: int, cap: int, *,
     words: list = []
     frontier = [c for c in alphabet if pattern_instance_free(c, pattern)]
     words.extend(frontier)
-    for _ in range(cap - 1):
+    while frontier and len(frontier[0]) < cap:
         nxt = []
         for w in frontier:
             for c in alphabet:
@@ -391,18 +413,7 @@ def free_nil(pattern: str, letters: int, cap: int, *,
         if len(words) > max_elements:
             raise BudgetError(
                 f"free object exceeds {max_elements} nonzero elements")
-    elems = words + ["0"]
-    pos = {w: i for i, w in enumerate(elems)}
-    zero = pos["0"]
-    n = len(elems)
-    table = [[zero] * n for _ in range(n)]
-    for i, u in enumerate(words):
-        for j, v in enumerate(words):
-            w = u + v
-            if len(w) <= cap and w in pos:
-                table[i][j] = pos[w]
-    gens = [pos[c] for c in alphabet if c in pos] or [zero]
-    return FiniteSemigroup(table, names=elems, generators=gens)
+    return _word_quotient(words, alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +421,8 @@ def free_nil(pattern: str, letters: int, cap: int, *,
 
 
 def mn_size(n: int) -> int:
-    return 1 + sum((span + 1) ** 2 for span in range(1, n))
+    """|M_n| = 1 + sum of (span + 1)^2 over spans 1..n-1, in closed form."""
+    return n * (n + 1) * (2 * n + 1) // 6
 
 
 def mn_table(n: int) -> FiniteSemigroup:
@@ -425,6 +437,7 @@ def mn_table(n: int) -> FiniteSemigroup:
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    check_table_size(mn_size(n))
     triples = [FisTriple(r, span - r, t)
                for span in range(1, n)
                for r in range(span + 1)

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 from greenbox import zoo
 from greenbox.cli import console_main, main
@@ -421,3 +422,49 @@ def test_green_on_closed_table_delegates_to_exact(capsys):
     code, out, _ = run(capsys, "green", "b2")
     assert code == 0
     assert "H=5 L=3 R=3 D=2 J=2" in out
+
+
+TABLE_GOLDEN = (
+    ["b2", "b2^1"]
+    + [f"mn:{n}" for n in range(2, 10)]
+    + [f"np:{p}" for p in range(1, 6)]
+    + [f"rz:{n}" for n in range(1, 5)]
+    + ["lz:3", "null:3"]
+    + [f"sw:{cap}" for cap in range(1, 7)]
+    + [f"freenil:xx:3:{cap}" for cap in range(1, 5)]
+    + ["freenil:xyx:2:4", "freenil:x:2:3"]
+    + ["prod:rz:3,null:2", "prod:b2,np:2", "prod:mn:3,lz:2"]
+    + ["transf:3:1:2", "transf:4:2:2", "transf:4:5:3"]
+)
+
+
+def test_table_golden_output(capsys):
+    # Per spec: the spec, the exit code and stdout of `table`.
+    parts = []
+    for spec in TABLE_GOLDEN:
+        code, out, _ = run(capsys, "table", spec)
+        parts.append(f"$ table {spec}\nexit: {code}\n{out}")
+    path = os.path.join(os.path.dirname(__file__), "golden", "table.txt")
+    with open(path, encoding="utf-8") as handle:
+        assert "".join(parts) == handle.read()
+
+
+def test_table_budget_refusals_exit_2_quickly(capsys):
+    # Each spec would need a table over engine.MAX_TABLE_CELLS (or, for
+    # transf:, more generators than elements), and is refused before any
+    # table, factor set or map is built.
+    cases = {
+        "rz:5000": "a table of 5000 elements needs 25000000 cells",
+        "np:1000000000": "a table of 1000000001 elements needs",
+        "mn:40": "a table of 22140 elements needs 490179600 cells",
+        "sw:100000": "a table of 5000150001 elements needs",
+        "transf:4:1:100000000": "100000000 generators exceed the element "
+                                "budget of 10000",
+    }
+    for spec, reason in cases.items():
+        start = time.perf_counter()
+        code, out, err = run(capsys, "table", spec)
+        assert time.perf_counter() - start < 1.0, spec
+        assert (code, out) == (2, ""), spec
+        assert err.startswith(f"error: bad zoo spec {spec!r}: {reason}"), spec
+        assert err.count("\n") == 1, spec

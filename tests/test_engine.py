@@ -322,6 +322,56 @@ def test_closure_matches_all_pairs_reference(points, seed, k, data):
         assert FiniteSemigroup(table, generators=gens).generators == gens
 
 
+def reference_subsemigroup(fs, seed):
+    """Reference subsemigroup: a pairwise frontier over products on both
+    sides, plus unary images, until no element is new."""
+    closure = sorted(set(seed))
+    current = set(closure)
+    frontier = list(closure)
+    while frontier:
+        new = []
+        for x in frontier:
+            candidates = [fs.table[x][y] for y in current]
+            candidates += [fs.table[y][x] for y in current]
+            if fs.unary is not None:
+                candidates.append(fs.unary[x])
+            for z in candidates:
+                if z not in current:
+                    current.add(z)
+                    new.append(z)
+        frontier = new
+    embedding = sorted(current)
+    pos = {x: i for i, x in enumerate(embedding)}
+    table = [[pos[fs.table[x][y]] for y in embedding] for x in embedding]
+    unary = [pos[fs.unary[x]] for x in embedding] if fs.unary is not None else None
+    names = [fs.names[x] for x in embedding]
+    gens = {pos[x] for x in closure} | set(unary or ())
+    sub = FiniteSemigroup(table, names=names, unary=unary, generators=gens)
+    return sub, embedding
+
+
+SUBSEMIGROUP_HOSTS = {"b2^1": zoo.b2_with_identity(), "mn:6": zoo.mn_table(6)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    st.tuples(st.sampled_from([3, 4]), st.integers(0, 10 ** 6),
+              st.integers(1, 3)),
+    st.sampled_from(sorted(SUBSEMIGROUP_HOSTS))), st.data())
+def test_subsemigroup_matches_pairwise_reference(host, data):
+    if isinstance(host, tuple):
+        fs = zoo.random_transformation_semigroup(*host)
+    else:
+        fs = SUBSEMIGROUP_HOSTS[host]
+    seed = data.draw(st.lists(st.integers(0, len(fs) - 1), min_size=1,
+                              max_size=min(len(fs), 4)))
+    sub, embedding = subsemigroup(fs, seed)
+    ref, ref_embedding = reference_subsemigroup(fs, seed)
+    assert embedding == ref_embedding
+    assert (sub.table, sub.unary, sub.names, sub.generators) == (
+        ref.table, ref.unary, ref.names, ref.generators)
+
+
 # Green's relations, both ways
 
 
@@ -371,8 +421,9 @@ def test_h_is_meet_of_l_and_r():
 def test_d_equals_j_on_finite_tables():
     for fs in (zoo.b2(), zoo.b2_with_identity(), zoo.mn_table(4),
                zoo.sw_semigroup(4)):
-        gs = green_scc(fs)
-        assert gs.d == gs.j
+        # green_scc reads J as D; the ideal-based J must match both Ds.
+        gd = green_definitional(fs)
+        assert gd.d == gd.j == green_scc(fs).d
 
 
 # products

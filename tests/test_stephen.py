@@ -4,14 +4,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from greenbox import zoo
-from greenbox.engine import green_scc, iso_tables
+from greenbox.engine import FiniteSemigroup, green_scc, iso_tables
 from greenbox.munn import (InverseAutomaton, canonical_key, fis_equal, fold,
                            munn_tree)
 from greenbox.stephen import (Presentation, StageTrace, accepts,
                               dclass_signature, initial_stage,
                               parse_presentation, presented_table, r_expand,
                               stephen_run, stephen_step, tau_equal)
-from greenbox.words import Alphabet
+from greenbox.words import Alphabet, format_word, invert_word, parse_word
 from test_munn import reference_key, reference_maps, signed_words
 
 A, B, C = 1, 2, 3
@@ -335,6 +335,98 @@ def test_presented_table_raises_on_infinite():
     pres = parse_presentation(M_TEXT)
     with pytest.raises(RuntimeError):
         presented_table(pres, max_stages=6)
+
+
+def reference_presented_table(pres, *, max_stages=40, max_vertices=20_000,
+                              max_elements=200):
+    """Reference table: a breadth-first search over generator words, then
+    one Stephen run per cell, per inverse and per generator."""
+    gens = []
+    for i in range(len(pres.alphabet)):
+        gens.append((i + 1,))
+        gens.append((-(i + 1),))
+
+    def classify(w):
+        trace = stephen_run(w, pres, max_stages=max_stages,
+                            max_vertices=max_vertices)
+        if not trace.closed:
+            raise RuntimeError(
+                f"trace of {format_word(w, pres.alphabet)!r} did not close; "
+                "the presented semigroup may be infinite")
+        return canonical_key(trace.last)
+
+    reps = []
+    index = {}
+
+    def add(w):
+        key = classify(w)
+        if key in index:
+            return index[key]
+        index[key] = len(reps)
+        reps.append(w)
+        if len(reps) > max_elements:
+            raise RuntimeError(f"more than {max_elements} elements")
+        return index[key]
+
+    frontier = []
+    for g in gens:
+        before = len(reps)
+        i = add(g)
+        if len(reps) > before:
+            frontier.append(i)
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for g in gens:
+                before = len(reps)
+                j = add(reps[i] + g)
+                if len(reps) > before:
+                    nxt.append(j)
+        frontier = nxt
+    n = len(reps)
+    table = [[add(reps[i] + reps[j]) for j in range(n)] for i in range(n)]
+    unary = [add(invert_word(reps[i])) for i in range(n)]
+    names = [format_word(w, pres.alphabet) for w in reps]
+    gen_idx = sorted({add(g) for g in gens})
+    return FiniteSemigroup(table, names=names, unary=unary,
+                           generators=gen_idx)
+
+
+FINITE_PRESENTATIONS = [f"inv-monoid a ; a^{n} = 1" for n in range(1, 13)] + [
+    "inv-monoid a b ; a a = 1 ; b b b = 1 ; a b a b = 1",           # S3
+    "inv-monoid a b ; a^4 = 1 ; b b = 1 ; a b a b = 1",             # D4
+    "inv-monoid a b ; a a = 1 ; b b b = 1 ; a b a b a b a b = 1",   # S4
+    "inv-semigroup a b ; a a = a ; b b = b",                        # semilattice
+    "inv-semigroup a ; a^4 = a^2",
+    "inv-semigroup a ; a^3 = a",
+    B2_TEXT,
+    "inv-semigroup a ; a a = a a a",                                # B2 again
+]
+
+
+@pytest.mark.parametrize("text", FINITE_PRESENTATIONS)
+def test_presented_table_matches_reference(text):
+    pres = parse_presentation(text)
+    fs = presented_table(pres)
+    ref = reference_presented_table(pres)
+    assert (fs.table, fs.unary, fs.names, fs.generators) == (
+        ref.table, ref.unary, ref.names, ref.generators)
+    # Elements are the canonical keys of the closed stages of their words.
+    assert fs.keys == [canonical_key(stephen_run(
+        parse_word(name, pres.alphabet), pres).last) for name in fs.names]
+
+
+@pytest.mark.parametrize("text, kwargs", [
+    (M_TEXT, {"max_stages": 6}),
+    ("inv-semigroup a", {}),        # infinite, and every trace closes
+])
+def test_presented_table_errors_match_reference(text, kwargs):
+    pres = parse_presentation(text)
+    with pytest.raises(RuntimeError) as ref:
+        reference_presented_table(pres, **kwargs)
+    with pytest.raises(RuntimeError) as new:
+        presented_table(pres, **kwargs)
+    assert str(new.value) == str(ref.value)
 
 
 def test_stage_dot_export():
