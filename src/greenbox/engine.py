@@ -16,7 +16,8 @@ from array import array
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice, repeat
+from functools import cached_property
+from itertools import repeat
 from typing import Callable, Iterable, Optional, Sequence
 
 RELATIONS = ("H", "L", "R", "D", "J")
@@ -160,23 +161,18 @@ def verify_associative(table, *, sample: int = 100_000, seed: int = 0,
 # enumeration from an oracle
 
 
-def _identity(e):
-    return e
-
-
 class Oracle:
     """Behavioral element interface for enumeration.
 
-    ``mult`` is the binary operation, ``key`` maps an element to a hashable
-    canonical value (identity by default), ``unary`` is an optional unary
-    operation, ``name`` an optional display renderer.
+    ``mult`` is the binary operation, ``unary`` an optional unary
+    operation, ``name`` an optional display renderer.  Elements are their
+    own keys: hashable values, equal exactly when they are the same
+    element.
     """
 
-    def __init__(self, mult: Callable, *, key: Optional[Callable] = None,
-                 unary: Optional[Callable] = None,
+    def __init__(self, mult: Callable, *, unary: Optional[Callable] = None,
                  name: Optional[Callable] = None):
         self.mult = mult
-        self.key = key if key is not None else _identity
         self.unary = unary
         self.name = name if name is not None else (lambda e: str(e))
 
@@ -189,7 +185,9 @@ class _Growth:
     order with ties broken by generator index (so reports are
     deterministic) and are expanded one at a time in that order;
     ``right[i]`` is the right Cayley row of the i-th non-seed element.
-    Seeds have length 0 and are not expanded.
+    Seeds have length 0 and are not expanded.  Each element records its
+    shortest word as a prefix link: ``prefix[i]`` (None for seeds and
+    generators) and ``last[i]``, the last generator (None for seeds).
     """
 
     def __init__(self, oracle: Oracle, generators: Sequence, seeds: Sequence):
@@ -198,36 +196,36 @@ class _Growth:
         self.oracle = oracle
         self.generators = list(generators)
         self.seeds = list(seeds)
-        self.elements, self.words, self.lengths, self.right = [], [], [], []
+        self.elements, self.lengths, self.right = [], [], []
+        self.prefix, self.last, self._words = [], [], []
         self.index: dict = {}
         for s in self.seeds:
-            self._push(s, (), 0)
+            self._push(s, None, None, 0)
         self.n_seeds = len(self.elements)
-        self.gens = [self._push(g, (a,), 1)
+        self.gens = [self._push(g, None, a, 1)
                      for a, g in enumerate(self.generators)]
 
-    def _push(self, e, word: tuple, length: int) -> int:
-        """Index of e, appended as a new element when its key is new."""
-        key = self.oracle.key
-        k = key(e)
-        i = self.index.get(k)
-        if i is None:
-            i = self.index[k] = len(self.elements)
+    def _push(self, e, prefix, last, length: int) -> int:
+        """Index of e, appended as a new element when it is new."""
+        n = len(self.elements)
+        i = self.index.setdefault(e, n)
+        if i == n:
             self.elements.append(e)
-            self.words.append(word)
+            self.prefix.append(prefix)
+            self.last.append(last)
             self.lengths.append(length)
-        elif key is not _identity and self.elements[i] != e:
-            # Key collision across structurally distinct elements: spot
-            # check multiplication behavior before trusting the key.  Under
-            # the identity key, equal keys already mean equal elements.
-            mult, stored = self.oracle.mult, self.elements[i]
-            for g in self.generators:
-                if (key(mult(e, g)) != key(mult(stored, g))
-                        or key(mult(g, e)) != key(mult(g, stored))):
-                    raise OracleError(
-                        f"canonical key {k!r} collides across elements "
-                        f"with different multiplication behavior")
         return i
+
+    @property
+    def words(self) -> list:
+        """Shortest words as tuples of generator indices, built from the
+        prefix links when read; a prefix comes before its extensions."""
+        words, prefix, last = self._words, self.prefix, self.last
+        for i in range(len(words), len(self.elements)):
+            p, a = prefix[i], last[i]
+            words.append(() if a is None else (a,) if p is None
+                         else words[p] + (a,))
+        return words
 
     def size(self, radius: int) -> int:
         """Number of elements of length <= radius.  Expands elements until
@@ -239,8 +237,8 @@ class _Growth:
             i = self.n_seeds + len(right)
             if i == len(elements):
                 break
-            x, word, length = elements[i], self.words[i], lengths[i] + 1
-            right.append([push(mult(x, g), word + (a,), length)
+            x, length = elements[i], lengths[i] + 1
+            right.append([push(mult(x, g), i, a, length)
                           for a, g in enumerate(self.generators)])
         return bisect_right(lengths, radius)
 
@@ -268,7 +266,7 @@ class BallEnumeration:
     ``closed`` is True when the ball is multiplication-closed, i.e. it is
     the whole generated semigroup: expanding it adds no longer element.
     ``words`` hold one shortest witness per element as a tuple of generator
-    indices; seeds get the empty word.
+    indices; seeds get the empty word.  They are built when first read.
     """
 
     def __init__(self, growth: _Growth, radius: int):
@@ -277,10 +275,12 @@ class BallEnumeration:
         self.oracle, self.generators = growth.oracle, growth.generators
         self.seeds = growth.seeds
         self.elements = growth.elements[:n]
-        self.words = growth.words[:n]
         self.lengths = growth.lengths[:n]
-        self.index = dict(islice(growth.index.items(), n))
         self.closed = n == len(growth.elements)
+
+    @cached_property
+    def words(self) -> list:
+        return self._growth.words[:len(self)]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -314,8 +314,7 @@ def enumerate_oracle(oracle: Oracle, generators: Sequence, *,
 
     Returns a FiniteSemigroup when the closure is reached within budget,
     otherwise the BallEnumeration at the largest radius whose elements fit
-    (a normal result, not an error).  An oracle whose canonical keys
-    collide across distinct multiplication behavior raises OracleError.
+    (a normal result, not an error).
     """
     growth = _Growth(oracle, generators, seeds)
     ball = BallEnumeration(growth, growth.reach(max_word_length, max_elements))
@@ -387,32 +386,26 @@ def table_from_ball(ball: BallEnumeration) -> FiniteSemigroup:
     if not ball.closed:
         raise ValueError("ball is not closed")
     oracle, growth = ball.oracle, ball._growth
-    key = oracle.key
+    index = growth.index
     seeds = range(growth.n_seeds)
 
-    def product_index(x, y) -> int:
-        k = key(oracle.mult(x, y))
-        if k not in ball.index:
-            raise OracleError(
-                f"product key {k!r} not in the closed element set")
-        return ball.index[k]
+    def position(e, what: str) -> int:
+        if e not in index:
+            raise OracleError(f"{what} {e!r} not in the closed element set")
+        return index[e]
 
-    right = [[product_index(ball.elements[s], g) for g in ball.generators]
-             for s in seeds] + growth.right
+    right = [[position(oracle.mult(ball.elements[s], g), "product key")
+              for g in ball.generators] for s in seeds] + growth.right
     table = cayley_table(right, growth.gens)
     for y in [y for y, cell in enumerate(table[0]) if cell is None]:
         for x, row in zip(ball.elements, table):
-            row[y] = product_index(x, ball.elements[y])
+            row[y] = position(oracle.mult(x, ball.elements[y]), "product key")
     unary = None
     if oracle.unary is not None:
-        unary = []
-        for x in ball.elements:
-            k = key(oracle.unary(x))
-            if k not in ball.index:
-                raise OracleError(f"unary image key {k!r} not enumerated")
-            unary.append(ball.index[k])
+        unary = [position(oracle.unary(x), "unary image key")
+                 for x in ball.elements]
     return FiniteSemigroup(table, names=[oracle.name(e) for e in ball.elements],
-                           keys=[key(e) for e in ball.elements], unary=unary,
+                           keys=ball.elements, unary=unary,
                            generators=set(growth.gens).union(seeds))
 
 
@@ -535,18 +528,13 @@ class _UnionFind:
 
 def _join(p1: Sequence, p2: Sequence) -> list:
     uf = _UnionFind(len(p1))
-    first: dict = {}
-    for i, c in enumerate(p1):
-        if c in first:
-            uf.union(first[c], i)
-        else:
-            first[c] = i
-    first = {}
-    for i, c in enumerate(p2):
-        if c in first:
-            uf.union(first[c], i)
-        else:
-            first[c] = i
+    for labels in (p1, p2):
+        first: dict = {}
+        for i, c in enumerate(labels):
+            if c in first:
+                uf.union(first[c], i)
+            else:
+                first[c] = i
     return _dense(uf.labels())
 
 
@@ -896,6 +884,13 @@ MAX_ROW_CELLS = 10_000_000      # sources squared; each cell takes two bytes
 MAX_POOL_ELEMENTS = 100_000     # multipliers: the ball of radius margin·r
 
 
+def check_row_cells(n: int) -> None:
+    """BudgetError when n sources need more than ``MAX_ROW_CELLS`` cells."""
+    if n * n > MAX_ROW_CELLS:
+        raise BudgetError(f"witnessed analysis needs {n * n} hit-row cells, "
+                          f"over the budget of {MAX_ROW_CELLS}")
+
+
 def witnessed_partition(oracle: Oracle, elements: Sequence, pool: Sequence,
                         relation: str, radius: int) -> tuple:
     """Witnessed Green classes of ``elements`` at each radius 1..``radius``.
@@ -919,29 +914,20 @@ def witnessed_partition(oracle: Oracle, elements: Sequence, pool: Sequence,
     relation = relation.upper()
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
-    mult, key = oracle.mult, oracle.key
-    if relation == "D":
-        sources = pool
-        index = {key(u): p for p, (u, _) in enumerate(pool)}
-        node = [index[key(e)] for e, _ in elements]
-    else:
-        sources = elements
-        index = {key(e): i for i, (e, _) in enumerate(elements)}
-        node = range(len(elements))
+    mult = oracle.mult
+    sources = pool if relation == "D" else elements
     n = len(sources)
-    if n * n > MAX_ROW_CELLS:
-        raise BudgetError(f"witnessed analysis needs {n * n} hit-row cells, "
-                          f"over the budget of {MAX_ROW_CELLS}")
+    check_row_cells(n)
+    index = {u: i for i, (u, _) in enumerate(sources)}
+    node = [index[e] for e, _ in elements] if relation == "D" else range(n)
     us = [u for u, _ in pool]
     usable = [r for _, r in pool]
     optional = [0] + usable         # the absent multiplier, then the pool
-    reach: dict = {}                # J: key of w -> first hits of w, u·w
+    reach: dict = {}                # J: w -> first hits of w, u·w
 
     def first_hits(products, radii) -> array:
         """Per source, the lowest of ``radii`` at which ``products``, taken
         in order, hit it."""
-        if key is not _identity:
-            products = map(key, products)
         hits = list(map(index.get, products, repeat(n)))
         row = array("H", [_NEVER]) * (n + 1)
         # Written last to first, so the first and lowest-radius hit of each
@@ -962,11 +948,9 @@ def witnessed_partition(oracle: Oracle, elements: Sequence, pool: Sequence,
         # x itself comes first, at radius 0.  Sources share most of their
         # w, so the hits of each w are kept across sources.
         for w, rv in zip([x] + [mult(x, v) for v in us], optional):
-            kw = key(w)
-            if kw not in reach:
-                reach[kw] = first_hits([w] + [mult(u, w) for u in us],
-                                       optional)
-            row = array("H", map(min, row, map(max, reach[kw], repeat(rv))))
+            if w not in reach:
+                reach[w] = first_hits([w] + [mult(u, w) for u in us], optional)
+            row = array("H", map(min, row, map(max, reach[w], repeat(rv))))
         return row
 
     # An edge needs both directions; D joins L and R, so either side's
@@ -1005,9 +989,12 @@ def witnessed_green(ball: BallEnumeration, relation: str,
     radius ``ball.radius * margin`` is usable from radius ceil(l / margin).
     "Apparently infinite" means three consecutive strict count increases,
     a labeled heuristic, never a certificate.  A multiplier ball over
-    ``MAX_POOL_ELEMENTS`` raises BudgetError.
+    ``MAX_POOL_ELEMENTS`` raises BudgetError, and so do more than
+    ``MAX_ROW_CELLS`` pairs of ball elements, before the ball is extended.
     """
     check_margin(margin)
+    if relation.upper() != "D":
+        check_row_cells(len(ball))
     ext = ball.extend(ball.radius * margin, MAX_POOL_ELEMENTS)
     counts, classes = witnessed_partition(
         ball.oracle,
@@ -1037,27 +1024,25 @@ def find_witnesses(oracle: Oracle, x, y, relation: str,
     u·a·v = b, either multiplier possibly None.
     """
     relation = relation.upper()
-    mult, key = oracle.mult, oracle.key
+    mult = oracle.mult
 
     def one_sided(a, b, left: bool):
-        kb = key(b)
-        if key(a) == kb:
+        if a == b:
             return ("identity",)
         for u, label in pool:
-            if key(mult(u, a) if left else mult(a, u)) == kb:
+            if (mult(u, a) if left else mult(a, u)) == b:
                 return (u, label)
         return None
 
     def two_sided(a, b):
-        kb = key(b)
-        if key(a) == kb:
+        if a == b:
             return ("identity",)
         for u in [None] + [u for u, _ in pool]:
             ua = a if u is None else mult(u, a)
-            if key(ua) == kb:
+            if ua == b:
                 return (u, None)
             for v, _ in pool:
-                if key(mult(ua, v)) == kb:
+                if mult(ua, v) == b:
                     return (u, v)
         return None
 

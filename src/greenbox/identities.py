@@ -381,7 +381,7 @@ def check_identity_window(structure, identity: Identity,
     """Exhaustive over a finite element window; the verdict is explicitly
     window-verified, standing in for the universal claim without certifying
     it.  The window has the same assignment budget as the exhaustive check."""
-    return _check_over(_read(structure), identity, list(window), True)
+    return _check_over(_read(structure), identity, window, True)
 
 
 # ---------------------------------------------------------------------------

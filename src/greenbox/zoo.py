@@ -11,10 +11,11 @@ from __future__ import annotations
 import random
 from typing import Iterable, Optional, Sequence
 
-from .engine import (BallEnumeration, BudgetError, FiniteSemigroup, Oracle,
-                     adjoin_identity, ball_enumerate, cayley_table,
-                     check_margin, check_table_size, direct_product,
-                     enumerate_oracle, find_witnesses, witnessed_partition)
+from .engine import (MAX_POOL_ELEMENTS, BallEnumeration, BudgetError,
+                     FiniteSemigroup, Oracle, adjoin_identity, ball_enumerate,
+                     cayley_table, check_margin, check_row_cells,
+                     check_table_size, direct_product, enumerate_oracle,
+                     find_witnesses, witnessed_partition)
 from .munn import FisTriple
 
 # ---------------------------------------------------------------------------
@@ -56,7 +57,11 @@ def bicyclic_oracle() -> Oracle:
 
 def bicyclic_ball(radius: int) -> BallEnumeration:
     """Ball of the bicyclic monoid on generators (1,0), (0,1); the identity
-    (0,0) is seeded as the empty product."""
+    (0,0) is seeded as the empty product.  Its (r+1)(r+2)/2 elements are
+    checked against ``MAX_POOL_ELEMENTS`` before any product: every
+    witnessed analysis extends the ball to a pool at least as large."""
+    if radius >= 1 and (radius + 1) * (radius + 2) // 2 > MAX_POOL_ELEMENTS:
+        raise BudgetError(f"ball exceeded {MAX_POOL_ELEMENTS} elements")
     return ball_enumerate(bicyclic_oracle(), [(1, 0), (0, 1)], radius,
                           seeds=[(0, 0)])
 
@@ -149,7 +154,7 @@ class PWindow:
         if n < 1:
             raise ValueError("window bound must be >= 1")
         self.n = n
-        self.elements = list(range(-n, n + 1))
+        self.elements = range(-n, n + 1)
         self.completely_regular = True
         self.zero_element = None
 
@@ -179,11 +184,17 @@ def p_window_green_counts(window: int, relation: str, margin: int = 3) -> int:
     [-window, window] enter at radius 1 and the multipliers
     [-margin*window, margin*window] are usable from radius 1; on balls an
     element enters at its word length and a multiplier of length l is
-    usable from radius ceil(l / margin).
+    usable from radius ceil(l / margin).  The hit-row cells, then the pool
+    size against ``MAX_POOL_ELEMENTS``, are checked before any list is built.
     """
     check_margin(margin)
+    reach = margin * window
+    check_row_cells(2 * (reach if relation.upper() == "D" else window) + 1)
+    if 2 * reach + 1 > MAX_POOL_ELEMENTS:
+        raise BudgetError(f"witnessed analysis needs {2 * reach + 1} "
+                          f"multipliers, over the budget of {MAX_POOL_ELEMENTS}")
     elements = [(x, 1) for x in range(-window, window + 1)]
-    pool = [(u, 1) for u in range(-margin * window, margin * window + 1)]
+    pool = [(u, 1) for u in range(-reach, reach + 1)]
     counts, _ = witnessed_partition(Oracle(p_mult), elements, pool,
                                     relation, 1)
     return counts[1]

@@ -1,6 +1,8 @@
 import json
 import os
 import time
+import tracemalloc
+from pathlib import Path
 
 from greenbox import zoo
 from greenbox.cli import console_main, main
@@ -129,9 +131,32 @@ def test_green_refusals_exit_2(capsys):
         args = ["green", spec] + (["--relation", relation] if relation else [])
         assert run(capsys, *args) == (
             2, "", f"error: bad zoo spec {spec!r}: radius must be >= 1\n")
-    # The multiplier ball of radius 8 * 1000 used to end in a MemoryError.
-    assert run(capsys, "green", "bicyclic:8", "--margin", "1000") == (
-        2, "", "error: ball exceeded 100000 elements\n")
+    # The multiplier ball of radius 8 * 1000 used to end in a MemoryError;
+    # with words stored as prefix links its growth stays small.
+    tracemalloc.start()
+    try:
+        assert run(capsys, "green", "bicyclic:8", "--margin", "1000") == (
+            2, "", "error: ball exceeded 100000 elements\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    # Windows and balls are refused before their lists or pools are built.
+    cells = "witnessed analysis needs {} hit-row cells, over the budget of 10000000"
+    for argv, message in (
+            (["pz:100000000"], cells.format(200000001 ** 2)),
+            (["pz:100000000", "--relation", "L"], cells.format(200000001 ** 2)),
+            (["pz:5", "--margin", "100000000", "--relation", "L"],
+             "witnessed analysis needs 1000000001 multipliers, "
+             "over the budget of 100000"),
+            (["pz:5", "--margin", "20000", "--relation", "L"],
+             "witnessed analysis needs 200001 multipliers, "
+             "over the budget of 100000"),
+            (["bicyclic:3000", "--relation", "L"],
+             "bad zoo spec 'bicyclic:3000': ball exceeded 100000 elements"),
+            (["bicyclic:140", "--relation", "L"], cells.format(10011 ** 2)),
+            (["bicyclic:200"], cells.format(20301 ** 2))):
+        assert run(capsys, "green", *argv) == (2, "", f"error: {message}\n")
 
 
 def test_munn_idempotent(capsys):
@@ -275,6 +300,8 @@ def test_identity_window_refusals_exit_2(capsys):
     # a vacuous verdict over an empty window.
     assert run(capsys, "identity", "pz:300", "x(yz) = (xy)z") == (
         2, "", "error: 601^3 assignments exceed the budget of 10000000\n")
+    assert run(capsys, "identity", "pz:100000000", "xx = x") == (
+        2, "", "error: 200000001^1 assignments exceed the budget of 10000000\n")
     for window in ("0", "-2"):
         assert run(capsys, "identity", "pz:5", "xy = yx",
                    "--window", window) == (
@@ -380,12 +407,16 @@ def test_paper_report_unparseable_fixture_fails(tmp_path, capsys):
 
 
 def test_paper_report_outputs_are_byte_identical(tmp_path, capsys):
-    dirs = [tmp_path / "one", tmp_path / "two"]
-    for d in dirs:
-        assert main(["paper-report", "--out", str(d)]) == 0
+    # The golden files are fixed: a change to them is a change of results.
+    for seed in (0, 3, 7):
+        out = tmp_path / str(seed)
+        golden = Path(__file__).parent / "golden" / "report" / f"seed{seed}"
+        assert main(["paper-report", "--seed", str(seed),
+                     "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == sorted(os.listdir(golden))
+        for name in os.listdir(golden):
+            assert (out / name).read_bytes() == (golden / name).read_bytes()
     capsys.readouterr()
-    for name in os.listdir(dirs[0]):
-        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 
 def test_vmaps_idempotents_subcommand(capsys):

@@ -53,9 +53,10 @@ def test_enumerate_bicyclic_does_not_close():
     assert isinstance(ball, BallEnumeration)
     assert not ball.closed
     # Brute closure check at this radius: some product escapes the ball.
+    present = set(ball.elements)
     escapes = [zoo.bicyclic_mult(x, y)
                for x in ball.elements for y in ball.elements
-               if zoo.bicyclic_mult(x, y) not in ball.index]
+               if zoo.bicyclic_mult(x, y) not in present]
     assert escapes
 
 
@@ -72,13 +73,12 @@ def test_enumeration_order_is_breadth_first_deterministic():
 def reference_ball(oracle, generators, radius, seeds=(), max_elements=10 ** 6):
     """A fresh breadth-first search from radius 1 that peeks one level past
     the radius without storing it; raises BudgetError mid-level."""
-    key = oracle.key
     elements, words, lengths, index = [], [], [], {}
 
     def push(e, word, length):
-        if key(e) in index:
+        if e in index:
             return False
-        index[key(e)] = len(elements)
+        index[e] = len(elements)
         elements.append(e)
         words.append(word)
         lengths.append(length)
@@ -99,9 +99,9 @@ def reference_ball(oracle, generators, radius, seeds=(), max_elements=10 ** 6):
                     if len(elements) > max_elements:
                         raise BudgetError("reference ball over budget")
         frontier = nxt
-    closed = all(key(oracle.mult(elements[i], g)) in index
+    closed = all(oracle.mult(elements[i], g) in index
                  for i in frontier for g in generators)
-    return elements, words, lengths, index, closed
+    return elements, words, lengths, closed
 
 
 def reference_budget_ball(oracle, generators, seeds, max_elements):
@@ -120,7 +120,7 @@ def reference_budget_ball(oracle, generators, seeds, max_elements):
 
 
 def ball_fields(ball):
-    return ball.elements, ball.words, ball.lengths, ball.index, ball.closed
+    return ball.elements, ball.words, ball.lengths, ball.closed
 
 
 @st.composite
@@ -223,15 +223,16 @@ def test_radius_below_one_rejected():
 
 def oracle_table(ball):
     """Reference fill of a closed ball: n² oracle products."""
-    oracle, key, index = ball.oracle, ball.oracle.key, ball.index
-    table = [[index[key(oracle.mult(x, y))] for y in ball.elements]
+    oracle = ball.oracle
+    index = {e: i for i, e in enumerate(ball.elements)}
+    table = [[index[oracle.mult(x, y)] for y in ball.elements]
              for x in ball.elements]
     unary = None
     if oracle.unary is not None:
-        unary = [index[key(oracle.unary(x))] for x in ball.elements]
-    gens = {index[key(e)] for e in list(ball.generators) + list(ball.seeds)}
+        unary = [index[oracle.unary(x)] for x in ball.elements]
+    gens = {index[e] for e in list(ball.generators) + list(ball.seeds)}
     return FiniteSemigroup(table, names=[oracle.name(e) for e in ball.elements],
-                           keys=[key(e) for e in ball.elements],
+                           keys=list(ball.elements),
                            unary=unary, generators=gens)
 
 
@@ -589,48 +590,44 @@ def reference_witnessed_green(ball, relation, margin):
 
 def reference_partition(ball, sub, multipliers, relation):
     """Union-find closure of the directly witnessed pairs among ``sub``,
-    from sets of element keys reached by the multipliers."""
-    oracle, key = ball.oracle, ball.oracle.key
+    from sets of elements reached by the multipliers."""
+    oracle = ball.oracle
     if relation == "D":
         # Join of witnessed L and R over the multipliers, restricted to sub.
         lab = reference_join_lr(oracle, multipliers)
-        return _dense([lab[key(ball.elements[i])] for i in sub])
+        return _dense([lab[ball.elements[i]] for i in sub])
     elems = [ball.elements[i] for i in sub]
 
     def reach(e, side):
         if side == "J":
             rights = [e] + [oracle.mult(e, v) for v in multipliers]
-            return ({key(w) for w in rights}
-                    | {key(oracle.mult(u, w)) for w in rights
-                       for u in multipliers})
-        return {key(e)} | {key(oracle.mult(u, e) if side == "L"
-                               else oracle.mult(e, u)) for u in multipliers}
+            return (set(rights)
+                    | {oracle.mult(u, w) for w in rights for u in multipliers})
+        return {e} | {oracle.mult(u, e) if side == "L" else oracle.mult(e, u)
+                      for u in multipliers}
 
     sides = "LR" if relation == "H" else relation
     reaches = [[reach(e, side) for e in elems] for side in sides]
-    keys = [key(e) for e in elems]
     uf = _UnionFind(len(elems))
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
-            if all(keys[j] in r[i] and keys[i] in r[j] for r in reaches):
+            if all(elems[j] in r[i] and elems[i] in r[j] for r in reaches):
                 uf.union(i, j)
     return _dense(uf.labels())
 
 
 def reference_join_lr(oracle, elems):
-    key = oracle.key
-    keys = [key(e) for e in elems]
     uf = _UnionFind(len(elems))
     for left in (True, False):
-        reach = [{key(e)} | {key(oracle.mult(u, e) if left
-                                 else oracle.mult(e, u)) for u in elems}
+        reach = [{e} | {oracle.mult(u, e) if left else oracle.mult(e, u)
+                        for u in elems}
                  for e in elems]
         for i in range(len(elems)):
             for j in range(i + 1, len(elems)):
-                if keys[j] in reach[i] and keys[i] in reach[j]:
+                if elems[j] in reach[i] and elems[i] in reach[j]:
                     uf.union(i, j)
     labels = uf.labels()
-    return {keys[i]: labels[i] for i in range(len(elems))}
+    return {elems[i]: labels[i] for i in range(len(elems))}
 
 
 def assert_matches_reference(ball, relation, margin):
@@ -790,20 +787,10 @@ def test_verify_associative_finds_witness():
     assert table[table[x][y]][z] != table[x][table[y][z]]
 
 
-def test_oracle_key_collision_detection():
-    # A key function that conflates distinct bicyclic elements breaks the
-    # closure and must surface as an OracleError, not silent corruption.
-    from greenbox.engine import OracleError
-    oracle = Oracle(zoo.bicyclic_mult, key=lambda e: min(e, (1, 1)))
-    with pytest.raises(OracleError):
-        enumerate_oracle(oracle, [(1, 0), (0, 1)], seeds=[(0, 0)],
-                         max_word_length=6)
-
-
 def test_ball_monotone_in_radius():
     small = zoo.bicyclic_ball(3)
     large = zoo.bicyclic_ball(5)
-    assert set(small.index) <= set(large.index)
+    assert set(small.elements) <= set(large.elements)
     assert len(small) < len(large)
 
 
