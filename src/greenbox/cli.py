@@ -8,6 +8,7 @@ output is deterministic for fixed flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -190,7 +191,10 @@ def cmd_paper_report(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built at the first call and shared by later ones:
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="greenbox",
         description="semigroup toolkit: Green's relations, Munn trees, "

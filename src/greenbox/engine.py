@@ -11,12 +11,13 @@ within budget.
 
 from __future__ import annotations
 
+import itertools
 import random
 from array import array
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import repeat
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -39,52 +40,133 @@ MAX_TABLE_CELLS = 10_000_000    # n² cells of a multiplication table
 
 
 class FiniteSemigroup:
-    """Indexed element set with a full multiplication table.
+    """Indexed element set held as its right and left Cayley graphs.
 
-    ``table[i][j]`` is the index of the product of elements i and j.
-    ``unary`` is an optional involution-style unary operation (element
-    index array).  ``generators`` must genuinely generate: the Cayley-graph
-    Green computation relies on it.  The constructor checks this in
-    O(n·|A|) lookups for |A| declared generators, following right Cayley
-    edges only; that relies on associativity, which ``parse_table``
+    ``letters`` lists the indices of the generators that label the graphs.
+    ``right[x][a]`` is x times ``letters[a]``, and ``left[a]`` is the table
+    row of ``letters[a]``, so ``left[a][x]`` is ``letters[a]`` times x.
+    ``table[i][j]``, the index of the product of elements i and j, is
+    filled from the two graphs when first read; Green's relations,
+    idempotents, the identity and the zero are read off the graphs and
+    never fill it.  ``unary`` is an optional involution-style unary
+    operation (element index array).
+
+    Give either ``table`` or ``right`` with ``letters``.  A table is
+    checked to be square over element indices; its rows are kept, not
+    copied, and they are its graphs: all of them when every element is a
+    generator, else the generator rows and columns.  A right graph gets its
+    generator rows from its own edges.  ``generators`` (all elements for a
+    table, ``letters`` for a graph, by default) must genuinely generate:
+    the Cayley-graph Green computation relies on it.  The constructor
+    checks this in O(n·|A|) lookups for |A| letters, following right
+    Cayley edges only; that relies on associativity, which ``parse_table``
     verifies for hand-entered tables.
     """
 
-    def __init__(self, table: Sequence[Sequence[int]], *,
+    def __init__(self, table: Optional[Sequence[Sequence[int]]] = None, *,
+                 right: Optional[Sequence[Sequence[int]]] = None,
+                 letters: Optional[Sequence[int]] = None,
                  names: Optional[Sequence[str]] = None,
                  keys: Optional[Sequence] = None,
                  unary: Optional[Sequence[int]] = None,
                  generators: Optional[Iterable[int]] = None):
-        self.table = [list(row) for row in table]
-        n = len(self.table)
-        for row in self.table:
-            if len(row) != n or min(row) < 0 or max(row) >= n:
-                raise ValueError("table is not a square matrix of element indices")
+        if table is not None:
+            self.table = table = list(table)
+            n = len(table)
+            for row in table:
+                if len(row) != n or min(row) < 0 or max(row) >= n:
+                    raise ValueError(
+                        "table is not a square matrix of element indices")
+            letters = generators = sorted(set(generators)) \
+                if generators is not None else list(range(n))
+            if len(letters) == n:
+                right = left = table
+            else:
+                right = [[row[g] for g in letters] for row in table]
+                left = [table[g] for g in letters]
+        else:
+            letters = list(letters)
+            generators = sorted(set(generators if generators is not None
+                                    else letters))
+            n = len(right)
+        if not letters:
+            raise ValueError("generator set must be nonempty")
+        self.right, self.letters = right, letters
+        self._search = first, later = _right_search(right, letters)
+        missed = n - len(first) - len(later)
+        if missed:
+            # The Cayley-graph Green computation silently depends on this.
+            raise ValueError(f"declared generators miss {missed} element(s)")
+        if table is None:
+            # The row of letter g, column by column in search order: each
+            # later y = p·h has g·y = (g·p)·h, one lookup per cell.
+            left = []
+            for g in letters:
+                row = [0] * n
+                for h, a in first:
+                    row[h] = right[g][a]
+                for y, p, a in later:
+                    row[y] = right[row[p]][a]
+                left.append(row)
+        self.left = left
+        self.generators = generators
         self.keys = list(keys) if keys is not None else list(range(n))
         self.names = [str(x) for x in (names if names is not None else self.keys)]
         self.unary = list(unary) if unary is not None else None
-        gens = sorted(set(generators)) if generators is not None else list(range(n))
-        if not gens:
-            raise ValueError("generator set must be nonempty")
-        if len(gens) < n:
-            # The Cayley-graph Green computation silently depends on this.
-            missed = n - len(_closure(self.table, gens))
-            if missed:
-                raise ValueError(
-                    f"declared generators miss {missed} element(s)")
-        self.generators = gens
-        self.identity = find_identity(self.table)
-        self.zero = find_zero(self.table)
         self._cr = None
 
     def __len__(self) -> int:
-        return len(self.table)
+        return len(self.right)
+
+    @cached_property
+    def table(self) -> list:
+        """The multiplication table, filled on first read.  A letter's row
+        is its left Cayley row.  Every other y was reached in the right
+        search as p·g with p before it, so y·z = p·(g·z): row y reads row
+        p at the entries of g's left row, one lookup per cell."""
+        check_table_size(len(self))
+        first, later = self._search
+        table = [None] * len(self)
+        for g, a in first:
+            table[g] = self.left[a]
+        for y, p, a in later:
+            table[y] = list(map(table[p].__getitem__, self.left[a]))
+        return table
 
     def mult(self, i: int, j: int) -> int:
         return self.table[i][j]
 
     def idempotents(self) -> list:
-        return [i for i in range(len(self)) if self.table[i][i] == i]
+        """The x with x·x = x: x times the letters of its word, in order,
+        along the right Cayley graph."""
+        first, later = self._search
+        words = [()] * len(self)
+        for g, a in first:
+            words[g] = (a,)
+        for y, p, a in later:
+            words[y] = words[p] + (a,)
+        right = self.right
+        return [x for x, word in enumerate(words)
+                if reduce(lambda z, a: right[z][a], word, x) == x]
+
+    @cached_property
+    def identity(self) -> Optional[int]:
+        """The e with e·g = g = g·e for every letter g, hence for every
+        element, or None."""
+        letters, left = self.letters, self.left
+        for e, row in enumerate(self.right):
+            if row == letters and all(lg[e] == g for g, lg in zip(letters, left)):
+                return e
+        return None
+
+    @cached_property
+    def zero(self) -> Optional[int]:
+        """The z with z·g = z = g·z for every letter g, hence for every
+        element, or None."""
+        for z, row in enumerate(self.right):
+            if all(y == z for y in row) and all(lg[z] == z for lg in self.left):
+                return z
+        return None
 
     def is_completely_regular(self) -> bool:
         """Unary present and x x' = x' x, x x' x = x for every element."""
@@ -105,29 +187,17 @@ class FiniteSemigroup:
         return f"FiniteSemigroup(n={len(self)}, generators={self.generators})"
 
 
+def _reached(right, gens) -> set:
+    """Elements that the right Cayley search from the generators reaches."""
+    first, later = _right_search(right, gens)
+    return {g for g, _ in first}.union(y for y, _, _ in later)
+
+
 def _closure(table, gens) -> set:
     """Subsemigroup generated by ``gens``: the right Cayley search over the
     table's generator columns.  In an associative table the generator words
     are closed under every product, so no pair needs multiplying."""
-    first, later = _right_search([[row[g] for g in gens] for row in table],
-                                 gens)
-    return {g for g, _ in first}.union(y for y, _, _ in later)
-
-
-def find_identity(table) -> Optional[int]:
-    n = len(table)
-    for e in range(n):
-        if all(table[e][x] == x == table[x][e] for x in range(n)):
-            return e
-    return None
-
-
-def find_zero(table) -> Optional[int]:
-    n = len(table)
-    for z in range(n):
-        if all(table[z][x] == z == table[x][z] for x in range(n)):
-            return z
-    return None
+    return _reached([[row[g] for g in gens] for row in table], gens)
 
 
 def verify_associative(table, *, sample: int = 100_000, seed: int = 0,
@@ -184,7 +254,8 @@ class _Growth:
     growth, and a larger ball resumes it.  Elements appear in word-length
     order with ties broken by generator index (so reports are
     deterministic) and are expanded one at a time in that order;
-    ``right[i]`` is the right Cayley row of the i-th non-seed element.
+    ``right[i]`` is the right Cayley row of the i-th non-seed element, one
+    column per distinct generator, as listed in ``columns``.
     Seeds have length 0 and are not expanded.  Each element records its
     shortest word as a prefix link: ``prefix[i]`` (None for seeds and
     generators) and ``last[i]``, the last generator (None for seeds).
@@ -204,6 +275,11 @@ class _Growth:
         self.n_seeds = len(self.elements)
         self.gens = [self._push(g, None, a, 1)
                      for a, g in enumerate(self.generators)]
+        # A repeated generator adds no element, so it gets no column.
+        first: dict = {}
+        for a, i in enumerate(self.gens):
+            first.setdefault(i, a)
+        self.columns = [(a, self.generators[a]) for a in first.values()]
 
     def _push(self, e, prefix, last, length: int) -> int:
         """Index of e, appended as a new element when it is new."""
@@ -239,7 +315,7 @@ class _Growth:
                 break
             x, length = elements[i], lengths[i] + 1
             right.append([push(mult(x, g), i, a, length)
-                          for a, g in enumerate(self.generators)])
+                          for a, g in self.columns])
         return bisect_right(lengths, radius)
 
     def reach(self, radius: int, max_elements: int) -> int:
@@ -330,7 +406,8 @@ def _right_search(right: Sequence[Sequence[int]], gens: Sequence[int]) -> tuple:
     (y, p, a) for every other element reached, in visiting order, with
     y = p·gens[a] and p visited before y.
     """
-    seen = [False] * len(right)
+    n = len(right)
+    seen = [False] * n
     first, queue, later = [], [], []
     for a, g in enumerate(gens):
         if not seen[g]:
@@ -338,6 +415,8 @@ def _right_search(right: Sequence[Sequence[int]], gens: Sequence[int]) -> tuple:
             first.append((g, a))
             queue.append(g)
     for p in queue:
+        if len(queue) == n:
+            break
         for a, y in enumerate(right[p]):
             if not seen[y]:
                 seen[y] = True
@@ -353,59 +432,41 @@ def check_table_size(n: int) -> None:
                           f"over the budget of {MAX_TABLE_CELLS}")
 
 
-def cayley_table(right: Sequence[Sequence[int]], gens: Sequence[int]) -> list:
-    """Full multiplication table from the right Cayley graph.
-
-    Columns are visited in ``_right_search`` order, so each later column
-    y is reached as p·g with p visited before it; by associativity
-    x·y = (x·p)·g, one lookup per cell.  Columns that no generator word
-    reaches stay None for the caller to fill.
-    """
-    n = len(right)
-    check_table_size(n)
-    first, later = _right_search(right, gens)
-    table = []
-    for rx in right:
-        row = [None] * n
-        for g, a in first:
-            row[g] = rx[a]
-        for y, p, a in later:
-            row[y] = right[row[p]][a]
-        table.append(row)
-    return table
-
-
 def table_from_ball(ball: BallEnumeration) -> FiniteSemigroup:
-    """Multiplication table of a closed ball.
+    """The semigroup of a closed ball, held as its Cayley graphs.
 
     The enumeration already holds the right Cayley row of every non-seed
-    element, and ``cayley_table`` fills every other cell from the rows.
-    Only the seed rows, and the columns of seeds that no generator word
-    reaches, are multiplied out by the oracle.
+    element.  Only the seed rows, and the columns of seeds that no
+    generator word reaches (these seeds become letters), are multiplied
+    out by the oracle.
     """
     if not ball.closed:
         raise ValueError("ball is not closed")
-    oracle, growth = ball.oracle, ball._growth
+    oracle, growth, elements = ball.oracle, ball._growth, ball.elements
     index = growth.index
-    seeds = range(growth.n_seeds)
 
     def position(e, what: str) -> int:
         if e not in index:
             raise OracleError(f"{what} {e!r} not in the closed element set")
         return index[e]
 
-    right = [[position(oracle.mult(ball.elements[s], g), "product key")
-              for g in ball.generators] for s in seeds] + growth.right
-    table = cayley_table(right, growth.gens)
-    for y in [y for y, cell in enumerate(table[0]) if cell is None]:
-        for x, row in zip(ball.elements, table):
-            row[y] = position(oracle.mult(x, ball.elements[y]), "product key")
+    seeds = range(growth.n_seeds)
+    letters = [growth.gens[a] for a, _ in growth.columns]
+    right = [[position(oracle.mult(elements[s], g), "product key")
+              for _, g in growth.columns] for s in seeds] + growth.right
+    reached = _reached(right, letters) if seeds else ()
+    unreached = [s for s in seeds if s not in reached]
+    if unreached:
+        right = [row + [position(oracle.mult(x, elements[s]), "product key")
+                        for s in unreached]
+                 for x, row in zip(elements, right)]
     unary = None
     if oracle.unary is not None:
         unary = [position(oracle.unary(x), "unary image key")
-                 for x in ball.elements]
-    return FiniteSemigroup(table, names=[oracle.name(e) for e in ball.elements],
-                           keys=ball.elements, unary=unary,
+                 for x in elements]
+    return FiniteSemigroup(right=right, letters=letters + unreached,
+                           names=[oracle.name(e) for e in elements],
+                           keys=elements, unary=unary,
                            generators=set(growth.gens).union(seeds))
 
 
@@ -485,8 +546,8 @@ def _sccs(n: int, succ: Callable) -> list:
                     work.append((w, iter(succ(w))))
                     advanced = True
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
             if advanced:
                 continue
             work.pop()
@@ -541,15 +602,15 @@ def _join(p1: Sequence, p2: Sequence) -> list:
 def green_scc(fs: FiniteSemigroup) -> GreenStructure:
     """Green's relations via mutual reachability on Cayley graphs.
 
-    Right Cayley edges x -> x g give R, left edges x -> g x give L.  H is
+    Right Cayley edges x -> x g give R, left edges x -> g x give L, for
+    the letters g of ``fs``; the table is not read.  H is
     the meet of L and R, D their join, and J is read as D: in every finite
     semigroup D = J.
     """
     n = len(fs)
-    t = fs.table
-    gens = fs.generators
-    r = _sccs(n, lambda x: (t[x][g] for g in gens))
-    l = _sccs(n, lambda x: (t[g][x] for g in gens))
+    left = fs.left
+    r = _sccs(n, fs.right.__getitem__)
+    l = _sccs(n, lambda x: (row[x] for row in left))
     h = _dense(list(zip(l, r)))
     d = _join(l, r)
     return GreenStructure(h=h, l=l, r=r, d=d, j=d)
@@ -647,22 +708,31 @@ def format_eggbox(fs: FiniteSemigroup, gs: Optional[GreenStructure] = None) -> s
 def direct_product(factors: Sequence[FiniteSemigroup]) -> FiniteSemigroup:
     """Componentwise product.  Generators are all elements: the product of
     the factor generating sets does not generate in general, and Cayley
-    reachability needs a true generating set."""
+    reachability needs a true generating set.  Elements are numbered in
+    ``itertools.product`` order, so a tuple's index is the mixed-radix sum
+    of its components, and each cell is that sum of the factor products."""
     if not factors:
         raise ValueError("need at least one factor")
     size = 1
     for f in factors:
         size *= len(f)
     check_table_size(size)
-    import itertools
     tuples = list(itertools.product(*[range(len(f)) for f in factors]))
-    pos = {t: i for i, t in enumerate(tuples)}
-    table = [[pos[tuple(f.table[a[k]][b[k]] for k, f in enumerate(factors))]
-              for b in tuples] for a in tuples]
+    ints = list(range(size))    # one int object per index, shared by cells
+
+    def indices(parts) -> list:
+        """Index of every tuple whose k-th component is ``parts[k][i_k]``,
+        over the tuples (i_1, ...) in order."""
+        out = [0]
+        for f, part in zip(factors, parts):
+            m = len(f)
+            out = [ints[r * m + c] for r in out for c in part]
+        return out
+
+    table = [indices([f.table[i] for f, i in zip(factors, t)]) for t in tuples]
     unary = None
     if all(f.unary is not None for f in factors):
-        unary = [pos[tuple(f.unary[a[k]] for k, f in enumerate(factors))]
-                 for a in tuples]
+        unary = indices([f.unary for f in factors])
     names = ["(" + ",".join(factors[k].names[i] for k, i in enumerate(t)) + ")"
              for t in tuples]
     return FiniteSemigroup(table, names=names, keys=tuples, unary=unary,

@@ -378,7 +378,7 @@ def presented_table(pres: Presentation, *, max_stages: int = 40,
     and their inverses.  Each element keeps the first word seen for it,
     which names it; a product classifies the concatenated words, and the
     inverse the inverted word.  Only the right Cayley graph is classified,
-    n·|A| Stephen runs, and ``cayley_table`` fills the rest of the table.
+    n·|A| Stephen runs, and the semigroup is held as its Cayley graphs.
     Raises when any trace fails to close or the element budget is exceeded.
     """
     words: dict = {}

@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 
 from .engine import (MAX_POOL_ELEMENTS, BallEnumeration, BudgetError,
                      FiniteSemigroup, Oracle, adjoin_identity, ball_enumerate,
-                     cayley_table, check_margin, check_row_cells,
+                     check_margin, check_row_cells,
                      check_table_size, direct_product, enumerate_oracle,
                      find_witnesses, witnessed_partition)
 from .munn import FisTriple
@@ -322,19 +322,20 @@ def _word_quotient(words: Sequence[str], letters: Sequence[str]) -> FiniteSemigr
     again a word and 0 otherwise.
 
     The word set must be factor-closed.  Then every word is reached from
-    its letters through its prefixes, and uv = (u p) c for v = p c, so
-    ``cayley_table`` fills the table from the right rows u -> uc alone.
-    The letters that are words generate; with none, the zero does.
+    its letters through its prefixes, so the semigroup is held as its right
+    Cayley graph u -> uc alone.  The letters that are words generate; with
+    none, the zero does.  The table budget is checked on the element
+    count, so the table can always be filled when read.
     """
     elems = list(words) + ["0"]
+    check_table_size(len(elems))
     pos = {w: i for i, w in enumerate(elems)}
     zero = pos["0"]
     letters = [c for c in letters if c in pos]
     gens = [pos[c] for c in letters] or [zero]
     right = [[pos.get(u + c, zero) for c in letters] for u in words]
     right.append([zero] * len(gens))
-    return FiniteSemigroup(cayley_table(right, gens), names=elems,
-                           generators=gens)
+    return FiniteSemigroup(right=right, letters=gens, names=elems)
 
 
 def sw_semigroup(cap: int) -> FiniteSemigroup:
@@ -443,8 +444,7 @@ def mn_table(n: int) -> FiniteSemigroup:
     the generator of the ideal has span n and left or right multiplication
     never shrinks the span.  Elements are ordered by (span, r, t), zero
     last.  Only the right Cayley graph, two triple products per nonzero
-    element, is multiplied out; ``cayley_table`` fills the rest of the
-    table from it.
+    element, is multiplied out, and the semigroup is held as that graph.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -465,12 +465,10 @@ def mn_table(n: int) -> FiniteSemigroup:
 
     right = [[times(x, g) for g in letters] for x in triples]
     right.append([zero, zero])
-    gens = [pos[g] for g in letters]
-    table = cayley_table(right, gens)
     unary = [pos[x.inverse()] for x in triples] + [zero]
     names = [f"({x.r},{x.s},{x.t})" for x in triples] + ["0"]
-    return FiniteSemigroup(table, names=names, keys=elems, unary=unary,
-                           generators=gens)
+    return FiniteSemigroup(right=right, letters=[pos[g] for g in letters],
+                           names=names, keys=elems, unary=unary)
 
 
 def mn_size_brute(n: int) -> int:

@@ -4,8 +4,10 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import pytest
+
 from greenbox import zoo
-from greenbox.cli import console_main, main
+from greenbox.cli import build_parser, console_main, main
 from greenbox.engine import format_table
 
 
@@ -374,6 +376,35 @@ def test_vmaps_chain(capsys):
 
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    # The parser is shared across calls: usage errors, help text and exit
+    # codes stay those of a freshly built parser.
+    assert build_parser() is build_parser()
+    fresh = build_parser.__wrapped__()
+    assert run(capsys, "table", "b2", "--bogus")[0] == 2
+    assert run(capsys, "--help") == (0, fresh.format_help(), "")
+    for argv in (["table"], ["green", "b2", "--relation", "Q"], []):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            fresh.parse_args(argv)
+        expected = capsys.readouterr()
+        assert run(capsys, *argv) == (2, expected.out, expected.err)
+    assert run(capsys, "table", "b2")[0] == 0
+
+
+def test_table_mn20_stays_small(capsys):
+    # mn:20 (2,870 elements) is held as its Cayley graphs; its 8.2M-cell
+    # table is never filled for the eggbox.
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "table", "mn:20")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.startswith("2870 elements; ")
+    assert peak < 32 * 2 ** 20
 
 
 def test_paper_report_full_run(tmp_path, capsys):

@@ -1,4 +1,7 @@
+import itertools
 import random
+import tracemalloc
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,7 +11,7 @@ from greenbox.engine import (RELATIONS, BallEnumeration, BudgetError,
                              FiniteSemigroup, Oracle, _closure, _dense,
                              _UnionFind, adjoin_identity, adjoin_zero,
                              ball_enumerate, direct_product, eggbox,
-                             enumerate_oracle, format_table,
+                             enumerate_oracle, format_eggbox, format_table,
                              green_definitional, green_scc, iso_tables,
                              parse_table, rees_quotient, subsemigroup,
                              table_from_ball, verify_associative, witnessed_green,
@@ -190,6 +193,10 @@ def test_enumeration_oracle_call_counts():
         oracle, calls = counting_oracle(zoo.transformation_oracle(4))
         fs = enumerate_oracle(oracle, full_t4, seeds=seeds)
         assert (len(fs), calls[0]) == (256, 256 * 3)
+    # A repeated generator adds no element and so gets no products.
+    oracle, calls = counting_oracle(zoo.transformation_oracle(4))
+    fs = enumerate_oracle(oracle, full_t4 + full_t4[:2])
+    assert (len(fs), calls[0], len(fs.letters)) == (256, 256 * 3, 3)
     oracle, calls = counting_oracle(zoo.transformation_oracle(5))
     fs = enumerate_oracle(oracle, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4),
                                    (0, 0, 2, 3, 4)])
@@ -458,6 +465,28 @@ def test_product_right_zero_null():
     prod = direct_product([zoo.right_zero(3), zoo.null_semigroup(2)])
     gs = assert_green_agree(prod)
     assert gs.count("R") == 4
+
+
+def reference_product_table(factors):
+    """The componentwise product, one tuple and one index lookup per cell."""
+    tuples = list(itertools.product(*[range(len(f)) for f in factors]))
+    pos = {t: i for i, t in enumerate(tuples)}
+    table = [[pos[tuple(f.table[a[k]][b[k]] for k, f in enumerate(factors))]
+              for b in tuples] for a in tuples]
+    unary = None
+    if all(f.unary is not None for f in factors):
+        unary = [pos[tuple(f.unary[a[k]] for k, f in enumerate(factors))]
+                 for a in tuples]
+    return tuples, table, unary
+
+
+def test_product_fill_matches_tuple_reference():
+    for specs in (["b2", "b2"], ["np:3", "rz:2"], ["b2^1", "lz:3", "np:2"],
+                  ["null:3", "b2", "rz:2"], ["mn:3", "b2^1"]):
+        factors = [zoo.parse_zoo(spec) for spec in specs]
+        prod = direct_product(factors)
+        assert (prod.keys, prod.table, prod.unary) == \
+            reference_product_table(factors)
 
 
 def test_product_size_guard():
@@ -822,6 +851,10 @@ def test_non_generating_set_rejected():
     table = zoo.b2().table
     with pytest.raises(ValueError, match="generators miss"):
         FiniteSemigroup(table, generators=[0])   # {a} only reaches {a, 0}
+    # The same from the right Cayley graph over the letter a alone.
+    right = [[row[0]] for row in table]
+    with pytest.raises(ValueError, match=r"miss 3 element\(s\)"):
+        FiniteSemigroup(right=right, letters=[0])
 
 
 def test_witnessed_matches_exact_green_on_closed_ball():
@@ -862,3 +895,139 @@ def test_quotient_preserves_green_relatedness():
                 for y in range(len(fs)):
                     if gs.related(rel, x, y):
                         assert gq.related(rel, image(x), image(y))
+
+
+# Cayley graphs: the lazily filled table against the table scans
+
+
+def reference_cayley_table(right, gens):
+    """The table fill from the right Cayley graph, one lookup per cell:
+    columns in breadth-first order from the generators, each later column
+    y = p·gens[a] filled as x·y = (x·p)·gens[a]."""
+    n = len(right)
+    order, seen = [], set()
+    for a, g in enumerate(gens):
+        if g not in seen:
+            seen.add(g)
+            order.append((g, None, a))
+    for p, _, _ in order:
+        for a, y in enumerate(right[p]):
+            if y not in seen:
+                seen.add(y)
+                order.append((y, p, a))
+    table = []
+    for rx in right:
+        row = [None] * n
+        for y, p, a in order:
+            row[y] = rx[a] if p is None else right[row[p]][a]
+        table.append(row)
+    return table
+
+
+def find_identity(table):
+    n = len(table)
+    for e in range(n):
+        if all(table[e][x] == x == table[x][e] for x in range(n)):
+            return e
+    return None
+
+
+def find_zero(table):
+    n = len(table)
+    for z in range(n):
+        if all(table[z][x] == z == table[x][z] for x in range(n)):
+            return z
+    return None
+
+
+def graph_case(case):
+    kind, arg = case
+    if kind == "transf":
+        points, maps = arg
+        return enumerate_oracle(zoo.transformation_oracle(points), maps)
+    return zoo.parse_zoo(f"{kind}:{arg}" if arg is not None else kind)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    st.integers(3, 4).flatmap(lambda n: st.tuples(st.just("transf"), st.tuples(
+        st.just(n), st.lists(st.tuples(*[st.integers(0, n - 1)] * n),
+                             min_size=1, max_size=4)))),
+    st.tuples(st.just("mn"), st.integers(2, 9)),
+    st.tuples(st.just("sw"), st.integers(1, 5)),
+    st.tuples(st.sampled_from(["b2", "b2^1", "np:3", "null:4", "rz:3",
+                               "prod:b2^1,np:2"]), st.none())))
+@example(("transf", (3, [(1, 2, 0), (1, 2, 0), (0, 0, 1)])))
+@example(("transf", (4, [(0, 1, 2, 3)])))
+def test_cayley_graphs_match_table_scans(case):
+    fs = graph_case(case)
+    graph_built = "table" not in fs.__dict__
+    idempotents, identity, zero = fs.idempotents(), fs.identity, fs.zero
+    gs = green_scc(fs)
+    # None of these read the table of a semigroup held as its graphs.
+    assert ("table" not in fs.__dict__) == graph_built
+    if graph_built:
+        assert fs.table == reference_cayley_table(fs.right, fs.letters)
+    table = fs.table
+    assert [table[g] for g in fs.letters] == fs.left
+    assert [[row[g] for g in fs.letters] for row in table] == fs.right
+    assert idempotents == [x for x in range(len(fs)) if table[x][x] == x]
+    assert identity == find_identity(table)
+    assert zero == find_zero(table)
+    b = green_definitional(fs)
+    assert (gs.h, gs.l, gs.r, gs.d, gs.j) == (b.h, b.l, b.r, b.d, b.j)
+
+
+def bell(n):
+    row = [1]
+    for _ in range(n - 1):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[-1]
+
+
+def stirling2(n, k):
+    return sum((-1) ** i * comb(k, i) * (k - i) ** n
+               for i in range(k + 1)) // factorial(k)
+
+
+@pytest.mark.parametrize("n, h, idempotents",
+                         [(4, 71, 41), (5, 456, 196), (6, 3337, 1057)])
+def test_full_transformation_monoid_closed_forms(n, h, idempotents):
+    # T_n from a cycle, a transposition and a rank n-1 map, held as its
+    # Cayley graphs: T_6 has 46,656 elements and no table within budget.
+    gens = [tuple(range(1, n)) + (0,), (1, 0) + tuple(range(2, n)),
+            (0, 0) + tuple(range(2, n))]
+    fs = enumerate_oracle(zoo.transformation_oracle(n), gens,
+                          max_elements=50_000)
+    assert isinstance(fs, FiniteSemigroup) and len(fs) == n ** n
+    assert h == sum(stirling2(n, k) * comb(n, k) for k in range(1, n + 1))
+    assert idempotents == sum(comb(n, k) * k ** (n - k)
+                              for k in range(1, n + 1))
+    assert green_scc(fs).counts() == {"H": h, "L": 2 ** n - 1, "R": bell(n),
+                                      "D": n, "J": n}
+    assert len(fs.idempotents()) == idempotents
+    assert fs.identity == fs.element_index(tuple(range(n)))
+    assert fs.zero is None
+    assert "table" not in fs.__dict__
+
+
+def test_eggbox_leaves_graph_built_tables_unfilled():
+    for fs in (zoo.mn_table(11), zoo.parse_zoo("transf:5:3:3")):
+        format_eggbox(fs)
+        assert "table" not in fs.__dict__
+
+
+def test_green_scc_of_full_t5_stays_small():
+    fs = zoo.transformation_semigroup(
+        5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4), (0, 0, 2, 3, 4)])
+    tracemalloc.start()
+    try:
+        counts = green_scc(fs).counts()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == {"H": 456, "L": 31, "R": 52, "D": 5, "J": 5}
+    assert peak < 8 * 2 ** 20
