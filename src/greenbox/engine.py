@@ -19,6 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import repeat
+from math import inf
 from typing import Callable, Iterable, Optional, Sequence
 
 RELATIONS = ("H", "L", "R", "D", "J")
@@ -303,13 +304,16 @@ class _Growth:
                          else words[p] + (a,))
         return words
 
-    def size(self, radius: int) -> int:
+    def size(self, radius: int, cap: float = inf) -> int:
         """Number of elements of length <= radius.  Expands elements until
         one longer than radius appears or none is left: the ball of this
-        radius is then complete, and closed iff nothing longer exists."""
+        radius is then complete, and closed iff nothing longer exists.
+        Expansion also stops once more than ``cap`` elements are known;
+        if the ball is not complete by then, every known element lies in
+        it, and their count, over the cap, is returned."""
         elements, lengths, right = self.elements, self.lengths, self.right
         mult, push = self.oracle.mult, self._push
-        while lengths[-1] <= radius:
+        while lengths[-1] <= radius and len(elements) <= cap:
             i = self.n_seeds + len(right)
             if i == len(elements):
                 break
@@ -324,14 +328,15 @@ class _Growth:
         if radius < 1:
             raise ValueError("radius must be >= 1")
         r = 1
-        while r < radius and self.size(r) < self.size(r + 1) <= max_elements:
+        while (r < radius and self.size(r)
+               < self.size(r + 1, max_elements) <= max_elements):
             r += 1
         return r
 
     def ball(self, radius: int, max_elements: int) -> "BallEnumeration":
         """The ball of this radius; BudgetError if a level stops it short."""
         r = self.reach(radius, max_elements)
-        if r < radius and self.size(r + 1) > self.size(r):
+        if r < radius and self.size(r + 1, max_elements) > self.size(r):
             raise BudgetError(f"ball exceeded {max_elements} elements")
         return BallEnumeration(self, radius)
 
@@ -1117,10 +1122,9 @@ def find_witnesses(oracle: Oracle, x, y, relation: str,
         return None
 
     def mutual(search, a, b, *side):
-        fwd, bwd = search(a, b, *side), search(b, a, *side)
-        if fwd is not None and bwd is not None:
-            return {"u": fwd, "v": bwd}
-        return None
+        fwd = search(a, b, *side)
+        bwd = fwd and search(b, a, *side)
+        return {"u": fwd, "v": bwd} if bwd else None
 
     if relation in ("L", "R"):
         return mutual(one_sided, x, y, relation == "L")
@@ -1129,11 +1133,24 @@ def find_witnesses(oracle: Oracle, x, y, relation: str,
         rw = mutual(one_sided, x, y, False)
         return {"L": lw, "R": rw} if lw and rw else None
     if relation == "D":
+        # c needs u·x = c and y·u = c for some pool u (or c = x, c = y):
+        # one pass over the pool finds every such c with its first u.
+        left_orbit: dict = {}
+        right_orbit: dict = {}
+        for u, label in pool:
+            left_orbit.setdefault(mult(u, x), (u, label))
+            right_orbit.setdefault(mult(y, u), (u, label))
         for c, label in pool:
-            lw = mutual(one_sided, x, c, True)
-            rw = lw and mutual(one_sided, c, y, False)
-            if rw:
-                return {"via": c, "via_word": label, "L": lw, "R": rw}
+            to_c = ("identity",) if c == x else left_orbit.get(c)
+            from_y = ("identity",) if c == y else right_orbit.get(c)
+            if to_c is None or from_y is None:
+                continue
+            to_x = one_sided(c, x, True)
+            to_y = to_x and one_sided(c, y, False)
+            if to_y:
+                return {"via": c, "via_word": label,
+                        "L": {"u": to_c, "v": to_x},
+                        "R": {"u": to_y, "v": from_y}}
         return None
     if relation == "J":
         return mutual(two_sided, x, y)

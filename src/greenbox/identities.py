@@ -13,17 +13,17 @@ is ``lhs = rhs``.
 
 A check reads the structure once (``_read``: its product, unary operation,
 zero, complete regularity and elements) and compiles each side of the
-identity once (``_compile``) into a closure over the tuple of variable
-values.  A side needing an operation the structure lacks is refused while
-it compiles: once per identity, before any assignment, at the first
-offending node in pre-order, left side first.
+identity once (``_Stager``) into steps at the levels of the loop nest over
+the assignments.  A side needing an operation the structure lacks is
+refused while it compiles: once per identity, before any assignment, at
+the first offending node in pre-order, left side first.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import repeat
+from operator import getitem
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .engine import FiniteSemigroup
@@ -278,6 +278,7 @@ class _Ops(NamedTuple):
     zero: Optional[int]
     completely_regular: bool
     elements: Sequence
+    table: Optional[list]       # the rows of mult, for a FiniteSemigroup
 
 
 def _read(structure) -> _Ops:
@@ -289,50 +290,102 @@ def _read(structure) -> _Ops:
         return _Ops(lambda a, b: table[a][b],
                     None if unary is None else unary.__getitem__,
                     structure.zero, structure.is_completely_regular(),
-                    range(len(table)))
+                    range(len(table)), table)
     return _Ops(structure.mult, structure.unary, structure.zero_element,
-                structure.completely_regular, structure.elements)
+                structure.completely_regular, structure.elements, None)
 
 
-def _compile(term: Term, ops: _Ops, slots: dict) -> Callable:
-    """A closure from the tuple of variable values, variable v at position
-    ``slots[v]``, to the value of ``term``; concatenation associates to
-    the left.  An operation the structure lacks is refused here."""
-    if isinstance(term, Var):
-        return itemgetter(slots[term.name])
-    if isinstance(term, Mul):
-        mult = ops.mult
-        left = _compile(term.left, ops, slots)
-        right = _compile(term.right, ops, slots)
-        return lambda values: mult(left(values), right(values))
-    if isinstance(term, Inv):
-        if ops.unary is None:
-            raise ValueError(f"term {term} needs a unary operation")
-        unary, arg = ops.unary, _compile(term.arg, ops, slots)
-        return lambda values: unary(arg(values))
-    if isinstance(term, IdPow):
-        if not ops.completely_regular:
-            raise ValueError(
-                "x^0 is only meaningful on completely regular structures")
+class _Stager:
+    """Compiles terms into registers filled at the levels of a loop nest.
+
+    A staged node is (level, vec, reg): its value is ``vals[reg]``.  It is
+    recomputed by ``steps[level]`` each time the loop at that level moves,
+    or computed once, here, at level -1.  When ``vec`` is set, the value is
+    a list over the values of the innermost loop variable.  ``slots`` maps
+    each variable to its staged node.  An operation the structure lacks is
+    refused while staging, at the first offending node in pre-order.
+    """
+
+    def __init__(self, ops: _Ops, slots: dict, vals: list, levels: int):
+        self.ops, self.slots, self.vals = ops, slots, vals
+        self.steps = [[] for _ in range(levels)]
+        mult, table = ops.mult, ops.table
+        if table is None:
+            self.vmult = lambda xs, ys: list(map(mult, xs, ys))
+        else:
+            self.vmult = lambda xs, ys: list(
+                map(getitem, map(table.__getitem__, xs), ys))
+
+    def _emit(self, level: int, vec: bool, fn: Callable) -> tuple:
+        reg = len(self.vals)
+        if level < 0:
+            self.vals.append(fn())
+        else:
+            self.vals.append(None)
+            self.steps[level].append((reg, fn))
+        return level, vec, reg
+
+    def stage(self, term: Term) -> tuple:
+        """The staged node of ``term``; concatenation associates to the
+        left."""
+        ops, vals, vmult = self.ops, self.vals, self.vmult
         mult, unary = ops.mult, ops.unary
-        arg = _compile(term.arg, ops, slots)
+        if isinstance(term, Var):
+            return self.slots[term.name]
+        if isinstance(term, Mul):
+            la, va, ra = self.stage(term.left)
+            lb, vb, rb = self.stage(term.right)
+            level = max(la, lb)
+            if not (va or vb):
+                return self._emit(level, False,
+                                  lambda: mult(vals[ra], vals[rb]))
+            if ops.table is not None and not va:
+                # A table row read at every entry of the list.
+                table = ops.table
+                return self._emit(level, True, lambda: list(
+                    map(table[vals[ra]].__getitem__, vals[rb])))
+            return self._emit(level, True, lambda: vmult(
+                vals[ra] if va else repeat(vals[ra]),
+                vals[rb] if vb else repeat(vals[rb])))
+        if isinstance(term, Inv):
+            if unary is None:
+                raise ValueError(f"term {term} needs a unary operation")
+            level, vec, r = self.stage(term.arg)
+            return self._emit(level, vec,
+                              (lambda: list(map(unary, vals[r]))) if vec
+                              else (lambda: unary(vals[r])))
+        if isinstance(term, IdPow):
+            if not ops.completely_regular:
+                raise ValueError(
+                    "x^0 is only meaningful on completely regular structures")
+            level, vec, r = self.stage(term.arg)
+            return self._emit(
+                level, vec,
+                (lambda: vmult(vals[r], map(unary, vals[r]))) if vec
+                else (lambda: mult(vals[r], unary(vals[r]))))
+        if isinstance(term, ZeroC):
+            zero = ops.zero
+            if zero is None:
+                raise ValueError("zero constant needs a structure with a zero")
+            return self._emit(-1, False, lambda: zero)
+        raise TypeError(f"not a term: {term!r}")
 
-        def idempotent(values):
-            x = arg(values)
-            return mult(x, unary(x))
-        return idempotent
-    if isinstance(term, ZeroC):
-        zero = ops.zero
-        if zero is None:
-            raise ValueError("zero constant needs a structure with a zero")
-        return lambda values: zero
-    raise TypeError(f"not a term: {term!r}")
+    def side(self, term: Term, width: int) -> int:
+        """The register of ``term`` as a list of ``width`` values."""
+        level, vec, r = self.stage(term)
+        if vec:
+            return r
+        vals = self.vals
+        return self._emit(level, True, lambda: [vals[r]] * width)[2]
 
 
 def eval_term(structure, term: Term, assignment: dict):
-    """The value of ``term`` under ``assignment``: compile, then call."""
-    slots = {name: i for i, name in enumerate(assignment)}
-    return _compile(term, _read(structure), slots)(tuple(assignment.values()))
+    """The value of ``term`` under ``assignment``: every variable is a
+    constant, so staging computes the value."""
+    vals = list(assignment.values())
+    slots = {name: (-1, False, i) for i, name in enumerate(assignment)}
+    _, _, r = _Stager(_read(structure), slots, vals, 0).stage(term)
+    return vals[r]
 
 
 @dataclass
@@ -352,19 +405,51 @@ MAX_EVALUATIONS = 10_000_000
 
 def _check_over(ops: _Ops, identity: Identity, elements, window_verified: bool,
                 max_evaluations: int = MAX_EVALUATIONS) -> CheckResult:
-    """The budget comes first, then each side compiles once, lhs first."""
+    """The budget comes first, then each side compiles once, lhs first.
+
+    Assignments run in ``itertools.product`` order, the last variable
+    innermost.  Each subterm is evaluated at the loop level of its deepest
+    variable other than the last, or once per check if it has none; one
+    that uses the last variable is a list over the elements, so each inner
+    loop is one comparison of the two sides' lists."""
     variables = identity.variables()
     n, k = len(elements), len(variables)
     if n ** k > max_evaluations:
         raise ValueError(
             f"{n}^{k} assignments exceed the budget of {max_evaluations}")
-    slots = {v: i for i, v in enumerate(variables)}
-    lhs = _compile(identity.lhs, ops, slots)
-    rhs = _compile(identity.rhs, ops, slots)
-    for checked, values in enumerate(itertools.product(elements, repeat=k), 1):
-        if lhs(values) != rhs(values):
-            return CheckResult(identity, False, dict(zip(variables, values)),
-                               checked, window_verified)
+    # Without variables there is one assignment, the empty one.
+    inner = list(elements) if variables else [None]
+    last = max(k - 1, 0)
+    slots = {v: (d, False, d) for d, v in enumerate(variables[:last])}
+    slots.update((v, (-1, True, last)) for v in variables[last:])
+    stager = _Stager(ops, slots, [None] * last + [inner], last)
+    lhs = stager.side(identity.lhs, len(inner))
+    rhs = stager.side(identity.rhs, len(inner))
+    vals, steps = stager.vals, stager.steps
+
+    def sweep(d: int, prefix: int) -> Optional[CheckResult]:
+        """The first failure with the first d variables set, ``prefix``
+        being the index of their values in product order."""
+        if d == last:
+            left, right = vals[lhs], vals[rhs]
+            if left == right:
+                return None
+            j = next(j for j, (a, b) in enumerate(zip(left, right)) if a != b)
+            return CheckResult(
+                identity, False, dict(zip(variables, vals[:last] + [inner[j]])),
+                prefix * n + j + 1, window_verified)
+        for i, e in enumerate(inner):
+            vals[d] = e
+            for r, fn in steps[d]:
+                vals[r] = fn()
+            failure = sweep(d + 1, prefix * n + i)
+            if failure is not None:
+                return failure
+        return None
+
+    failure = sweep(0, 0)
+    if failure is not None:
+        return failure
     return CheckResult(identity, True, None, n ** k, window_verified)
 
 

@@ -9,6 +9,7 @@ so the engine's two general algorithms can be cross-validated against it.
 from __future__ import annotations
 
 import random
+import re
 from typing import Iterable, Optional, Sequence
 
 from .engine import (MAX_POOL_ELEMENTS, BallEnumeration, BudgetError,
@@ -291,13 +292,12 @@ def squarefree_word(length: int) -> str:
     return w[:length]
 
 
+_SQUARE = re.compile(r"(.+)\1", re.S)
+
+
 def has_square_factor(w: str) -> bool:
-    n = len(w)
-    for half in range(1, n // 2 + 1):
-        for i in range(n - 2 * half + 1):
-            if w[i:i + half] == w[i + half:i + 2 * half]:
-                return True
-    return False
+    """Whether w has a factor uu with u nonempty."""
+    return _SQUARE.search(w) is not None
 
 
 def _stable_factor_set(cap: int) -> set:

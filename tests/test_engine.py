@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from greenbox import zoo
-from greenbox.engine import (RELATIONS, BallEnumeration, BudgetError,
-                             FiniteSemigroup, Oracle, _closure, _dense,
-                             _UnionFind, adjoin_identity, adjoin_zero,
+from greenbox.engine import (MAX_POOL_ELEMENTS, RELATIONS, BallEnumeration,
+                             BudgetError, FiniteSemigroup, Oracle, _closure,
+                             _dense, _UnionFind, adjoin_identity, adjoin_zero,
                              ball_enumerate, direct_product, eggbox,
                              enumerate_oracle, format_eggbox, format_table,
                              green_definitional, green_scc, iso_tables,
@@ -695,6 +695,86 @@ def test_witnessed_green_matches_reference_on_closed_t3(relation, margin,
     radius = max(closed_ball(oracle, maps).lengths)
     assert_matches_reference(ball_enumerate(oracle, maps, radius), relation,
                              margin)
+
+
+# witness search: the orbit lookups against the per-candidate scans
+
+
+def reference_find_witnesses(oracle, x, y, relation, pool):
+    """Reference search: every candidate c of a D-witness runs both
+    one-sided scans in both directions."""
+    relation = relation.upper()
+    mult = oracle.mult
+
+    def one_sided(a, b, left):
+        if a == b:
+            return ("identity",)
+        for u, label in pool:
+            if (mult(u, a) if left else mult(a, u)) == b:
+                return (u, label)
+        return None
+
+    def two_sided(a, b):
+        if a == b:
+            return ("identity",)
+        for u in [None] + [u for u, _ in pool]:
+            ua = a if u is None else mult(u, a)
+            if ua == b:
+                return (u, None)
+            for v, _ in pool:
+                if mult(ua, v) == b:
+                    return (u, v)
+        return None
+
+    def mutual(search, a, b, *side):
+        fwd, bwd = search(a, b, *side), search(b, a, *side)
+        if fwd is not None and bwd is not None:
+            return {"u": fwd, "v": bwd}
+        return None
+
+    if relation in ("L", "R"):
+        return mutual(one_sided, x, y, relation == "L")
+    if relation == "H":
+        lw = mutual(one_sided, x, y, True)
+        rw = mutual(one_sided, x, y, False)
+        return {"L": lw, "R": rw} if lw and rw else None
+    if relation == "D":
+        for c, label in pool:
+            lw = mutual(one_sided, x, c, True)
+            rw = lw and mutual(one_sided, c, y, False)
+            if rw:
+                return {"via": c, "via_word": label, "L": lw, "R": rw}
+        return None
+    if relation == "J":
+        return mutual(two_sided, x, y)
+    raise ValueError(f"unknown relation {relation!r}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(RELATIONS), st.integers(1, 5),
+       st.integers(1, 3), st.booleans())
+def test_find_witnesses_matches_reference_on_bicyclic_balls(
+        data, relation, radius, margin, same):
+    ball = zoo.bicyclic_ball(radius)
+    x = data.draw(st.sampled_from(ball.elements))
+    y = x if same else data.draw(st.sampled_from(ball.elements))
+    ext = ball.extend(radius * margin, MAX_POOL_ELEMENTS)
+    pool = list(zip(ext.elements, ext.words))
+    assert (witnessed_related(ball, x, y, relation, margin)
+            == reference_find_witnesses(ball.oracle, x, y, relation, pool))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(RELATIONS), st.integers(1, 6),
+       st.integers(1, 3), st.booleans())
+def test_find_witnesses_matches_reference_on_p_windows(
+        data, relation, window, margin, same):
+    a = data.draw(st.integers(-window, window))
+    b = a if same else data.draw(st.integers(-window, window))
+    pool = [(u, None) for u in range(-margin * window, margin * window + 1)]
+    assert (zoo.p_witnessed_related(a, b, relation, window, margin)
+            == reference_find_witnesses(Oracle(zoo.p_mult), a, b, relation,
+                                        pool))
 
 
 # isomorphism

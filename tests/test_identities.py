@@ -338,15 +338,25 @@ REFERENCE_STRUCTURES = [
     zoo.PWindow(3),
 ]
 
-TERM_TEXTS = st.recursive(
-    st.sampled_from(["x", "y", "z", "x", "y", "z", "0"]),
-    lambda inner: st.one_of(
-        st.tuples(inner, inner).map(lambda p: f"({p[0]}) ({p[1]})"),
-        inner.map(lambda t: f"({t})'"),
-        inner.map(lambda t: f"({t})^0"),
-        st.tuples(inner, st.sampled_from(["^2", "^3", "^-1", "^-2"])).map(
-            lambda p: f"({p[0]}){p[1]}")),
-    max_leaves=6)
+def term_texts(leaves):
+    return st.recursive(
+        st.sampled_from(leaves),
+        lambda inner: st.one_of(
+            st.tuples(inner, inner).map(lambda p: f"({p[0]}) ({p[1]})"),
+            inner.map(lambda t: f"({t})'"),
+            inner.map(lambda t: f"({t})^0"),
+            st.tuples(inner, st.sampled_from(["^2", "^3", "^-1", "^-2"])).map(
+                lambda p: f"({p[0]}){p[1]}")),
+        max_leaves=6)
+
+
+TERM_TEXTS = term_texts(["x", "y", "z", "x", "y", "z", "0"])
+# The staged checker runs the last variable innermost, as a list over the
+# elements: sides that use only it, or only the outer variables, or no
+# variable at all, take paths of their own.
+SHAPED_TERM_TEXTS = st.one_of(
+    TERM_TEXTS, term_texts(["z", "z'", "z^0", "z z", "0"]),
+    term_texts(["x", "y", "x'", "y^0", "0"]), st.sampled_from(["0", "0'"]))
 
 
 def outcome(check):
@@ -360,16 +370,7 @@ def outcome(check):
             result.window_verified)
 
 
-@settings(max_examples=500, deadline=None)
-@given(structure=st.sampled_from(REFERENCE_STRUCTURES), lhs=TERM_TEXTS,
-       rhs=TERM_TEXTS,
-       budget=st.one_of(st.just(MAX_EVALUATIONS), st.integers(1, 130)))
-def test_compiled_checker_matches_recursive_reference(structure, lhs, rhs,
-                                                      budget):
-    try:
-        ident = parse_identity(f"{lhs} = {rhs}")
-    except ValueError:
-        assume(False)           # over the term size cap
+def assert_matches_reference(structure, ident, budget=MAX_EVALUATIONS):
     if isinstance(structure, zoo.PWindow):
         window = structure.elements
         new = outcome(lambda: check_identity_window(structure, ident, window))
@@ -382,3 +383,48 @@ def test_compiled_checker_matches_recursive_reference(structure, lhs, rhs,
         old = outcome(lambda: reference_check_over(structure, ident, elements,
                                                    False, budget))
     assert new == old
+    return new
+
+
+@settings(max_examples=500, deadline=None)
+@given(structure=st.sampled_from(REFERENCE_STRUCTURES), lhs=TERM_TEXTS,
+       rhs=TERM_TEXTS,
+       budget=st.one_of(st.just(MAX_EVALUATIONS), st.integers(1, 130)))
+def test_compiled_checker_matches_recursive_reference(structure, lhs, rhs,
+                                                      budget):
+    try:
+        ident = parse_identity(f"{lhs} = {rhs}")
+    except ValueError:
+        assume(False)           # over the term size cap
+    assert_matches_reference(structure, ident, budget)
+
+
+@settings(max_examples=500, deadline=None)
+@given(structure=st.sampled_from(REFERENCE_STRUCTURES),
+       lhs=SHAPED_TERM_TEXTS, rhs=SHAPED_TERM_TEXTS)
+def test_staged_shapes_match_recursive_reference(structure, lhs, rhs):
+    try:
+        ident = parse_identity(f"{lhs} = {rhs}")
+    except ValueError:
+        assume(False)           # over the term size cap
+    assert_matches_reference(structure, ident)
+
+
+# Variables at several depths, and failures whose first difference lies
+# inside the innermost list rather than at its ends.
+DEPTH_IDENTITIES = ["xy = yx", "x y x = x x y", "x (y z) x = x y (z x)",
+                    "x'y = y x'", "x^0 y z = y z x^0", "y x = y x y' y",
+                    "xy = x z z", "zx = z z", "x = z^0 y"]
+
+
+def test_staged_failures_inside_the_inner_list_match_reference():
+    inside = 0
+    for structure in REFERENCE_STRUCTURES:
+        n = len(structure.elements if isinstance(structure, zoo.PWindow)
+                else structure)
+        for text in DEPTH_IDENTITIES:
+            result = assert_matches_reference(structure,
+                                              parse_identity(text))
+            if len(result) == 4 and not result[0]:
+                inside += 2 <= (result[2] - 1) % n <= n - 2
+    assert inside >= 3

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from greenbox import zoo
+from greenbox import stephen, zoo
 from greenbox.engine import FiniteSemigroup, green_scc, iso_tables
 from greenbox.munn import (InverseAutomaton, canonical_key, fis_equal, fold,
                            munn_tree)
@@ -335,6 +335,21 @@ def test_presented_table_raises_on_infinite():
     pres = parse_presentation(M_TEXT)
     with pytest.raises(RuntimeError):
         presented_table(pres, max_stages=6)
+
+
+def test_presented_table_stops_expanding_at_the_element_budget(monkeypatch):
+    # The free monogenic inverse semigroup: every trace closes, and the
+    # elements never do.  The growth stops once the count passes 200, two
+    # Stephen runs per expanded element, instead of finishing that level.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return stephen_run(*args, **kwargs)
+    monkeypatch.setattr(stephen, "stephen_run", counted)
+    with pytest.raises(RuntimeError, match="more than 200 elements"):
+        presented_table(parse_presentation("inv-semigroup a"))
+    assert len(calls) == 322
 
 
 def reference_presented_table(pres, *, max_stages=40, max_vertices=20_000,

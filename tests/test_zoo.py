@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from greenbox import zoo
 from greenbox.engine import (BudgetError, FiniteSemigroup, green_definitional,
@@ -275,6 +276,32 @@ def test_has_square_factor_detects():
     assert zoo.has_square_factor("abcabc")
     assert zoo.has_square_factor("aa")
     assert not zoo.has_square_factor("abcacb")
+
+
+def reference_has_square_factor(w):
+    """The slice scan over every half length and start."""
+    n = len(w)
+    for half in range(1, n // 2 + 1):
+        for i in range(n - 2 * half + 1):
+            if w[i:i + half] == w[i + half:i + 2 * half]:
+                return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="abc\n", max_size=40))
+@example("\n\n")
+@example("ba\nca\nc")
+def test_has_square_factor_matches_slice_scan(w):
+    assert zoo.has_square_factor(w) == reference_has_square_factor(w)
+
+
+def test_squarefree_prefixes_have_no_square_and_doubles_have_one():
+    assert zoo.has_square_factor("\n\n")
+    for n in range(1, 301):
+        w = zoo.squarefree_word(n)
+        assert not zoo.has_square_factor(w)
+        assert zoo.has_square_factor(w + w)
 
 
 def test_sw_semigroup_squares_vanish():
