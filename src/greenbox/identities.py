@@ -279,20 +279,23 @@ class _Ops(NamedTuple):
     completely_regular: bool
     elements: Sequence
     table: Optional[list]       # the rows of mult, for a FiniteSemigroup
+    row: Callable               # row(a, bs) == [mult(a, b) for b in bs]
 
 
 def _read(structure) -> _Ops:
     """The operations of a FiniteSemigroup, or of a structure such as
-    ``zoo.PWindow`` that carries ``mult``, ``unary``, ``zero_element``,
-    ``completely_regular`` and ``elements``."""
+    ``zoo.PWindow`` that carries ``mult``, ``row``, ``unary``,
+    ``zero_element``, ``completely_regular`` and ``elements``."""
     if isinstance(structure, FiniteSemigroup):
         table, unary = structure.table, structure.unary
         return _Ops(lambda a, b: table[a][b],
                     None if unary is None else unary.__getitem__,
                     structure.zero, structure.is_completely_regular(),
-                    range(len(table)), table)
+                    range(len(table)), table,
+                    lambda a, bs: list(map(table[a].__getitem__, bs)))
     return _Ops(structure.mult, structure.unary, structure.zero_element,
-                structure.completely_regular, structure.elements, None)
+                structure.completely_regular, structure.elements, None,
+                structure.row)
 
 
 class _Stager:
@@ -329,7 +332,7 @@ class _Stager:
         """The staged node of ``term``; concatenation associates to the
         left."""
         ops, vals, vmult = self.ops, self.vals, self.vmult
-        mult, unary = ops.mult, ops.unary
+        mult, unary, row = ops.mult, ops.unary, ops.row
         if isinstance(term, Var):
             return self.slots[term.name]
         if isinstance(term, Mul):
@@ -339,11 +342,9 @@ class _Stager:
             if not (va or vb):
                 return self._emit(level, False,
                                   lambda: mult(vals[ra], vals[rb]))
-            if ops.table is not None and not va:
-                # A table row read at every entry of the list.
-                table = ops.table
-                return self._emit(level, True, lambda: list(
-                    map(table[vals[ra]].__getitem__, vals[rb])))
+            if not va:
+                return self._emit(level, True,
+                                  lambda: row(vals[ra], vals[rb]))
             return self._emit(level, True, lambda: vmult(
                 vals[ra] if va else repeat(vals[ra]),
                 vals[rb] if vb else repeat(vals[rb])))

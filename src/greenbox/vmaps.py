@@ -9,6 +9,7 @@ representable as (domain, shift) pairs and compose in constant time.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -18,16 +19,17 @@ WHOLE_X = "X"
 EMPTY = "empty"
 
 
-@dataclass(frozen=True)
-class VSet:
-    """V(r, s); s >= 0.  Every V-set contains its corner (r, s)."""
+class VSet(namedtuple("VSet", "r s")):
+    """V(r, s); s >= 0.  Every V-set contains its corner (r, s).
 
-    r: int
-    s: int
+    A validated tuple, so it equals the plain tuple (r, s)."""
 
-    def __post_init__(self):
-        if self.s < 0:
+    __slots__ = ()
+
+    def __new__(cls, r: int, s: int):
+        if s < 0:
             raise ValueError("s must be >= 0")
+        return tuple.__new__(cls, (r, s))
 
     def contains(self, x: int, y: int) -> bool:
         return self.s <= y <= x + self.s - self.r
@@ -42,21 +44,6 @@ def vset_contains(dom, x: int, y: int) -> bool:
     if dom == EMPTY:
         return False
     return dom.contains(x, y)
-
-
-def v_intersect(u, v):
-    """Intersection within the family; V-sets always meet, so the empty
-    marker only passes through when an operand is already empty."""
-    if u == EMPTY or v == EMPTY:
-        return EMPTY
-    if u == WHOLE_X:
-        return v
-    if v == WHOLE_X:
-        return u
-    if u.s > v.s:
-        u, v = v, u
-    # s' >= s: V(r,s) cut to height s' is V(r + s' - s, s').
-    return VSet(max(u.r + v.s - u.s, v.r), v.s)
 
 
 def translate(u, by: tuple):
@@ -75,8 +62,7 @@ def translate(u, by: tuple):
     return VSet(u.r + dx - (u.s + dy), 0)
 
 
-@dataclass(frozen=True)
-class VMap:
+class VMap(namedtuple("VMap", "domain shift")):
     """Partial bijection given by a translation restricted to a domain.
 
     The image, domain translated by the shift, must lie within X: a V(r,s)
@@ -84,22 +70,22 @@ class VMap:
     map is the reserved (EMPTY, (0,0)) value.
     """
 
-    domain: object
-    shift: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        dx, dy = self.shift
-        if self.domain == EMPTY:
-            if self.shift != (0, 0):
+    def __new__(cls, domain, shift: tuple):
+        dx, dy = shift
+        if domain == EMPTY:
+            if shift != (0, 0):
                 raise ValueError("the empty map carries the zero shift")
-        elif self.domain == WHOLE_X:
+        elif domain == WHOLE_X:
             if dy != 0:
                 raise ValueError("a map defined on all of X must keep y fixed")
-        elif isinstance(self.domain, VSet):
-            if self.domain.s + dy < 0:
+        elif isinstance(domain, VSet):
+            if domain.s + dy < 0:
                 raise ValueError("image would leave X")
         else:
-            raise ValueError(f"bad domain {self.domain!r}")
+            raise ValueError(f"bad domain {domain!r}")
+        return tuple.__new__(cls, (domain, shift))
 
     @property
     def is_empty(self) -> bool:
@@ -140,14 +126,31 @@ def identity_map() -> VMap:
 
 
 def compose(f: VMap, g: VMap) -> VMap:
-    """f then g: the domain is the f-preimage of im(f) meet dom(g)."""
-    if f.is_empty or g.is_empty:
+    """f then g: the domain is the f-preimage of im(f) meet dom(g).
+
+    In closed form on valid maps: im(f) = dom(f) + f.shift stays in X, a
+    V-set meet takes the higher bottom row and the larger corner at that
+    height, and the pull-back by f.shift never needs clipping."""
+    fd, (fdx, fdy) = f
+    gd, (gdx, gdy) = g
+    if fd == EMPTY or gd == EMPTY:
         return EMPTY_MAP
-    meet = v_intersect(f.image(), g.domain)
-    if meet == EMPTY:
-        return EMPTY_MAP
-    dom = translate(meet, (-f.shift[0], -f.shift[1]))
-    return VMap(dom, (f.shift[0] + g.shift[0], f.shift[1] + g.shift[1]))
+    shift = (fdx + gdx, fdy + gdy)
+    if gd == WHOLE_X:
+        if fd == WHOLE_X:
+            return tuple.__new__(VMap, (WHOLE_X, shift))
+        r, s = fd
+    elif fd == WHOLE_X:
+        r, s = gd[0] - fdx, gd[1]
+    else:
+        ir, is_ = fd[0] + fdx, fd[1] + fdy
+        gr, gs = gd
+        top = is_ if is_ > gs else gs
+        r = max(ir + top - is_, gr + top - gs) - fdx
+        s = top - fdy
+    if s + shift[1] < 0:
+        raise ValueError("image would leave X")
+    return tuple.__new__(VMap, (tuple.__new__(VSet, (r, s)), shift))
 
 
 def compose_all(maps: Iterable[VMap]) -> VMap:
@@ -255,65 +258,43 @@ def generate_ball(generators: Sequence, cap: int) -> VBall:
     return VBall(gens, cap, ball.elements, ball.words, ball.closed)
 
 
-def phi_ball(cap: int) -> VBall:
-    f = phi()
-    return generate_ball([("f", f), ("f'", invert(f))], cap)
-
-
 def phi_psi_ball(cap: int) -> VBall:
     f, p = phi(), psi()
     return generate_ball([("f", f), ("f'", invert(f)),
                           ("p", p), ("p'", invert(p))], cap)
 
 
-def fis_injectivity_check(bound: int) -> bool:
-    """Domains of the canonical idempotents are pairwise distinct for all
-    (r, s) with 1 <= r + s <= bound."""
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    seen = set()
-    count = 0
-    for total in range(1, bound + 1):
-        for r in range(total + 1):
-            s = total - r
-            dom = idempotent_formula(r, s).domain
-            seen.add(dom)
-            count += 1
-    return len(seen) == count
-
-
 # ---------------------------------------------------------------------------
 # brute-force partial-function model (the sampling oracle)
 
 
-class BruteMap:
-    """Dictionary-free exact model: a predicate domain plus a shift,
-    evaluated pointwise.  Used by tests to validate the symbolic algebra."""
+class BruteMap(tuple):
+    """Exact pointwise model, used to validate the symbolic algebra: a
+    chain of steps (dom, ox, oy, dx, dy), each taking a point (x, y) with
+    (x + ox, y + oy) in dom to (x + dx, y + dy).  ``apply`` walks the chain
+    point by point; nothing is composed symbolically."""
 
-    def __init__(self, defined, shift: tuple):
-        self.defined = defined
-        self.shift = shift
+    __slots__ = ()
 
     @classmethod
     def from_vmap(cls, m: VMap) -> "BruteMap":
-        return cls(lambda x, y, d=m.domain: vset_contains(d, x, y), m.shift)
+        return cls(((m.domain, 0, 0, *m.shift),))
 
     def apply(self, x: int, y: int) -> Optional[tuple]:
-        if y < 0 or not self.defined(x, y):
+        if y < 0:
             return None
-        return (x + self.shift[0], y + self.shift[1])
+        for dom, ox, oy, dx, dy in self:
+            if not vset_contains(dom, x + ox, y + oy):
+                return None
+            x += dx
+            y += dy
+        return (x, y)
 
     def then(self, other: "BruteMap") -> "BruteMap":
-        def defined(x, y):
-            z = self.apply(x, y)
-            return z is not None and other.apply(*z) is not None
-        return BruteMap(defined,
-                        (self.shift[0] + other.shift[0],
-                         self.shift[1] + other.shift[1]))
+        return BruteMap(self + other)
 
     def inverse(self) -> "BruteMap":
-        dx, dy = self.shift
-
-        def defined(x, y):
-            return self.apply(x - dx, y - dy) is not None
-        return BruteMap(defined, (-dx, -dy))
+        """The chain walked backwards: each step checks the point it came
+        from, which lies the step's shift behind."""
+        return BruteMap((dom, ox - dx, oy - dy, -dx, -dy)
+                        for dom, ox, oy, dx, dy in reversed(self))

@@ -101,10 +101,6 @@ def free_reduce(w: Word) -> Word:
     return tuple(out)
 
 
-def is_reduced(w: Word) -> bool:
-    return all(w[i] != -w[i + 1] for i in range(len(w) - 1))
-
-
 def parse_word(text: str, alphabet: Optional[Alphabet] = None, *,
                add_letters: Optional[bool] = None) -> Word:
     """Parse word text.

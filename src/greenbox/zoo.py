@@ -111,12 +111,6 @@ def monogenic_monoid(p: int) -> FiniteSemigroup:
     return FiniteSemigroup(table, names=names, generators=[0, 1])
 
 
-def natural_numbers_ball(radius: int) -> BallEnumeration:
-    """Ball of the free monogenic semigroup (N, +) on the generator 1."""
-    oracle = Oracle(lambda x, y: x + y)
-    return ball_enumerate(oracle, [1], radius)
-
-
 # ---------------------------------------------------------------------------
 # P = (Z, o): completely regular, L-finite, not R-finite
 
@@ -161,6 +155,12 @@ class PWindow:
 
     mult = staticmethod(p_mult)
     unary = staticmethod(p_unary)
+
+    @staticmethod
+    def row(m: int, ns: Sequence[int]) -> list:
+        """[m o n for n in ns]: m's row is a shift when m is even and
+        constant when m is odd."""
+        return list(map(m.__add__, ns)) if m % 2 == 0 else [m] * len(ns)
 
     def __repr__(self) -> str:
         return f"PWindow({self.n})"

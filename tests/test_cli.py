@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import time
@@ -110,6 +111,19 @@ def test_vmaps_ball_golden_output(capsys):
     with open(path, encoding="utf-8") as handle:
         expected = handle.read()
     assert run(capsys, "vmaps", "ball", "--cap", "5") == (0, expected, "")
+
+
+@pytest.mark.parametrize("command, digest", [
+    # 117,401 bytes: the top rung of the infinite_balls workload.
+    ("ball", "43eab06715e78a7b27803260c9247283"
+             "fe8c9494c2299dddf4c3a2fc1e0eedd9"),
+    ("idempotents", "bf809334c9d3024311a322f8b0493f81"
+                    "1d2ee2eb22e9e24133a056a8b5c57f4c"),
+], ids=["ball", "idempotents"])
+def test_vmaps_cap_10_output_digest(capsys, command, digest):
+    code, out, err = run(capsys, "vmaps", command, "--cap", "10")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_green_p_window_j_and_margin_one(capsys):

@@ -1,4 +1,6 @@
 import itertools
+from functools import lru_cache
+from itertools import repeat
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -6,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from greenbox import zoo
 from greenbox.engine import FiniteSemigroup, adjoin_zero, rees_quotient
 from greenbox.identities import (MAX_EVALUATIONS, IdPow, Inv, Mul, Var, ZeroC,
-                                 catalogue, catalogue_entry,
+                                 _read, catalogue, catalogue_entry,
                                  check_identity_exhaustive,
                                  check_identity_window, classify, eval_term,
                                  parse_identity, parse_term)
@@ -428,3 +430,33 @@ def test_staged_failures_inside_the_inner_list_match_reference():
             if len(result) == 4 and not result[0]:
                 inside += 2 <= (result[2] - 1) % n <= n - 2
     assert inside >= 3
+
+
+# One row operation serves tables and windows: row(a, bs) is the products
+# a·b in the order of bs.
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(-n, n), st.lists(st.integers(-n, n),
+                                             max_size=2 * n + 1))))
+def test_window_row_matches_products(case):
+    n, a, bs = case
+    window = zoo.PWindow(n)
+    assert window.row(a, bs) == list(map(window.mult, repeat(a), bs))
+    assert _read(window).row(a, bs) == window.row(a, bs)
+
+
+@lru_cache(maxsize=None)
+def mn_ops(n):
+    return _read(zoo.parse_zoo(f"mn:{n}"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, zoo.mn_size(n) - 1),
+    st.lists(st.integers(0, zoo.mn_size(n) - 1), max_size=40))))
+def test_table_row_matches_products(case):
+    n, a, bs = case
+    ops = mn_ops(n)
+    assert ops.row(a, bs) == list(map(ops.mult, repeat(a), bs))
