@@ -3,8 +3,8 @@
 Enumerates finitely generated semigroups from a multiplication oracle,
 computes Green's relations by two independent methods (strong connectivity
 on Cayley graphs, and direct principal-ideal comparison), and provides the
-standard constructions: direct products, Rees quotients, adjoined identity
-and zero, table isomorphism, eggbox pictures, and bounded "witnessed"
+standard constructions: direct products, adjoined identity and zero,
+subsemigroups, table isomorphism, eggbox pictures, and bounded "witnessed"
 Green analysis for balls and windows of semigroups that do not close
 within budget.
 """
@@ -17,9 +17,10 @@ from array import array
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import repeat
 from math import inf
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 RELATIONS = ("H", "L", "R", "D", "J")
@@ -147,8 +148,14 @@ class FiniteSemigroup:
         for y, p, a in later:
             words[y] = words[p] + (a,)
         right = self.right
-        return [x for x, word in enumerate(words)
-                if reduce(lambda z, a: right[z][a], word, x) == x]
+        out = []
+        for x, word in enumerate(words):
+            z = x
+            for a in word:
+                z = right[z][a]
+            if z == x:
+                out.append(x)
+        return out
 
     @cached_property
     def identity(self) -> Optional[int]:
@@ -511,63 +518,64 @@ class GreenStructure:
         return p[x] == p[y]
 
 
-def _dense(labels: Sequence) -> list:
+def _dense(labels: Iterable) -> list:
     """Renumber arbitrary labels to dense ids ordered by first occurrence."""
     seen: dict = {}
-    out = []
-    for lab in labels:
-        if lab not in seen:
-            seen[lab] = len(seen)
-        out.append(seen[lab])
-    return out
+    return [seen.setdefault(lab, len(seen)) for lab in labels]
 
 
 def _sccs(n: int, succ: Callable) -> list:
-    """Iterative Tarjan; returns a dense component-id array."""
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    comp = [-1] * n
-    stack: list = []
-    counter = 0
-    ncomp = 0
+    """Strongly connected components of the digraph on range(n) whose
+    successors of v are the iterable ``succ(v)``, as a dense component-id
+    array.
+
+    Iterative Tarjan in Pearce's one-array form ("A space-efficient
+    algorithm for finding strongly connected components", 2016): rank[v]
+    is 0 until v is visited, then its low link, and once its component is
+    complete that component's number, counted down from n.  Visit numbers
+    are handed back as components complete, so every open rank stays below
+    every component number, and one comparison per edge does the work of
+    Tarjan's on-stack test.
+    """
+    rank = [0] * n
+    visit = 1                   # the next visit number
+    comp = n                    # the next component number
+    done: list = []             # finished vertices of open components
     for root in range(n):
-        if index[root] != -1:
+        if rank[root]:
             continue
-        work = [(root, iter(succ(root)))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
+        rank[root] = visit
+        path = [(root, visit, iter(succ(root)))]
+        visit += 1
+        while path:
+            v, number, it = path[-1]
+            low = rank[v]
             for w in it:
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(succ(w))))
-                    advanced = True
+                rw = rank[w]
+                if not rw:
+                    rank[v] = low
+                    rank[w] = visit
+                    path.append((w, visit, iter(succ(w))))
+                    visit += 1
                     break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-    return _dense(comp)
+                if rw < low:
+                    low = rw
+            else:
+                path.pop()
+                if low == number:
+                    visit -= 1
+                    while done and rank[done[-1]] >= number:
+                        rank[done.pop()] = comp
+                        visit -= 1
+                    rank[v] = comp
+                    comp -= 1
+                else:
+                    rank[v] = low
+                    done.append(v)
+                    u = path[-1][0]
+                    if low < rank[u]:
+                        rank[u] = low
+    return _dense(rank)
 
 
 class _UnionFind:
@@ -592,16 +600,15 @@ class _UnionFind:
         return [self.find(x) for x in range(len(self.parent))]
 
 
-def _join(p1: Sequence, p2: Sequence) -> list:
-    uf = _UnionFind(len(p1))
-    for labels in (p1, p2):
-        first: dict = {}
-        for i, c in enumerate(labels):
-            if c in first:
-                uf.union(first[c], i)
-            else:
-                first[c] = i
-    return _dense(uf.labels())
+def _join(p1: Sequence[int], p2: Sequence[int]) -> list:
+    """The join of two partitions given as dense ids below their length:
+    the components of the bipartite graph that links class p1[x] to class
+    p2[x], one union per distinct link."""
+    n = len(p1)
+    uf = _UnionFind(2 * n)
+    for a, b in set(zip(p1, p2)):
+        uf.union(a, n + b)
+    return _dense(map(uf.find, p1))
 
 
 def green_scc(fs: FiniteSemigroup) -> GreenStructure:
@@ -615,8 +622,8 @@ def green_scc(fs: FiniteSemigroup) -> GreenStructure:
     n = len(fs)
     left = fs.left
     r = _sccs(n, fs.right.__getitem__)
-    l = _sccs(n, lambda x: (row[x] for row in left))
-    h = _dense(list(zip(l, r)))
+    l = _sccs(n, lambda x: map(itemgetter(x), left))
+    h = _dense(zip(l, r))
     d = _join(l, r)
     return GreenStructure(h=h, l=l, r=r, d=d, j=d)
 
@@ -742,41 +749,6 @@ def direct_product(factors: Sequence[FiniteSemigroup]) -> FiniteSemigroup:
              for t in tuples]
     return FiniteSemigroup(table, names=names, keys=tuples, unary=unary,
                            generators=range(len(tuples)))
-
-
-def rees_quotient(fs: FiniteSemigroup, ideal: Iterable[int]) -> FiniteSemigroup:
-    """Collapse a two-sided ideal to a single zero."""
-    ideal = set(ideal)
-    n = len(fs)
-    if not ideal or not ideal <= set(range(n)):
-        raise ValueError("ideal must be a nonempty set of element indices")
-    for s in range(n):
-        for i in ideal:
-            for bad in (fs.table[s][i], fs.table[i][s]):
-                if bad not in ideal:
-                    raise ValueError(
-                        f"not an ideal: witness pair ({fs.names[s]}, {fs.names[i]})")
-    keep = [x for x in range(n) if x not in ideal]
-    new_index = {x: i for i, x in enumerate(keep)}
-    zero = len(keep)
-    m = zero + 1
-
-    def image(x: int) -> int:
-        return new_index[x] if x not in ideal else zero
-
-    table = [[0] * m for _ in range(m)]
-    for i, x in enumerate(keep):
-        for jj, y in enumerate(keep):
-            table[i][jj] = image(fs.table[x][y])
-        table[i][zero] = zero
-        table[zero][i] = zero
-    table[zero][zero] = zero
-    unary = None
-    if fs.unary is not None:
-        unary = [image(fs.unary[x]) for x in keep] + [zero]
-    names = [fs.names[x] for x in keep] + ["0"]
-    gens = sorted({image(g) for g in fs.generators})
-    return FiniteSemigroup(table, names=names, unary=unary, generators=gens)
 
 
 def _adjoin(fs: FiniteSemigroup, as_identity: bool) -> FiniteSemigroup:

@@ -498,20 +498,23 @@ _CATALOGUE_SOURCES = {
 }
 
 
+def _fixed_entry(key: str) -> list:
+    return [parse_identity(s, name=f"{key}[{i}]")
+            for i, s in enumerate(_CATALOGUE_SOURCES[key])]
+
+
 def catalogue() -> dict:
     """Named identity lists keyed by variety name; every entry parses."""
-    return {key: [parse_identity(s, name=f"{key}[{i}]")
-                  for i, s in enumerate(sources)]
-            for key, sources in _CATALOGUE_SOURCES.items()}
+    return {key: _fixed_entry(key) for key in _CATALOGUE_SOURCES}
 
 
 def catalogue_entry(key: str) -> list:
     """A catalogue entry, with parametric families c<m>, x<n>-in-g,
-    burnside-<m>-<n> and nil-<n> accepted beyond the fixed keys."""
+    burnside-<m>-<n> and nil-<n> accepted beyond the fixed keys.  Only
+    the entry asked for is parsed."""
     key = key.lower()
-    cat = catalogue()
-    if key in cat:
-        return cat[key]
+    if key in _CATALOGUE_SOURCES:
+        return _fixed_entry(key)
     if key.startswith("c") and key[1:].isdigit():
         m = int(key[1:])
         return [parse_identity(f"x^{m} = x^{m + 1}", name=key)]

@@ -458,18 +458,28 @@ class FisTriple:
         return self.r + self.s
 
     def multiply(self, other: "FisTriple") -> "FisTriple":
-        # Interval of the product: graft other's interval at t.
-        r = max(self.r, other.r - self.t)
-        s = max(self.s, other.s + self.t)
-        return FisTriple(r, s, self.t + other.t)
+        return FisTriple(*triple_multiply((self.r, self.s, self.t),
+                                          (other.r, other.s, other.t)))
 
     def inverse(self) -> "FisTriple":
-        return FisTriple(self.r + self.t, self.s - self.t, -self.t)
+        return FisTriple(*triple_inverse((self.r, self.s, self.t)))
 
     def word(self) -> Word:
         """A representative word: down to -r, up to s, back to t."""
         steps = [-1] * self.r + [1] * (self.r + self.s) + [-1] * (self.s - self.t)
         return tuple(steps)
+
+
+def triple_multiply(x: tuple, y: tuple) -> tuple:
+    """The one-letter product law on plain (r, s, t) triples: the product's
+    interval is x's with y's grafted at x's final vertex t."""
+    r, s, t = x
+    return max(r, y[0] - t), max(s, y[1] + t), t + y[2]
+
+
+def triple_inverse(x: tuple) -> tuple:
+    r, s, t = x
+    return r + t, s - t, -t
 
 
 def fis_a_triple(u: Word) -> FisTriple:

@@ -102,25 +102,22 @@ def parse_presentation(text: str) -> Presentation:
 # stages
 
 
-def r_expand(graph, pres: Presentation,
+def r_expand(graph: LiveGraph, pres: Presentation,
              since: Optional[Mark] = None) -> tuple:
     """All applicable R-expansions against the current stage, applied at
     once with fresh interior vertices.
 
     ``graph`` is a settled ``LiveGraph``: the new paths are added to it and
     queued, the merges produced by empty conclusion sides (monoid mode)
-    are queued, and the caller settles.  An ``InverseAutomaton`` is loaded
-    into a fresh live graph first, and the grown automaton, unfolded, is
-    returned in its place.  Returns (grown, merges, applied), applied
-    counting the expansions.
+    are queued, and the caller settles.  Returns (graph, merges, applied),
+    applied counting the expansions.
 
     With ``since``, the graph's mark one stage back, only roots near what
     changed after it are tested (see ``_near``), in ascending order, which
     finds exactly what a scan of every root finds.
     """
-    live = graph if isinstance(graph, LiveGraph) else LiveGraph.settled(graph)
-    scan = live.roots() if since is None else _near(live, since, pres)
-    delta = live.delta
+    scan = graph.roots() if since is None else _near(graph, since, pres)
+    delta = graph.delta
     to_adjoin = []
     merges = []
     seen = set()
@@ -142,31 +139,24 @@ def r_expand(graph, pres: Presentation,
     for p, word, q in to_adjoin:
         prev = p
         for i, x in enumerate(word):
-            nxt = q if i == len(word) - 1 else live.add_vertex()
+            nxt = q if i == len(word) - 1 else graph.add_vertex()
             if x > 0:
-                live.add_edge(prev, x, nxt)
+                graph.add_edge(prev, x, nxt)
             else:
-                live.add_edge(nxt, -x, prev)
+                graph.add_edge(nxt, -x, prev)
             prev = nxt
     for p, q in merges:
-        live.merge(p, q)
-    if live is not graph:
-        graph = InverseAutomaton(len(live.parent), live.edges, graph.base,
-                                 graph.final)
+        graph.merge(p, q)
     return graph, merges, len(to_adjoin) + len(merges)
 
 
-def stephen_step(graph, pres: Presentation, since: Optional[Mark] = None):
-    """One stage: expand synchronously, then settle what was added.
-
-    A ``LiveGraph`` grows in place and is returned; an ``InverseAutomaton``
-    is loaded into a fresh live graph and the next stage is returned as an
-    automaton.
-    """
-    live = graph if isinstance(graph, LiveGraph) else LiveGraph.settled(graph)
-    r_expand(live, pres, since)
-    live.settle()
-    return live if live is graph else live.snapshot()
+def stephen_step(graph: LiveGraph, pres: Presentation,
+                 since: Optional[Mark] = None) -> LiveGraph:
+    """One stage: expand synchronously, then settle what was added.  The
+    settled ``LiveGraph`` grows in place and is returned."""
+    r_expand(graph, pres, since)
+    graph.settle()
+    return graph
 
 
 def _near(graph: LiveGraph, since: Mark, pres: Presentation) -> list:

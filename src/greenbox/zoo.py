@@ -17,7 +17,7 @@ from .engine import (MAX_POOL_ELEMENTS, BallEnumeration, BudgetError,
                      check_margin, check_row_cells,
                      check_table_size, direct_product, enumerate_oracle,
                      find_witnesses, witnessed_partition)
-from .munn import FisTriple
+from .munn import FisTriple, triple_inverse, triple_multiply
 
 # ---------------------------------------------------------------------------
 # bicyclic monoid
@@ -241,8 +241,8 @@ def null_semigroup(n: int) -> FiniteSemigroup:
 
 def transformation_oracle(n: int) -> Oracle:
     # Right action: x (fg) = (x f) g.
-    return Oracle(lambda f, g: tuple(g[f[i]] for i in range(n)),
-                  name=lambda f: "".join(str(x) for x in f))
+    return Oracle(lambda f, g: tuple(map(g.__getitem__, f)),
+                  name=lambda f: "".join(map(str, f)))
 
 
 def transformation_semigroup(n: int, maps: Iterable[Sequence[int]],
@@ -437,6 +437,9 @@ def mn_size(n: int) -> int:
     return n * (n + 1) * (2 * n + 1) // 6
 
 
+_MN_LETTERS = ((0, 1, 1), (1, 0, -1))    # a and a^-1 as triples
+
+
 def mn_table(n: int) -> FiniteSemigroup:
     """M_n: the one-letter Munn triples of span < n plus a zero.
 
@@ -444,31 +447,27 @@ def mn_table(n: int) -> FiniteSemigroup:
     the generator of the ideal has span n and left or right multiplication
     never shrinks the span.  Elements are ordered by (span, r, t), zero
     last.  Only the right Cayley graph, two triple products per nonzero
-    element, is multiplied out, and the semigroup is held as that graph.
+    element, is multiplied out, on plain (r, s, t) tuples, and the
+    semigroup is held as that graph; its keys are ``FisTriple``s.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     check_table_size(mn_size(n))
-    triples = [FisTriple(r, span - r, t)
+    triples = [(r, span - r, t)             # in (span, r, t) order
                for span in range(1, n)
                for r in range(span + 1)
                for t in range(-r, span - r + 1)]
-    triples.sort(key=lambda x: (x.span, x.r, x.t))
-    elems: list = list(triples) + ["0"]
-    pos = {e: i for i, e in enumerate(elems)}
-    zero = pos["0"]
-    letters = [FisTriple(0, 1, 1), FisTriple(1, 0, -1)]
-
-    def times(x: FisTriple, g: FisTriple) -> int:
-        z = x.multiply(g)
-        return pos[z] if z.span < n else zero
-
-    right = [[times(x, g) for g in letters] for x in triples]
+    pos = {x: i for i, x in enumerate(triples)}
+    zero = len(triples)
+    # A product of span n or more is not in pos: it lies in the ideal.
+    right = [[pos.get(triple_multiply(x, g), zero) for g in _MN_LETTERS]
+             for x in triples]
     right.append([zero, zero])
-    unary = [pos[x.inverse()] for x in triples] + [zero]
-    names = [f"({x.r},{x.s},{x.t})" for x in triples] + ["0"]
-    return FiniteSemigroup(right=right, letters=[pos[g] for g in letters],
-                           names=names, keys=elems, unary=unary)
+    unary = [pos[triple_inverse(x)] for x in triples] + [zero]
+    names = [f"({r},{s},{t})" for r, s, t in triples] + ["0"]
+    keys = [FisTriple(*x) for x in triples] + ["0"]
+    return FiniteSemigroup(right=right, letters=[pos[g] for g in _MN_LETTERS],
+                           names=names, keys=keys, unary=unary)
 
 
 def mn_size_brute(n: int) -> int:

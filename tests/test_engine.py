@@ -2,6 +2,7 @@ import itertools
 import random
 import tracemalloc
 from math import comb, factorial
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,11 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 from greenbox import zoo
 from greenbox.engine import (MAX_POOL_ELEMENTS, RELATIONS, BallEnumeration,
                              BudgetError, FiniteSemigroup, Oracle, _closure,
-                             _dense, _UnionFind, adjoin_identity, adjoin_zero,
+                             _dense, _sccs, _UnionFind, adjoin_identity, adjoin_zero,
                              ball_enumerate, direct_product, eggbox,
                              enumerate_oracle, format_eggbox, format_table,
                              green_definitional, green_scc, iso_tables,
-                             parse_table, rees_quotient, subsemigroup,
+                             parse_table, subsemigroup,
                              table_from_ball, verify_associative, witnessed_green,
                              witnessed_related)
 
@@ -21,6 +22,41 @@ from greenbox.engine import (MAX_POOL_ELEMENTS, RELATIONS, BallEnumeration,
 def natural_numbers_ball(radius):
     """Ball of the free monogenic semigroup (N, +) on the generator 1."""
     return ball_enumerate(Oracle(lambda x, y: x + y), [1], radius)
+
+
+def rees_quotient(fs, ideal):
+    """Collapse a two-sided ideal to a single zero."""
+    ideal = set(ideal)
+    n = len(fs)
+    if not ideal or not ideal <= set(range(n)):
+        raise ValueError("ideal must be a nonempty set of element indices")
+    for s in range(n):
+        for i in ideal:
+            for bad in (fs.table[s][i], fs.table[i][s]):
+                if bad not in ideal:
+                    raise ValueError(
+                        f"not an ideal: witness pair ({fs.names[s]}, {fs.names[i]})")
+    keep = [x for x in range(n) if x not in ideal]
+    new_index = {x: i for i, x in enumerate(keep)}
+    zero = len(keep)
+    m = zero + 1
+
+    def image(x: int) -> int:
+        return new_index[x] if x not in ideal else zero
+
+    table = [[0] * m for _ in range(m)]
+    for i, x in enumerate(keep):
+        for jj, y in enumerate(keep):
+            table[i][jj] = image(fs.table[x][y])
+        table[i][zero] = zero
+        table[zero][i] = zero
+    table[zero][zero] = zero
+    unary = None
+    if fs.unary is not None:
+        unary = [image(fs.unary[x]) for x in keep] + [zero]
+    names = [fs.names[x] for x in keep] + ["0"]
+    gens = sorted({image(g) for g in fs.generators})
+    return FiniteSemigroup(table, names=names, unary=unary, generators=gens)
 
 
 def matrix_unit_oracle():
@@ -1116,3 +1152,153 @@ def test_green_scc_of_full_t5_stays_small():
         tracemalloc.stop()
     assert counts == {"H": 456, "L": 31, "R": 52, "D": 5, "J": 5}
     assert peak < 8 * 2 ** 20
+
+
+# The row kernel of green_scc against the callback Tarjan it replaced.
+
+
+def reference_sccs(n, succ):
+    """Iterative Tarjan with an on-stack array, one successor iterator per
+    vertex, as green_scc computed components before; dense ids."""
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    comp = [-1] * n
+    stack = []
+    counter = 0
+    ncomp = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, iter(succ(root)))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if index[w] == -1:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ(w))))
+                    advanced = True
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                pv = work[-1][0]
+                low[pv] = min(low[pv], low[v])
+            if low[v] == index[v]:
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp[w] = ncomp
+                    if w == v:
+                        break
+                ncomp += 1
+    return _dense(comp)
+
+
+def reference_green_scc(fs):
+    """green_scc as it was: the callback Tarjan, a generator per L-row, and
+    D joined by union-find over first members."""
+    n, left = len(fs), fs.left
+    r = reference_sccs(n, fs.right.__getitem__)
+    l = reference_sccs(n, lambda x: (row[x] for row in left))
+    uf = _UnionFind(n)
+    for labels in (l, r):
+        first = {}
+        for i, c in enumerate(labels):
+            if c in first:
+                uf.union(first[c], i)
+            else:
+                first[c] = i
+    d = _dense(uf.labels())
+    return (_dense(list(zip(l, r))), l, r, d, d)
+
+
+def assert_scc_kernel_matches_reference(fs):
+    n, left = len(fs), fs.left
+    assert _sccs(n, fs.right.__getitem__) == reference_sccs(
+        n, fs.right.__getitem__)
+    assert _sccs(n, lambda x: map(itemgetter(x), left)) == reference_sccs(
+        n, lambda x: (row[x] for row in left))
+    gs = green_scc(fs)
+    assert (gs.h, gs.l, gs.r, gs.d, gs.j) == reference_green_scc(fs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, n - 1), max_size=5), min_size=n, max_size=n)))
+def test_sccs_matches_callback_reference_on_random_digraphs(rows):
+    # Rows may be empty, repeat a target or loop; as successor lists and
+    # as lazy iterators.
+    n = len(rows)
+    assert _sccs(n, rows.__getitem__) == reference_sccs(n, rows.__getitem__)
+    assert _sccs(n, lambda v: iter(rows[v])) == reference_sccs(
+        n, rows.__getitem__)
+
+
+def transformation_maps(points, count):
+    return st.lists(st.tuples(*[st.integers(0, points - 1)] * points),
+                    min_size=1, max_size=count)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: transformation_maps(n, 3)))
+def test_green_scc_matches_references_on_random_transf_closures(maps):
+    fs = zoo.transformation_semigroup(len(maps[0]), maps)
+    assert_scc_kernel_matches_reference(fs)
+    assert fs.idempotents() == [x for x, f in enumerate(fs.keys)
+                                if tuple(f[i] for i in f) == f]
+    if len(fs) <= 400:
+        assert_green_agree(fs)
+
+
+PRODUCT_FACTOR_SPECS = ["b2", "b2^1", "np:2", "np:3", "rz:2", "rz:3", "lz:2",
+                        "lz:3", "null:2", "mn:3", "sw:3"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(PRODUCT_FACTOR_SPECS), min_size=1,
+                max_size=2))
+def test_green_scc_matches_references_on_zoo_products(specs):
+    # Every element of a product is a letter: all-generator tables.
+    fs = direct_product([zoo.parse_zoo(s) for s in specs])
+    assert fs.letters == list(range(len(fs)))
+    assert_scc_kernel_matches_reference(fs)
+    assert_green_agree(fs)
+    assert fs.idempotents() == [x for x in range(len(fs))
+                                if fs.table[x][x] == x]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.tuples(*[st.integers(0, n - 1)] * n),
+    st.tuples(*[st.integers(0, n - 1)] * n))))
+def test_transformation_product_matches_generator_reference(pair):
+    f, g = pair
+    n = len(f)
+    oracle = zoo.transformation_oracle(n)
+    assert oracle.mult(f, g) == tuple(g[f[i]] for i in range(n))
+    assert oracle.name(f) == "".join(str(x) for x in f)
+
+
+def test_idempotents_match_table_diagonal_on_zoo():
+    for spec in ("mn:2", "mn:7", "b2^1", "sw:4", "freenil:xx:3:3",
+                 "transf:5:3:3", "prod:rz:3,b2"):
+        fs = zoo.parse_zoo(spec)
+        assert fs.idempotents() == [x for x in range(len(fs))
+                                    if fs.table[x][x] == x]
+
+
+def test_green_scc_of_all_generator_table_matches_reference():
+    fs = zoo.parse_zoo("prod:rz:20,lz:20")
+    assert_scc_kernel_matches_reference(fs)

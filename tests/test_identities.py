@@ -6,12 +6,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from greenbox import zoo
-from greenbox.engine import FiniteSemigroup, adjoin_zero, rees_quotient
+from greenbox.engine import FiniteSemigroup, adjoin_zero
 from greenbox.identities import (MAX_EVALUATIONS, IdPow, Inv, Mul, Var, ZeroC,
                                  _read, catalogue, catalogue_entry,
                                  check_identity_exhaustive,
                                  check_identity_window, classify, eval_term,
                                  parse_identity, parse_term)
+from test_engine import rees_quotient
 
 
 def trivial_semigroup():

@@ -7,7 +7,7 @@ from greenbox import munn
 from greenbox.munn import (FisTriple, InverseAutomaton, canonical_key,
                            fis_a_triple, fis_equal, fis_multiply, fold,
                            is_fis_idempotent, linear_automaton, munn_tree,
-                           to_dot)
+                           to_dot, triple_inverse, triple_multiply)
 from greenbox.words import Alphabet, free_reduce, invert_word, parse_word
 
 A, B = 1, 2
@@ -199,6 +199,28 @@ def test_triple_inverse():
                 x = FisTriple(r, s, t)
                 assert x.inverse().inverse() == x
                 assert x.multiply(x.inverse()).multiply(x) == x
+
+
+def reference_triple_multiply(x, y):
+    """The field formula FisTriple.multiply used before the tuple law."""
+    return FisTriple(max(x.r, y.r - x.t), max(x.s, y.s + x.t), x.t + y.t)
+
+
+valid_triples = st.tuples(st.integers(0, 30), st.integers(0, 30)).filter(
+    lambda rs: sum(rs) >= 1).flatmap(
+    lambda rs: st.integers(-rs[0], rs[1]).map(lambda t: (*rs, t)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_triples, valid_triples)
+def test_tuple_triple_law_matches_fistriple(x, y):
+    fx, fy = FisTriple(*x), FisTriple(*y)
+    product = reference_triple_multiply(fx, fy)
+    assert fx.multiply(fy) == product
+    assert triple_multiply(x, y) == (product.r, product.s, product.t)
+    inverse = FisTriple(fx.r + fx.t, fx.s - fx.t, -fx.t)
+    assert fx.inverse() == inverse
+    assert triple_inverse(x) == (inverse.r, inverse.s, inverse.t)
 
 
 def test_idempotent_trees_pairwise_distinct():

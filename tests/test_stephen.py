@@ -5,8 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from greenbox import stephen, zoo
 from greenbox.engine import FiniteSemigroup, green_scc, iso_tables
-from greenbox.munn import (InverseAutomaton, canonical_key, fis_equal, fold,
-                           munn_tree)
+from greenbox.munn import (InverseAutomaton, LiveGraph, canonical_key,
+                           fis_equal, fold, munn_tree)
 from greenbox.stephen import (Presentation, StageTrace, accepts,
                               dclass_signature, initial_stage,
                               parse_presentation, presented_table, r_expand,
@@ -73,7 +73,7 @@ def test_r_expand_nothing_when_conclusions_present():
     # Loop automaton over one letter: both sides of a a = a already read.
     loop = InverseAutomaton(1, [(0, A, 0)], base=0, final=0)
     pres = parse_presentation(IDEM_TEXT)
-    _, merges, applied = r_expand(loop, pres)
+    _, merges, applied = r_expand(LiveGraph.settled(loop), pres)
     assert applied == 0
     assert merges == []
 
@@ -81,24 +81,24 @@ def test_r_expand_nothing_when_conclusions_present():
 def test_r_expand_adds_fresh_path():
     pres = parse_presentation("inv-monoid a b ; b = b a b a^-1")
     aut = munn_tree((B,))
-    grown, merges, applied = r_expand(aut, pres)
+    grown, merges, applied = r_expand(LiveGraph.settled(aut), pres)
     assert applied == 1
-    assert grown.n == aut.n + 3          # 4-edge path, 3 fresh interiors
+    assert len(grown.parent) == aut.n + 3    # 4-edge path, 3 fresh interiors
     assert merges == []
 
 
 def test_r_expand_no_premise_no_change():
     pres = parse_presentation("inv-semigroup a b ; a b = b a")
     aut = munn_tree((A,))
-    grown, merges, applied = r_expand(aut, pres)
+    grown, merges, applied = r_expand(LiveGraph.settled(aut), pres)
     assert applied == 0
-    assert grown.n == aut.n
+    assert len(grown.parent) == aut.n
 
 
 def test_r_expand_empty_conclusion_merges():
     pres = parse_presentation("inv-monoid a ; a = 1")
     aut = munn_tree((A,))
-    _, merges, applied = r_expand(aut, pres)
+    _, merges, applied = r_expand(LiveGraph.settled(aut), pres)
     assert (0, 1) in merges or (1, 0) in merges
     assert applied >= 1
 
@@ -111,7 +111,8 @@ def test_step_fixed_point_means_closed():
     trace = stephen_run((A,), pres)
     assert trace.closed
     stage = trace.last
-    assert canonical_key(stephen_step(stage, pres)) == canonical_key(stage)
+    next_stage = stephen_step(LiveGraph.settled(stage), pres).snapshot()
+    assert canonical_key(next_stage) == canonical_key(stage)
 
 
 def test_idempotent_presentation_collapses():
@@ -156,7 +157,7 @@ def test_stop_reason_vertices():
     trace = stephen_run((B,), pres, max_stages=40, max_vertices=6)
     assert (trace.closed, trace.stop) == (False, "vertices")
     assert trace.stages_used < 40
-    assert stephen_step(trace.last, pres).n > 6
+    assert stephen_step(LiveGraph.settled(trace.last), pres).n > 6
 
 
 @pytest.mark.parametrize("budgets, message", [
@@ -625,11 +626,11 @@ def test_worklist_matches_full_rescan_on_random_presentations(rels, monoid, u,
     pres = Presentation(Alphabet(["a", "b", "c"]), rels, monoid_mode=monoid)
     stage = munn_tree(u)
     for _ in range(8):
-        grown, merges, applied = r_expand(stage, pres)
+        grown, merges, applied = r_expand(LiveGraph.settled(stage), pres)
         ref_grown, ref_merges, ref_applied = reference_r_expand(stage, pres)
-        assert (grown.n, grown.edges, merges, applied) == (
+        assert (len(grown.parent), tuple(grown.edges), merges, applied) == (
             ref_grown.n, ref_grown.edges, ref_merges, ref_applied)
-        stage = stephen_step(stage, pres)
+        stage = stephen_step(LiveGraph.settled(stage), pres).snapshot()
         if stage.n > 600:
             break
     # One live graph across the stages: every stage rebuilt from its logs,

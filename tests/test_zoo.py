@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from greenbox import zoo
+from greenbox.munn import FisTriple
 from greenbox.engine import (BudgetError, FiniteSemigroup, green_definitional,
                              green_scc, iso_tables, direct_product)
 
@@ -384,7 +385,7 @@ def test_mn_sizes():
 
 def test_mn_table_matches_direct_products():
     # Reference: all m² triple products, against the Cayley-graph fill.
-    for n in range(2, 10):
+    for n in range(2, 13):
         fs = zoo.mn_table(n)
         pos = {k: i for i, k in enumerate(fs.keys)}
         zero = pos["0"]
@@ -396,6 +397,38 @@ def test_mn_table_matches_direct_products():
             return pos[z] if z.span < n else zero
 
         assert fs.table == [[product(x, y) for y in fs.keys] for x in fs.keys]
+
+
+def reference_mn_table(n):
+    """M_n built on FisTriple objects, as mn_table built it before it
+    multiplied plain tuples."""
+    triples = [FisTriple(r, span - r, t)
+               for span in range(1, n)
+               for r in range(span + 1)
+               for t in range(-r, span - r + 1)]
+    triples.sort(key=lambda x: (x.span, x.r, x.t))
+    elems = list(triples) + ["0"]
+    pos = {e: i for i, e in enumerate(elems)}
+    zero = pos["0"]
+    letters = [FisTriple(0, 1, 1), FisTriple(1, 0, -1)]
+
+    def times(x, g):
+        z = x.multiply(g)
+        return pos[z] if z.span < n else zero
+
+    right = [[times(x, g) for g in letters] for x in triples] + [[zero, zero]]
+    unary = [pos[x.inverse()] for x in triples] + [zero]
+    names = [f"({x.r},{x.s},{x.t})" for x in triples] + ["0"]
+    return right, [pos[g] for g in letters], names, elems, unary
+
+
+def test_mn_table_matches_fistriple_reference():
+    for n in range(2, 17):
+        fs = zoo.mn_table(n)
+        assert all(type(k) is FisTriple for k in fs.keys[:-1])
+        assert fs.keys[-1] == "0"
+        assert (fs.right, fs.letters, fs.names, fs.keys,
+                fs.unary) == reference_mn_table(n)
 
 
 def test_m2_isomorphic_to_b2():
