@@ -3,7 +3,7 @@
 Enumerates finitely generated semigroups from a multiplication oracle,
 computes Green's relations by two independent methods (strong connectivity
 on Cayley graphs, and direct principal-ideal comparison), and provides the
-standard constructions: direct products, adjoined identity and zero,
+standard constructions: direct products, an adjoined identity,
 subsemigroups, table isomorphism, eggbox pictures, and bounded "witnessed"
 Green analysis for balls and windows of semigroups that do not close
 within budget.
@@ -751,30 +751,20 @@ def direct_product(factors: Sequence[FiniteSemigroup]) -> FiniteSemigroup:
                            generators=range(len(tuples)))
 
 
-def _adjoin(fs: FiniteSemigroup, as_identity: bool) -> FiniteSemigroup:
+def adjoin_identity(fs: FiniteSemigroup) -> FiniteSemigroup:
+    """Adjoin a fresh identity even when one is already present."""
     n = len(fs)
-    table = [row + [0] for row in fs.table]
-    for i in range(n):
-        table[i][n] = i if as_identity else n
-    table.append([i if as_identity else n for i in range(n)] + [n])
+    table = [row + [i] for i, row in enumerate(fs.table)]
+    table.append(list(range(n + 1)))
     unary = None
     if fs.unary is not None:
         unary = list(fs.unary) + [n]
-    label = "1" if as_identity else "0"
+    label = "1"
     while label in fs.names:
         label += "*"
     names = list(fs.names) + [label]
     gens = sorted(set(fs.generators) | {n})
     return FiniteSemigroup(table, names=names, unary=unary, generators=gens)
-
-
-def adjoin_identity(fs: FiniteSemigroup) -> FiniteSemigroup:
-    """Adjoin a fresh identity even when one is already present."""
-    return _adjoin(fs, True)
-
-
-def adjoin_zero(fs: FiniteSemigroup) -> FiniteSemigroup:
-    return _adjoin(fs, False)
 
 
 def subsemigroup(fs: FiniteSemigroup, seed: Iterable[int]) -> tuple:
@@ -1059,89 +1049,132 @@ def witnessed_green(ball: BallEnumeration, relation: str,
                           certified=ball.closed)
 
 
-def find_witnesses(oracle: Oracle, x, y, relation: str,
-                   pool: Sequence) -> Optional[dict]:
-    """Explicit witnesses that x and y are related, or None.
+class Witnesses:
+    """Explicit witness searches over one pool of (multiplier, label) pairs,
+    searched in order.
 
-    ``pool`` holds (multiplier, label) pairs, searched in order; the search
-    stops at the first witness.  A one-sided witness is ("identity",) or a
-    pool pair (u, label) with u·a = b (u on the right for R).  For D the
-    result names the intermediate element (``via``, ``via_word``) with its
-    L-witness to x and R-witness to y; for J a witness is (u, v) with
-    u·a·v = b, either multiplier possibly None.
+    Each (element, side) keeps its orbit so far: every product met, with
+    its first pool pair, and the point where its scan stopped.  A one-sided
+    search reads that orbit and resumes the scan only when the target is
+    not in it, so it still stops at the first witness, and queries that
+    share an element share its scan.  A D search completes and keeps y's
+    right orbit but builds x's left orbit for itself alone, so a run of
+    queries against one y keeps one full orbit, not one per x.
     """
-    relation = relation.upper()
-    mult = oracle.mult
 
-    def one_sided(a, b, left: bool):
+    def __init__(self, oracle: Oracle, pool: Sequence):
+        self.mult = oracle.mult
+        self.pool = pool
+        self.orbits: dict = {}
+
+    def _orbit(self, a, left: bool) -> tuple:
+        orbit = self.orbits.get((a, left))
+        if orbit is None:
+            orbit = self.orbits[a, left] = ({}, iter(self.pool))
+        return orbit
+
+    def one_sided(self, a, b, left: bool):
+        """("identity",) when a = b, else the first pool pair (u, label)
+        with u·a = b (a·u = b when not ``left``), or None."""
         if a == b:
             return ("identity",)
-        for u, label in pool:
-            if (mult(u, a) if left else mult(a, u)) == b:
-                return (u, label)
-        return None
+        seen, rest = self._orbit(a, left)
+        hit = seen.get(b)
+        if hit is None:
+            mult = self.mult
+            for u, label in rest:
+                c = mult(u, a) if left else mult(a, u)
+                if c not in seen:
+                    seen[c] = (u, label)
+                    if c == b:
+                        return (u, label)
+        return hit
 
-    def two_sided(a, b):
+    def two_sided(self, a, b):
         if a == b:
             return ("identity",)
-        for u in [None] + [u for u, _ in pool]:
+        mult = self.mult
+        for u in [None] + [u for u, _ in self.pool]:
             ua = a if u is None else mult(u, a)
             if ua == b:
                 return (u, None)
-            for v, _ in pool:
+            for v, _ in self.pool:
                 if mult(ua, v) == b:
                     return (u, v)
         return None
 
+    @staticmethod
     def mutual(search, a, b, *side):
         fwd = search(a, b, *side)
         bwd = fwd and search(b, a, *side)
         return {"u": fwd, "v": bwd} if bwd else None
 
-    if relation in ("L", "R"):
-        return mutual(one_sided, x, y, relation == "L")
-    if relation == "H":
-        lw = mutual(one_sided, x, y, True)
-        rw = mutual(one_sided, x, y, False)
-        return {"L": lw, "R": rw} if lw and rw else None
-    if relation == "D":
-        # c needs u·x = c and y·u = c for some pool u (or c = x, c = y):
-        # one pass over the pool finds every such c with its first u.
-        left_orbit: dict = {}
-        right_orbit: dict = {}
-        for u, label in pool:
-            left_orbit.setdefault(mult(u, x), (u, label))
-            right_orbit.setdefault(mult(y, u), (u, label))
-        for c, label in pool:
-            to_c = ("identity",) if c == x else left_orbit.get(c)
-            from_y = ("identity",) if c == y else right_orbit.get(c)
-            if to_c is None or from_y is None:
-                continue
-            to_x = one_sided(c, x, True)
-            to_y = to_x and one_sided(c, y, False)
-            if to_y:
-                return {"via": c, "via_word": label,
-                        "L": {"u": to_c, "v": to_x},
-                        "R": {"u": to_y, "v": from_y}}
-        return None
-    if relation == "J":
-        return mutual(two_sided, x, y)
-    raise ValueError(f"unknown relation {relation!r}")
+    def related(self, x, y, relation: str) -> Optional[dict]:
+        """Explicit witnesses that x and y are related, or None.
+
+        A one-sided witness is ("identity",) or a pool pair (u, label) with
+        u·a = b (u on the right for R).  For D the result names the
+        intermediate element (``via``, ``via_word``) with its L-witness to x
+        and R-witness to y; for J a witness is (u, v) with u·a·v = b, either
+        multiplier possibly None.
+        """
+        relation = relation.upper()
+        one_sided = self.one_sided
+        if relation in ("L", "R"):
+            return self.mutual(one_sided, x, y, relation == "L")
+        if relation == "H":
+            lw = self.mutual(one_sided, x, y, True)
+            rw = self.mutual(one_sided, x, y, False)
+            return {"L": lw, "R": rw} if lw and rw else None
+        if relation == "D":
+            # c needs u·x = c and y·u = c for some pool u (or c = x, c = y).
+            mult = self.mult
+            left_orbit: dict = {}
+            for u, label in self.pool:
+                left_orbit.setdefault(mult(u, x), (u, label))
+            right_orbit, rest = self._orbit(y, False)
+            for u, label in rest:
+                right_orbit.setdefault(mult(y, u), (u, label))
+            for c, label in self.pool:
+                to_c = ("identity",) if c == x else left_orbit.get(c)
+                from_y = ("identity",) if c == y else right_orbit.get(c)
+                if to_c is None or from_y is None:
+                    continue
+                to_x = one_sided(c, x, True)
+                to_y = to_x and one_sided(c, y, False)
+                if to_y:
+                    return {"via": c, "via_word": label,
+                            "L": {"u": to_c, "v": to_x},
+                            "R": {"u": to_y, "v": from_y}}
+            return None
+        if relation == "J":
+            return self.mutual(self.two_sided, x, y)
+        raise ValueError(f"unknown relation {relation!r}")
+
+
+def find_witnesses(oracle: Oracle, x, y, relation: str,
+                   pool: Sequence) -> Optional[dict]:
+    """Explicit witnesses that x and y are related, or None: one query of
+    a fresh ``Witnesses`` over ``pool``."""
+    return Witnesses(oracle, pool).related(x, y, relation)
+
+
+def ball_witnesses(ball: BallEnumeration, margin: int = 3) -> Witnesses:
+    """Witness searches in the ball at its radius: the multipliers are the
+    elements usable there, those of length l with ceil(l / margin) <=
+    ``ball.radius``, each labelled by its shortest word.  A multiplier ball
+    over ``MAX_POOL_ELEMENTS`` raises BudgetError.
+    """
+    check_margin(margin)
+    ext = ball.extend(ball.radius * margin, MAX_POOL_ELEMENTS)
+    return Witnesses(ball.oracle, list(zip(ext.elements, ext.words)))
 
 
 def witnessed_related(ball: BallEnumeration, x, y, relation: str,
                       margin: int = 3) -> Optional[dict]:
-    """Explicit witnesses that x and y are related in the ball, or None.
-
-    The ball adapter of ``find_witnesses`` at the ball's radius: the
-    multipliers are the elements usable there, those of length l with
-    ceil(l / margin) <= ``ball.radius``, each labelled by its shortest word.
-    A multiplier ball over ``MAX_POOL_ELEMENTS`` raises BudgetError.
-    """
-    check_margin(margin)
-    ext = ball.extend(ball.radius * margin, MAX_POOL_ELEMENTS)
-    return find_witnesses(ball.oracle, x, y, relation,
-                          list(zip(ext.elements, ext.words)))
+    """Explicit witnesses that x and y are related in the ball, or None:
+    one query of a fresh ``ball_witnesses``."""
+    return ball_witnesses(ball, margin).related(x, y, relation)
 
 
 # ---------------------------------------------------------------------------

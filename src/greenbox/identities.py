@@ -278,24 +278,26 @@ class _Ops(NamedTuple):
     zero: Optional[int]
     completely_regular: bool
     elements: Sequence
-    table: Optional[list]       # the rows of mult, for a FiniteSemigroup
     row: Callable               # row(a, bs) == [mult(a, b) for b in bs]
+    vmult: Callable             # vmult(xs, ys) == list(map(mult, xs, ys))
 
 
 def _read(structure) -> _Ops:
     """The operations of a FiniteSemigroup, or of a structure such as
-    ``zoo.PWindow`` that carries ``mult``, ``row``, ``unary``,
+    ``zoo.PWindow`` that carries ``mult``, ``row``, ``vmult``, ``unary``,
     ``zero_element``, ``completely_regular`` and ``elements``."""
     if isinstance(structure, FiniteSemigroup):
         table, unary = structure.table, structure.unary
         return _Ops(lambda a, b: table[a][b],
                     None if unary is None else unary.__getitem__,
                     structure.zero, structure.is_completely_regular(),
-                    range(len(table)), table,
-                    lambda a, bs: list(map(table[a].__getitem__, bs)))
+                    range(len(table)),
+                    lambda a, bs: list(map(table[a].__getitem__, bs)),
+                    lambda xs, ys: list(
+                        map(getitem, map(table.__getitem__, xs), ys)))
     return _Ops(structure.mult, structure.unary, structure.zero_element,
-                structure.completely_regular, structure.elements, None,
-                structure.row)
+                structure.completely_regular, structure.elements,
+                structure.row, structure.vmult)
 
 
 class _Stager:
@@ -312,12 +314,6 @@ class _Stager:
     def __init__(self, ops: _Ops, slots: dict, vals: list, levels: int):
         self.ops, self.slots, self.vals = ops, slots, vals
         self.steps = [[] for _ in range(levels)]
-        mult, table = ops.mult, ops.table
-        if table is None:
-            self.vmult = lambda xs, ys: list(map(mult, xs, ys))
-        else:
-            self.vmult = lambda xs, ys: list(
-                map(getitem, map(table.__getitem__, xs), ys))
 
     def _emit(self, level: int, vec: bool, fn: Callable) -> tuple:
         reg = len(self.vals)
@@ -331,8 +327,8 @@ class _Stager:
     def stage(self, term: Term) -> tuple:
         """The staged node of ``term``; concatenation associates to the
         left."""
-        ops, vals, vmult = self.ops, self.vals, self.vmult
-        mult, unary, row = ops.mult, ops.unary, ops.row
+        ops, vals = self.ops, self.vals
+        mult, unary, row, vmult = ops.mult, ops.unary, ops.row, ops.vmult
         if isinstance(term, Var):
             return self.slots[term.name]
         if isinstance(term, Mul):

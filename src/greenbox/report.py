@@ -12,6 +12,7 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
+from itertools import starmap
 from typing import Callable, Optional
 
 from . import engine, identities, munn, stephen, vmaps, zoo
@@ -81,10 +82,11 @@ def entry_mn_family(seed: int = 0) -> ReportEntry:
 
 def entry_bicyclic(seed: int = 0) -> ReportEntry:
     ball = zoo.bicyclic_ball(8)
+    witnesses = engine.ball_witnesses(ball)
     d_ok = True
     witness_example = None
     for e in ball.elements:
-        w = engine.witnessed_related(ball, e, (0, 0), "D")
+        w = witnesses.related(e, (0, 0), "D")
         if w is None:
             d_ok = False
             break
@@ -135,13 +137,14 @@ def entry_p_semigroup(seed: int = 0) -> ReportEntry:
              and zoo.p_mult(0, 1) == 1 and zoo.p_mult(2, 1) == 3
              and not zoo.p_green(1, 3, "R"))
     l_count = zoo.p_window_green_counts(15, "L")
+    witnesses = zoo.p_witnesses(15)
     odds = [x for x in window.elements if x % 2 == 1]
     odd_singletons = all(
-        zoo.p_witnessed_related(a, b, "R", 15) is None
+        witnesses.related(a, b, "R") is None
         for a in odds for b in odds if a != b)
     evens = [x for x in window.elements if x % 2 == 0]
     evens_one_class = all(
-        zoo.p_witnessed_related(evens[0], b, "R", 15) is not None
+        witnesses.related(evens[0], b, "R") is not None
         for b in evens[1:])
     return _entry(
         "c04-p-semigroup", "identities",
@@ -168,14 +171,16 @@ def _random_word(rng: random.Random, letters: int, max_len: int) -> Word:
 def entry_munn_randoms(seed: int = 0) -> ReportEntry:
     rng = random.Random(seed)
     words = [_random_word(rng, 3, 12) for _ in range(500)]
+    trees = [munn.munn_tree(u) for u in words]
     sandwich_ok = all(
-        munn.fis_equal(u, u + invert_word(u) + u) for u in words)
+        munn.canonical_key(t)
+        == munn.canonical_key(munn.munn_tree(u + invert_word(u) + u))
+        for u, t in zip(words, trees))
     idem_ok = all(
         munn.is_fis_idempotent(u) == (free_reduce(u) == ()) for u in words)
     base_final_ok = all(
-        munn.is_fis_idempotent(u)
-        == (munn.munn_tree(u).base == munn.munn_tree(u).final)
-        for u in words[:200])
+        munn.is_fis_idempotent(u) == (t.base == t.final)
+        for u, t in zip(words[:200], trees))
     confluence_ok = True
     for u in words[:100]:
         lin = munn.linear_automaton(u)
@@ -186,10 +191,10 @@ def entry_munn_randoms(seed: int = 0) -> ReportEntry:
             if munn.canonical_key(munn.fold(lin, edge_order=order)) != reference:
                 confluence_ok = False
     product_ok = all(
-        munn.canonical_key(
-            munn.fis_multiply(munn.munn_tree(u), munn.munn_tree(v)))
+        munn.canonical_key(munn.fis_multiply(s, t))
         == munn.canonical_key(munn.munn_tree(u + v))
-        for u, v in zip(words[0::2], words[1::2]))
+        for u, v, s, t in zip(words[0::2], words[1::2],
+                              trees[0::2], trees[1::2]))
     return _entry(
         "c05-munn-randoms", "munn",
         "free inverse semigroup laws on 500 random words",
@@ -307,22 +312,29 @@ def entry_vmaps(seed: int = 0) -> ReportEntry:
               "ball_idempotents": len(ball.idempotents())})
 
 
-def _vmaps_sampling_agrees(seed: int, probes: int = 10_000) -> bool:
+def _vmaps_samples(seed: int, probes: int):
+    """200 random words over phi, phi^-1, psi, psi^-1 (letters 0..3), each
+    with probes // 200 points of [-20, 20] x [0, 20] to apply its map to."""
     rng = random.Random(seed)
+    for _ in range(200):
+        word = [rng.randrange(4) for _ in range(rng.randint(1, 8))]
+        points = [(rng.randrange(41) - 20, rng.randrange(21))
+                  for _ in range(probes // 200)]
+        yield word, points
+
+
+def _vmaps_sampling_agrees(seed: int, probes: int = 10_000) -> bool:
     f, p = vmaps.phi(), vmaps.psi()
     gens = [f, vmaps.invert(f), p, vmaps.invert(p)]
-    for _ in range(200):
+    for word, points in _vmaps_samples(seed, probes):
         sym = vmaps.identity_map()
         brute = vmaps.BruteMap.from_vmap(sym)
-        for _ in range(rng.randint(1, 8)):
-            g = rng.choice(gens)
-            sym = vmaps.compose(sym, g)
-            brute = brute.then(vmaps.BruteMap.from_vmap(g))
-        for _ in range(probes // 200):
-            x = rng.randint(-20, 20)
-            y = rng.randint(0, 20)
-            if sym.apply(x, y) != brute.apply(x, y):
-                return False
+        for i in word:
+            sym = vmaps.compose(sym, gens[i])
+            brute = brute.then(vmaps.BruteMap.from_vmap(gens[i]))
+        if (list(starmap(sym.apply, points))
+                != list(starmap(brute.apply, points))):
+            return False
     return True
 
 

@@ -13,10 +13,10 @@ import re
 from typing import Iterable, Optional, Sequence
 
 from .engine import (MAX_POOL_ELEMENTS, BallEnumeration, BudgetError,
-                     FiniteSemigroup, Oracle, adjoin_identity, ball_enumerate,
-                     check_margin, check_row_cells,
+                     FiniteSemigroup, Oracle, Witnesses, adjoin_identity,
+                     ball_enumerate, check_margin, check_row_cells,
                      check_table_size, direct_product, enumerate_oracle,
-                     find_witnesses, witnessed_partition)
+                     witnessed_partition)
 from .munn import FisTriple, triple_inverse, triple_multiply
 
 # ---------------------------------------------------------------------------
@@ -162,21 +162,31 @@ class PWindow:
         constant when m is odd."""
         return list(map(m.__add__, ns)) if m % 2 == 0 else [m] * len(ns)
 
+    @staticmethod
+    def vmult(ms: Iterable[int], ns: Iterable[int]) -> list:
+        """[m o n for m, n in zip(ms, ns)]."""
+        return [m if m & 1 else m + n for m, n in zip(ms, ns)]
+
     def __repr__(self) -> str:
         return f"PWindow({self.n})"
 
 
-def p_witnessed_related(a: int, b: int, relation: str, window: int,
-                        margin: int = 3) -> Optional[dict]:
-    """Witnesses in P that a and b are related, or None: the window adapter
-    of ``engine.find_witnesses``, with the unlabelled multipliers
-    [-margin*window, margin*window] all usable at the window's one radius
+def p_witnesses(window: int, margin: int = 3) -> Witnesses:
+    """Witness searches in P with the unlabelled multipliers
+    [-margin*window, margin*window], all usable at the window's one radius
     (on balls, a multiplier of length l is usable from radius
     ceil(l / margin)).
     """
     check_margin(margin)
     pool = [(u, None) for u in range(-margin * window, margin * window + 1)]
-    return find_witnesses(Oracle(p_mult), a, b, relation, pool)
+    return Witnesses(Oracle(p_mult), pool)
+
+
+def p_witnessed_related(a: int, b: int, relation: str, window: int,
+                        margin: int = 3) -> Optional[dict]:
+    """Witnesses in P that a and b are related, or None: one query of a
+    fresh ``p_witnesses``."""
+    return p_witnesses(window, margin).related(a, b, relation)
 
 
 def p_window_green_counts(window: int, relation: str, margin: int = 3) -> int:
@@ -292,12 +302,29 @@ def squarefree_word(length: int) -> str:
     return w[:length]
 
 
-_SQUARE = re.compile(r"(.+)\1", re.S)
-
-
 def has_square_factor(w: str) -> bool:
-    """Whether w has a factor uu with u nonempty."""
-    return _SQUARE.search(w) is not None
+    """Whether w has a factor uu with u nonempty.
+
+    Each letter is one fixed-width code: a Latin-1 byte when every letter
+    fits in one, else its 4-byte UTF-32 code.  For each half length p, w's
+    codes XORed with those of w shifted by p are zero exactly where
+    w[j] = w[j + p], so a square of half length p is p zero codes in a row:
+    a run of zero bytes that starts on a code boundary.
+    """
+    latin = w.isascii() or max(w) <= "\xff"
+    width, codec = (1, "latin-1") if latin else (4, "utf-32-le")
+    n = len(w)
+    size = width * n
+    whole = int.from_bytes(w.encode(codec, "surrogatepass"), "little")
+    for p in range(1, n // 2 + 1):
+        diff = (whole ^ (whole >> 8 * width * p)).to_bytes(size, "little")
+        run, end = bytes(width * p), width * (n - p)
+        i = diff.find(run, 0, end)
+        while i > 0 and i % width:
+            i = diff.find(run, i - i % width + width, end)
+        if i >= 0:
+            return True
+    return False
 
 
 def _stable_factor_set(cap: int) -> set:
@@ -365,37 +392,24 @@ def pattern_instance_free(w: str, pattern: str) -> bool:
     """True when no factor of w is the image of the pattern under a
     substitution sending each variable to a nonempty word.
 
-    Backtracking over factor splittings with repeated-variable consistency;
-    exponential in the worst case, so desk-scale caps are enforced.
+    The pattern compiles to a backreference regex: a group ``(.+)`` at each
+    variable's first occurrence and a backreference to it after that.  Its
+    backtracking is exponential in the worst case, so desk-scale caps are
+    enforced.
     """
     if not pattern:
         raise ValueError("pattern must be nonempty")
     if len(w) > MAX_PATTERN_WORD or len(pattern) > MAX_PATTERN_LEN:
         raise BudgetError("pattern matching capped at |w| <= 24, |pattern| <= 6")
-
-    def match(f: str, k: int, binding: dict) -> bool:
-        if k == len(pattern):
-            return not f
-        var = pattern[k]
-        bound = binding.get(var)
-        if bound is not None:
-            if f.startswith(bound):
-                return match(f[len(bound):], k + 1, binding)
-            return False
-        for cut in range(1, len(f) + 1):
-            binding[var] = f[:cut]
-            if match(f[cut:], k + 1, binding):
-                del binding[var]
-                return True
-            del binding[var]
-        return False
-
-    n = len(w)
-    for i in range(n):
-        for j in range(i + len(pattern), n + 1):
-            if match(w[i:j], 0, {}):
-                return False
-    return True
+    groups: dict = {}
+    parts = []
+    for var in pattern:
+        if var in groups:
+            parts.append(f"\\{groups[var]}")
+        else:
+            groups[var] = len(groups) + 1
+            parts.append("(.+)")
+    return re.search("".join(parts), w, re.S) is None
 
 
 def free_nil(pattern: str, letters: int, cap: int, *,

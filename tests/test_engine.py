@@ -10,9 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 from greenbox import zoo
 from greenbox.engine import (MAX_POOL_ELEMENTS, RELATIONS, BallEnumeration,
                              BudgetError, FiniteSemigroup, Oracle, _closure,
-                             _dense, _sccs, _UnionFind, adjoin_identity, adjoin_zero,
-                             ball_enumerate, direct_product, eggbox,
-                             enumerate_oracle, format_eggbox, format_table,
+                             _dense, _sccs, _UnionFind, adjoin_identity,
+                             ball_enumerate, ball_witnesses, direct_product,
+                             eggbox, enumerate_oracle, format_eggbox,
+                             format_table,
                              green_definitional, green_scc, iso_tables,
                              parse_table, subsemigroup,
                              table_from_ball, verify_associative, witnessed_green,
@@ -579,13 +580,6 @@ def test_adjoin_identity_even_if_present():
     assert bigger.identity == 2
 
 
-def test_adjoin_zero_to_trivial_gives_semilattice():
-    two = adjoin_zero(FiniteSemigroup([[0]], unary=[0]))
-    assert len(two) == 2
-    assert all(two.table[i][i] == i for i in range(2))
-    assert two.table[0][1] == two.table[1][0]
-
-
 # witnessed analysis
 
 
@@ -816,6 +810,37 @@ def test_find_witnesses_matches_reference_on_p_windows(
     assert (zoo.p_witnessed_related(a, b, relation, window, margin)
             == reference_find_witnesses(Oracle(zoo.p_mult), a, b, relation,
                                         pool))
+
+
+def witness_queries(elements):
+    return st.lists(st.tuples(st.sampled_from(elements),
+                              st.sampled_from(elements),
+                              st.sampled_from(RELATIONS)), max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(1, 3))
+def test_shared_witnesses_match_reference_on_bicyclic_balls(
+        data, radius, margin):
+    ball = zoo.bicyclic_ball(radius)
+    witnesses = ball_witnesses(ball, margin)
+    ext = ball.extend(radius * margin, MAX_POOL_ELEMENTS)
+    pool = list(zip(ext.elements, ext.words))
+    for x, y, relation in data.draw(witness_queries(ball.elements)):
+        assert (witnesses.related(x, y, relation)
+                == reference_find_witnesses(ball.oracle, x, y, relation, pool))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 6), st.integers(1, 3))
+def test_shared_witnesses_match_reference_on_p_windows(data, window, margin):
+    witnesses = zoo.p_witnesses(window, margin)
+    pool = [(u, None) for u in range(-margin * window, margin * window + 1)]
+    elements = range(-window, window + 1)
+    for a, b, relation in data.draw(witness_queries(elements)):
+        assert (witnesses.related(a, b, relation)
+                == reference_find_witnesses(Oracle(zoo.p_mult), a, b, relation,
+                                            pool))
 
 
 # isomorphism

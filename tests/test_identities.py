@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from greenbox import zoo
-from greenbox.engine import FiniteSemigroup, adjoin_zero
+from greenbox.engine import FiniteSemigroup
 from greenbox.identities import (MAX_EVALUATIONS, IdPow, Inv, Mul, Var, ZeroC,
                                  _read, catalogue, catalogue_entry,
                                  check_identity_exhaustive,
@@ -336,7 +336,8 @@ REFERENCE_STRUCTURES = [
     zoo.parse_zoo("np:3"),                      # no unary, zero
     FiniteSemigroup([[0, 0], [1, 1]]),          # no unary, no zero
     zoo.right_zero(3),                          # CR, no zero
-    adjoin_zero(zoo.left_zero(2)),              # CR, zero
+    FiniteSemigroup([[0, 0, 2], [1, 1, 2], [2, 2, 2]],
+                    unary=[0, 1, 2]),           # CR, zero: lz:2 plus 0
     zoo.PWindow(2),
     zoo.PWindow(3),
 ]
@@ -446,6 +447,16 @@ def test_window_row_matches_products(case):
     window = zoo.PWindow(n)
     assert window.row(a, bs) == list(map(window.mult, repeat(a), bs))
     assert _read(window).row(a, bs) == window.row(a, bs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
+                max_size=40), st.integers(-60, 60))
+def test_window_vmult_matches_products(pairs, c):
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    assert zoo.PWindow.vmult(xs, ys) == list(map(zoo.p_mult, xs, ys))
+    assert (zoo.PWindow.vmult(xs, repeat(c))
+            == list(map(zoo.p_mult, xs, repeat(c))))
 
 
 @lru_cache(maxsize=None)

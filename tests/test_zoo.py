@@ -289,10 +289,20 @@ def reference_has_square_factor(w):
     return False
 
 
+# Letters from a few arbitrary code points, surrogates included, so that
+# squares occur and wide codes can agree in some of their bytes only.
+FEW_LETTERS = st.lists(st.characters(exclude_categories=()), min_size=1,
+                       max_size=4)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.text(alphabet="abc\n", max_size=40))
+@given(st.one_of(st.text(alphabet="abc\n", max_size=40),
+                 FEW_LETTERS.flatmap(lambda cs: st.text(cs, max_size=40)),
+                 st.text(st.characters(exclude_categories=()), max_size=40)))
 @example("\n\n")
 @example("ba\nca\nc")
+@example("\u0161\u0162\u0262")
+@example("\U0001f600\ud800\U0001f600\ud800")
 def test_has_square_factor_matches_slice_scan(w):
     assert zoo.has_square_factor(w) == reference_has_square_factor(w)
 
@@ -344,6 +354,45 @@ def test_pattern_squarefree_word():
 def test_pattern_xyx():
     assert zoo.pattern_instance_free("aabb", "xyx")
     assert not zoo.pattern_instance_free("aba", "xyx")
+
+
+def reference_pattern_instance_free(w, pattern):
+    """Backtracking over the splittings of every factor of w, with each
+    repeated variable bound to the same word."""
+    def match(f, k, binding):
+        if k == len(pattern):
+            return not f
+        var = pattern[k]
+        bound = binding.get(var)
+        if bound is not None:
+            if f.startswith(bound):
+                return match(f[len(bound):], k + 1, binding)
+            return False
+        for cut in range(1, len(f) + 1):
+            binding[var] = f[:cut]
+            if match(f[cut:], k + 1, binding):
+                del binding[var]
+                return True
+            del binding[var]
+        return False
+
+    n = len(w)
+    for i in range(n):
+        for j in range(i + len(pattern), n + 1):
+            if match(w[i:j], 0, {}):
+                return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="xyzw", min_size=1, max_size=6),
+       st.text(alphabet="ab\n", max_size=12))
+@example("xx", "abab")
+@example("xyx", "aba")
+@example("x.x", "a.bab")
+def test_pattern_instance_free_matches_backtracking(pattern, w):
+    assert (zoo.pattern_instance_free(w, pattern)
+            == reference_pattern_instance_free(w, pattern))
 
 
 def test_pattern_caps_enforced():
