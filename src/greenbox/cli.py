@@ -26,9 +26,8 @@ def _load_structure(spec: str, from_file: bool):
 def cmd_table(args) -> int:
     obj = _load_structure(args.spec, args.file)
     if not isinstance(obj, engine.FiniteSemigroup):
-        print("spec does not denote a closed finite semigroup; "
-              "use 'green' for balls and windows", file=sys.stderr)
-        return 2
+        raise ValueError("spec does not denote a closed finite semigroup; "
+                         "use 'green' for balls and windows")
     sys.stdout.write(engine.format_eggbox(obj))
     print("elements: " + " ".join(obj.names))
     return 0
@@ -62,8 +61,7 @@ def cmd_munn(args) -> int:
     alphabet = Alphabet()
     word = parse_word(args.word, alphabet, add_letters=True)
     if not word:
-        print("empty word", file=sys.stderr)
-        return 2
+        raise ValueError("empty word")
     tree = munn.munn_tree(word)
     print(f"vertices: {tree.n}")
     print(f"edges: {tree.undirected_edge_count()}")
@@ -119,9 +117,8 @@ def cmd_identity(args) -> int:
         try:
             idents = [identities.parse_identity(args.identity)]
         except ValueError as exc:
-            print(f"neither a catalogue key nor an identity: {exc}",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(
+                f"neither a catalogue key nor an identity: {exc}") from None
     if isinstance(obj, zoo.PWindow):
         if args.window is not None:
             obj = zoo.PWindow(args.window)
@@ -130,8 +127,7 @@ def cmd_identity(args) -> int:
             _print_identity_result(ident, result)
         return 0
     if not isinstance(obj, engine.FiniteSemigroup):
-        print("identities need a closed table or a pz window", file=sys.stderr)
-        return 2
+        raise ValueError("identities need a closed table or a pz window")
     for ident in idents:
         result = identities.check_identity_exhaustive(obj, ident)
         _print_identity_result(ident, result, names=obj.names)
@@ -170,8 +166,7 @@ def cmd_vmaps(args) -> int:
         print(f"chain for V({args.r},{args.s}): {chain} "
               f"(image {chain.image()})")
         return 0
-    print(f"unknown vmaps subcommand {args.what!r}", file=sys.stderr)
-    return 2
+    raise ValueError(f"unknown vmaps subcommand {args.what!r}")
 
 
 def cmd_paper_report(args) -> int:

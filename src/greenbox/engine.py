@@ -13,15 +13,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from array import array
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from math import inf
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 RELATIONS = ("H", "L", "R", "D", "J")
 
@@ -916,191 +914,189 @@ def check_margin(margin: int) -> None:
         raise ValueError("margin must be >= 1")
 
 
-_NEVER = 0xFFFF     # hit-row entry of a source that no multiplier reaches
-MAX_ROW_CELLS = 10_000_000      # sources squared; each cell takes two bytes
+MAX_ROW_CELLS = 10_000_000      # source pairs of a witnessed partition
 MAX_POOL_ELEMENTS = 100_000     # multipliers: the ball of radius margin·r
 
 
 def check_row_cells(n: int) -> None:
-    """BudgetError when n sources need more than ``MAX_ROW_CELLS`` cells."""
+    """BudgetError when n sources make more than ``MAX_ROW_CELLS`` pairs."""
     if n * n > MAX_ROW_CELLS:
         raise BudgetError(f"witnessed analysis needs {n * n} hit-row cells, "
                           f"over the budget of {MAX_ROW_CELLS}")
 
 
-def witnessed_partition(oracle: Oracle, elements: Sequence, pool: Sequence,
-                        relation: str, radius: int) -> tuple:
-    """Witnessed Green classes of ``elements`` at each radius 1..``radius``.
-
-    ``elements`` holds (element, radius at which it enters) pairs; ``pool``
-    holds (multiplier, radius from which it may be used) pairs in
-    nondecreasing radius order and contains every element.  At radius k,
-    two present elements are directly related when multipliers usable at k
-    carry each to the other: u·x for L, x·u for R, both for H, and u·x·v
-    with u, v optional for J; D joins L and R over the pool usable at k.
-    Classes are the union-find closure.
-
-    The sources are the elements, or the whole pool for D.  One scan of the
-    pool per source and side records the lowest radius at which it hits
-    each source; mutual pairs become edges tagged with the radius at which
-    both directions and both endpoints are present, and one sweep over the
-    sorted edges answers every radius.  Returns the counts by radius and
-    the dense labels of the elements present at ``radius``.  More than
-    ``MAX_ROW_CELLS`` source pairs raise BudgetError before any product.
-    """
-    relation = relation.upper()
-    if relation not in RELATIONS:
-        raise ValueError(f"unknown relation {relation!r}")
-    mult = oracle.mult
-    sources = pool if relation == "D" else elements
-    n = len(sources)
-    check_row_cells(n)
-    index = {u: i for i, (u, _) in enumerate(sources)}
-    node = [index[e] for e, _ in elements] if relation == "D" else range(n)
-    us = [u for u, _ in pool]
-    usable = [r for _, r in pool]
-    optional = [0] + usable         # the absent multiplier, then the pool
-    reach: dict = {}                # J: w -> first hits of w, u·w
-
-    def first_hits(products, radii) -> array:
-        """Per source, the lowest of ``radii`` at which ``products``, taken
-        in order, hit it."""
-        hits = list(map(index.get, products, repeat(n)))
-        row = array("H", [_NEVER]) * (n + 1)
-        # Written last to first, so the first and lowest-radius hit of each
-        # source stays; misses land in the extra cell n, dropped after.
-        deque(map(row.__setitem__, reversed(hits), reversed(radii)), maxlen=0)
-        row.pop()
-        return row
-
-    def hit_row(x, side: str) -> array:
-        """Per source, the lowest radius at which pool multipliers carry x
-        to it: u·x for side L, x·u for R, u·x·v, u and v optional, for J."""
-        if side == "L":
-            return first_hits(map(mult, us, repeat(x)), usable)
-        if side == "R":
-            return first_hits(map(mult, repeat(x), us), usable)
-        row = array("H", [_NEVER]) * n
-        # w and u·w for each w = x·v, no earlier than the radius rv of v;
-        # x itself comes first, at radius 0.  Sources share most of their
-        # w, so the hits of each w are kept across sources.
-        for w, rv in zip([x] + [mult(x, v) for v in us], optional):
-            if w not in reach:
-                reach[w] = first_hits([w] + [mult(u, w) for u in us], optional)
-            row = array("H", map(min, row, map(max, reach[w], repeat(rv))))
-        return row
-
-    # An edge needs both directions; D joins L and R, so either side's
-    # edge counts, while H needs both sides.
-    tags = None
-    for side in "LR" if relation in "HD" else relation:
-        rows = [hit_row(x, side) for x, _ in sources]
-        mutual = [array("H", map(max, row, col))
-                  for row, col in zip(rows, zip(*rows))]
-        tags = mutual if tags is None else [
-            array("H", map(min if relation == "D" else max, t, m))
-            for t, m in zip(tags, mutual)]
-    enter = [r for _, r in sources]
-    present = [r for _, r in elements]
-    edges = sorted((max(t, enter[a], enter[b]), a, b)
-                   for a, row in enumerate(tags)
-                   for b, t in enumerate(row[a + 1:], a + 1) if t != _NEVER)
-    uf = _UnionFind(n)
-    counts = {}
-    done = 0
-    for k in range(1, radius + 1):
-        while done < len(edges) and edges[done][0] <= k:
-            uf.union(edges[done][1], edges[done][2])
-            done += 1
-        counts[k] = len({uf.find(v) for v, r in zip(node, present) if r <= k})
-    labels = _dense([uf.find(v) for v, r in zip(node, present) if r <= radius])
-    return counts, labels
-
-
-def witnessed_green(ball: BallEnumeration, relation: str,
-                    margin: int = 3) -> WitnessedGreen:
-    """Per-radius witnessed class counts for one Green relation.
-
-    The ball adapter of ``witnessed_partition``.  An element enters at its
-    word length (at least 1), and a multiplier of length l from the ball of
-    radius ``ball.radius * margin`` is usable from radius ceil(l / margin).
-    "Apparently infinite" means three consecutive strict count increases,
-    a labeled heuristic, never a certificate.  A multiplier ball over
-    ``MAX_POOL_ELEMENTS`` raises BudgetError, and so do more than
-    ``MAX_ROW_CELLS`` pairs of ball elements, before the ball is extended.
-    """
-    check_margin(margin)
-    if relation.upper() != "D":
-        check_row_cells(len(ball))
-    ext = ball.extend(ball.radius * margin, MAX_POOL_ELEMENTS)
-    counts, classes = witnessed_partition(
-        ball.oracle,
-        [(e, max(n, 1)) for e, n in zip(ball.elements, ball.lengths)],
-        [(u, -(-n // margin)) for u, n in zip(ext.elements, ext.lengths)],
-        relation, ball.radius)
-    radii = sorted(counts)
-    increases = [counts[radii[i]] < counts[radii[i + 1]]
-                 for i in range(len(radii) - 1)]
-    apparently_infinite = any(all(increases[i:i + 3])
-                              for i in range(len(increases) - 2))
-    return WitnessedGreen(relation=relation.upper(), margin=margin,
-                          counts_by_radius=counts, classes=classes,
-                          apparently_infinite=apparently_infinite,
-                          certified=ball.closed)
+def _mutual_pairs(rows: Iterable[dict]) -> Iterator[tuple]:
+    """(a, b, t) for each pair a < b of sources whose rows, given in source
+    order and keyed by source, hold each other; t is the larger entry.  Of
+    each row only the entries of later sources are kept."""
+    ahead: list = []
+    for b, row in enumerate(rows):
+        later = {}
+        for a, t in row.items():
+            if a > b:
+                later[a] = t
+            elif a < b:
+                s = ahead[a].get(b)
+                if s is not None:
+                    yield a, b, max(s, t)
+        ahead.append(later)
 
 
 class Witnesses:
-    """Explicit witness searches over one pool of (multiplier, label) pairs,
-    searched in order.
+    """Witnessed Green analysis over one pool of distinct multipliers in
+    nondecreasing radius order, optionally labelled (by shortest words).
 
-    Each (element, side) keeps its orbit so far: every product met, with
-    its first pool pair, and the point where its scan stopped.  A one-sided
-    search reads that orbit and resumes the scan only when the target is
-    not in it, so it still stops at the first witness, and queries that
-    share an element share its scan.  A D search completes and keeps y's
-    right orbit but builds x's left orbit for itself alone, so a run of
-    queries against one y keeps one full orbit, not one per x.
+    Searches and partitions read one structure, the orbit of an element a
+    on one side: the first pool position of a multiplier that carries a to
+    each pool element.  In radius order, that position gives both the
+    witness and the lowest radius at which a reaches the element.  Elements
+    queried or partitioned lie in the pool.  The searches keep the orbits
+    they read, except a D search's left orbit of x and a J search's orbits
+    of u·x, which serve one query.
     """
 
-    def __init__(self, oracle: Oracle, pool: Sequence):
+    def __init__(self, oracle: Oracle, pool: Sequence,
+                 labels: Optional[Sequence] = None):
         self.mult = oracle.mult
         self.pool = pool
+        self.labels = labels
         self.orbits: dict = {}
 
-    def _orbit(self, a, left: bool) -> tuple:
-        orbit = self.orbits.get((a, left))
-        if orbit is None:
-            orbit = self.orbits[a, left] = ({}, iter(self.pool))
+    @cached_property
+    def position(self) -> dict:
+        return {u: i for i, u in enumerate(self.pool)}
+
+    def orbit(self, a, left: bool, index: Optional[dict] = None,
+              values: Optional[Sequence] = None) -> dict:
+        """For each product u·a (a·u when not ``left``) of a multiplier u
+        that lies in ``index`` (the pool positions by default), its key in
+        ``index`` -> the entry of ``values`` (the positions by default) at
+        the first pool position of a multiplier that gives it."""
+        pool = self.pool
+        products = (map(self.mult, pool, repeat(a)) if left
+                    else map(self.mult, repeat(a), pool))
+        keys = list(map((self.position if index is None else index).get,
+                        products))
+        # Filled last to first, so the first multiplier of each key stays.
+        orbit = dict(zip(reversed(keys), reversed(
+            range(len(pool)) if values is None else values)))
+        orbit.pop(None, None)
         return orbit
+
+    def partition(self, elements: Sequence, enter: Sequence,
+                  usable: Sequence, relation: str, radius: int) -> tuple:
+        """Witnessed Green classes of ``elements`` at each radius
+        1..``radius``.
+
+        ``elements`` enter at the radii ``enter``, and the multiplier at
+        each pool position is usable from radius ``usable[position]``.  At
+        radius k, two present elements are directly related when
+        multipliers usable at k carry each to the other: u·x for L, x·u for
+        R, both for H, and u·x·v with u, v optional for J; D joins L and R
+        over the pool usable at k.  Classes are the union-find closure.
+
+        The sources are the elements, or the whole pool for D.  Each
+        source's orbit, restricted to the sources and read through
+        ``usable``, is its row: the lowest radius at which it reaches each
+        source.  A pair whose rows hold each other is an edge, tagged with
+        the radius at which both hits and both endpoints are present, and
+        one sweep over the sorted edges answers every radius.  Returns the
+        counts by radius and the dense labels of the elements present at
+        ``radius``.  More than ``MAX_ROW_CELLS`` source pairs raise
+        BudgetError before any product.
+        """
+        relation = relation.upper()
+        if relation not in RELATIONS:
+            raise ValueError(f"unknown relation {relation!r}")
+        d = relation == "D"
+        sources = self.pool if d else elements
+        check_row_cells(len(sources))
+        index = self.position if d else {e: i for i, e in enumerate(elements)}
+        start = usable if d else enter      # the radius each source enters at
+
+        def row(x, left: bool) -> dict:
+            return self.orbit(x, left, index, usable)
+
+        def h_row(x) -> dict:
+            right = row(x, False)
+            return {c: max(r, right[c]) for c, r in row(x, True).items()
+                    if c in right}
+
+        def j_rows() -> list:
+            # Each w = x·v, at the radius of its first v (x itself at 0),
+            # then u·w, and w itself at 0; every w is scanned once, for all
+            # the sources that reach it.
+            firsts: dict = {}
+            for b, x in enumerate(sources):
+                ws = itertools.chain([x], map(self.mult, repeat(x), self.pool))
+                for w, rv in zip(ws, itertools.chain([0], usable)):
+                    firsts.setdefault(w, {}).setdefault(b, rv)
+            rows: list = [{} for _ in sources]
+            for w, radii in firsts.items():
+                hits = row(w, True)
+                if w in index:
+                    hits[index[w]] = 0
+                for b, rv in radii.items():
+                    best = rows[b]
+                    for c, ru in hits.items():
+                        r = max(ru, rv)
+                        if r < best.get(c, inf):
+                            best[c] = r
+            return rows
+
+        if relation in "LR":
+            pairs = _mutual_pairs(row(x, relation == "L") for x in sources)
+        elif relation == "H":
+            pairs = _mutual_pairs(map(h_row, sources))
+        elif relation == "J":
+            pairs = _mutual_pairs(j_rows())
+        else:
+            # Either side's edge joins, so D takes both sides' edges.
+            pairs = itertools.chain(
+                _mutual_pairs(row(x, True) for x in sources),
+                _mutual_pairs(row(x, False) for x in sources))
+        edges = sorted((max(t, start[a], start[b]), a, b) for a, b, t in pairs)
+        node = [index[e] for e in elements] if d else range(len(elements))
+        uf = _UnionFind(len(sources))
+        counts = {}
+        done = 0
+        for k in range(1, radius + 1):
+            while done < len(edges) and edges[done][0] <= k:
+                uf.union(edges[done][1], edges[done][2])
+                done += 1
+            counts[k] = len({uf.find(v) for v, r in zip(node, enter) if r <= k})
+        labels = _dense([uf.find(v) for v, r in zip(node, enter) if r <= radius])
+        return counts, labels
+
+    def _witness(self, i: Optional[int]):
+        """The pool pair (u, label) at position i, or None."""
+        if i is None:
+            return None
+        return self.pool[i], None if self.labels is None else self.labels[i]
 
     def one_sided(self, a, b, left: bool):
         """("identity",) when a = b, else the first pool pair (u, label)
         with u·a = b (a·u = b when not ``left``), or None."""
         if a == b:
             return ("identity",)
-        seen, rest = self._orbit(a, left)
-        hit = seen.get(b)
-        if hit is None:
-            mult = self.mult
-            for u, label in rest:
-                c = mult(u, a) if left else mult(a, u)
-                if c not in seen:
-                    seen[c] = (u, label)
-                    if c == b:
-                        return (u, label)
-        return hit
+        orbit = self.orbits.get((a, left))
+        if orbit is None:
+            orbit = self.orbits[a, left] = self.orbit(a, left)
+        return self._witness(orbit.get(self.position[b]))
 
     def two_sided(self, a, b):
+        """("identity",) when a = b, else the first (u, v) with u·a·v = b,
+        by u first, either multiplier possibly None, or None."""
         if a == b:
             return ("identity",)
-        mult = self.mult
-        for u in [None] + [u for u, _ in self.pool]:
-            ua = a if u is None else mult(u, a)
+        target = self.position[b]
+        for u in itertools.chain([None], self.pool):
+            ua = a if u is None else self.mult(u, a)
             if ua == b:
                 return (u, None)
-            for v, _ in self.pool:
-                if mult(ua, v) == b:
-                    return (u, v)
+            v = self.orbit(ua, False).get(target)
+            if v is not None:
+                return (u, self.pool[v])
         return None
 
     @staticmethod
@@ -1128,35 +1124,53 @@ class Witnesses:
             return {"L": lw, "R": rw} if lw and rw else None
         if relation == "D":
             # c needs u·x = c and y·u = c for some pool u (or c = x, c = y).
-            mult = self.mult
-            left_orbit: dict = {}
-            for u, label in self.pool:
-                left_orbit.setdefault(mult(u, x), (u, label))
-            right_orbit, rest = self._orbit(y, False)
-            for u, label in rest:
-                right_orbit.setdefault(mult(y, u), (u, label))
-            for c, label in self.pool:
-                to_c = ("identity",) if c == x else left_orbit.get(c)
-                from_y = ("identity",) if c == y else right_orbit.get(c)
-                if to_c is None or from_y is None:
-                    continue
-                to_x = one_sided(c, x, True)
-                to_y = to_x and one_sided(c, y, False)
-                if to_y:
-                    return {"via": c, "via_word": label,
-                            "L": {"u": to_c, "v": to_x},
-                            "R": {"u": to_y, "v": from_y}}
+            left_x, px = self.orbit(x, True), self.position[x]
+            for c in range(len(self.pool)):
+                to_c = (("identity",) if c == px
+                        else self._witness(left_x.get(c)))
+                via, via_word = self._witness(c)
+                from_y = to_c and one_sided(y, via, False)
+                if from_y:
+                    to_x = one_sided(via, x, True)
+                    to_y = to_x and one_sided(via, y, False)
+                    if to_y:
+                        return {"via": via, "via_word": via_word,
+                                "L": {"u": to_c, "v": to_x},
+                                "R": {"u": to_y, "v": from_y}}
             return None
         if relation == "J":
             return self.mutual(self.two_sided, x, y)
         raise ValueError(f"unknown relation {relation!r}")
 
 
-def find_witnesses(oracle: Oracle, x, y, relation: str,
-                   pool: Sequence) -> Optional[dict]:
-    """Explicit witnesses that x and y are related, or None: one query of
-    a fresh ``Witnesses`` over ``pool``."""
-    return Witnesses(oracle, pool).related(x, y, relation)
+def witnessed_green(ball: BallEnumeration, relation: str,
+                    margin: int = 3) -> WitnessedGreen:
+    """Per-radius witnessed class counts for one Green relation.
+
+    The ball adapter of ``Witnesses.partition``.  An element enters at its
+    word length (at least 1), and a multiplier of length l from the ball of
+    radius ``ball.radius * margin`` is usable from radius ceil(l / margin).
+    "Apparently infinite" means three consecutive strict count increases,
+    a labeled heuristic, never a certificate.  A multiplier ball over
+    ``MAX_POOL_ELEMENTS`` raises BudgetError, and so do more than
+    ``MAX_ROW_CELLS`` pairs of ball elements, before the ball is extended.
+    """
+    check_margin(margin)
+    if relation.upper() != "D":
+        check_row_cells(len(ball))
+    ext = ball.extend(ball.radius * margin, MAX_POOL_ELEMENTS)
+    counts, classes = Witnesses(ball.oracle, ext.elements).partition(
+        ball.elements, [max(n, 1) for n in ball.lengths],
+        [-(-n // margin) for n in ext.lengths], relation, ball.radius)
+    radii = sorted(counts)
+    increases = [counts[radii[i]] < counts[radii[i + 1]]
+                 for i in range(len(radii) - 1)]
+    apparently_infinite = any(all(increases[i:i + 3])
+                              for i in range(len(increases) - 2))
+    return WitnessedGreen(relation=relation.upper(), margin=margin,
+                          counts_by_radius=counts, classes=classes,
+                          apparently_infinite=apparently_infinite,
+                          certified=ball.closed)
 
 
 def ball_witnesses(ball: BallEnumeration, margin: int = 3) -> Witnesses:
@@ -1167,7 +1181,7 @@ def ball_witnesses(ball: BallEnumeration, margin: int = 3) -> Witnesses:
     """
     check_margin(margin)
     ext = ball.extend(ball.radius * margin, MAX_POOL_ELEMENTS)
-    return Witnesses(ball.oracle, list(zip(ext.elements, ext.words)))
+    return Witnesses(ball.oracle, ext.elements, ext.words)
 
 
 def witnessed_related(ball: BallEnumeration, x, y, relation: str,
@@ -1246,14 +1260,3 @@ def parse_table(text: str) -> FiniteSemigroup:
         gen_idx = [index[g] for g in gens]
     return FiniteSemigroup(table, names=names, unary=unary_arr,
                            generators=gen_idx)
-
-
-def format_table(fs: FiniteSemigroup) -> str:
-    lines = ["elements: " + " ".join(fs.names)]
-    for i, nm in enumerate(fs.names):
-        lines.append(f"row {nm}: " + " ".join(fs.names[x] for x in fs.table[i]))
-    if fs.unary is not None:
-        for i, nm in enumerate(fs.names):
-            lines.append(f"unary {nm}: {fs.names[fs.unary[i]]}")
-    lines.append("generators: " + " ".join(fs.names[g] for g in fs.generators))
-    return "\n".join(lines) + "\n"

@@ -376,15 +376,6 @@ class _Stager:
         return self._emit(level, True, lambda: [vals[r]] * width)[2]
 
 
-def eval_term(structure, term: Term, assignment: dict):
-    """The value of ``term`` under ``assignment``: every variable is a
-    constant, so staging computes the value."""
-    vals = list(assignment.values())
-    slots = {name: (-1, False, i) for i, name in enumerate(assignment)}
-    _, _, r = _Stager(_read(structure), slots, vals, 0).stage(term)
-    return vals[r]
-
-
 @dataclass
 class CheckResult:
     identity: Identity

@@ -15,8 +15,7 @@ from typing import Iterable, Optional, Sequence
 from .engine import (MAX_POOL_ELEMENTS, BallEnumeration, BudgetError,
                      FiniteSemigroup, Oracle, Witnesses, adjoin_identity,
                      ball_enumerate, check_margin, check_row_cells,
-                     check_table_size, direct_product, enumerate_oracle,
-                     witnessed_partition)
+                     check_table_size, direct_product, enumerate_oracle)
 from .munn import FisTriple, triple_inverse, triple_multiply
 
 # ---------------------------------------------------------------------------
@@ -178,8 +177,8 @@ def p_witnesses(window: int, margin: int = 3) -> Witnesses:
     ceil(l / margin)).
     """
     check_margin(margin)
-    pool = [(u, None) for u in range(-margin * window, margin * window + 1)]
-    return Witnesses(Oracle(p_mult), pool)
+    reach = margin * window
+    return Witnesses(Oracle(p_mult), range(-reach, reach + 1))
 
 
 def p_witnessed_related(a: int, b: int, relation: str, window: int,
@@ -191,11 +190,11 @@ def p_witnessed_related(a: int, b: int, relation: str, window: int,
 
 def p_window_green_counts(window: int, relation: str, margin: int = 3) -> int:
     """Number of witnessed classes among the window elements: the
-    one-radius adapter of ``engine.witnessed_partition``.  The elements
+    one-radius adapter of ``engine.Witnesses.partition``.  The elements
     [-window, window] enter at radius 1 and the multipliers
     [-margin*window, margin*window] are usable from radius 1; on balls an
     element enters at its word length and a multiplier of length l is
-    usable from radius ceil(l / margin).  The hit-row cells, then the pool
+    usable from radius ceil(l / margin).  The source pairs, then the pool
     size against ``MAX_POOL_ELEMENTS``, are checked before any list is built.
     """
     check_margin(margin)
@@ -204,10 +203,9 @@ def p_window_green_counts(window: int, relation: str, margin: int = 3) -> int:
     if 2 * reach + 1 > MAX_POOL_ELEMENTS:
         raise BudgetError(f"witnessed analysis needs {2 * reach + 1} "
                           f"multipliers, over the budget of {MAX_POOL_ELEMENTS}")
-    elements = [(x, 1) for x in range(-window, window + 1)]
-    pool = [(u, 1) for u in range(-reach, reach + 1)]
-    counts, _ = witnessed_partition(Oracle(p_mult), elements, pool,
-                                    relation, 1)
+    counts, _ = Witnesses(Oracle(p_mult), range(-reach, reach + 1)).partition(
+        range(-window, window + 1), [1] * (2 * window + 1),
+        [1] * (2 * reach + 1), relation, 1)
     return counts[1]
 
 
@@ -567,7 +565,9 @@ def parse_zoo(spec: str):
 
 def _split_product(rest: str) -> list:
     # prod factors are comma separated; nested prod is not supported.
-    parts = [p for p in rest.split(",") if p]
-    if not parts:
+    if not rest:
         raise ValueError("empty product")
+    parts = rest.split(",")
+    if not all(p.strip() for p in parts):
+        raise ValueError("empty product factor")
     return parts

@@ -10,7 +10,7 @@ import time
 
 from greenbox import engine, report, stephen, vmaps, zoo
 from greenbox.cli import main
-from greenbox.engine import format_table
+from test_engine import format_table
 
 
 class Timer:

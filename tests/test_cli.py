@@ -9,7 +9,7 @@ import pytest
 
 from greenbox import zoo
 from greenbox.cli import build_parser, console_main, main
-from greenbox.engine import format_table
+from test_engine import format_table
 
 
 def run(capsys, *argv):
@@ -42,9 +42,17 @@ def test_table_parse_failure_exits_2(capsys):
     assert "error" in err
 
 
+def test_table_empty_product_factor_exits_2(capsys):
+    # An empty factor used to be dropped, so prod:b2, read as b2.
+    for spec in ("prod:b2,", "prod:,b2", "prod:b2, ,rz:2"):
+        assert run(capsys, "table", spec) == (
+            2, "", f"error: bad zoo spec {spec!r}: empty product factor\n")
+
+
 def test_table_rejects_ball(capsys):
-    code, _, err = run(capsys, "table", "bicyclic:4")
-    assert code == 2
+    assert run(capsys, "table", "bicyclic:4") == (
+        2, "", "error: spec does not denote a closed finite semigroup; "
+               "use 'green' for balls and windows\n")
 
 
 def test_table_from_file(tmp_path, capsys):
@@ -105,6 +113,32 @@ def test_green_golden_output(capsys):
         assert run(capsys, *argv) == (0, expected, ""), argv
 
 
+GREEN_GOLDEN = (
+    [[f"bicyclic:{r}"] for r in range(1, 9)]
+    + [[f"bicyclic:{r}", "--relation", rel]
+       for r in range(9, 13) for rel in "LRH"]
+    + [["bicyclic:4", "--relation", "J"]]
+    + [[f"pz:{n}", "--relation", rel]
+       for n in range(1, 25) for rel in "HLRDJ"]
+)
+
+
+def test_green_golden_file(capsys):
+    # Per command and margin: the arguments, the exit code, stdout and any
+    # stderr of `green`.
+    parts = []
+    for margin in ("1", "3"):
+        for argv in GREEN_GOLDEN:
+            argv = argv + ["--margin", margin]
+            code, out, err = run(capsys, "green", *argv)
+            parts.append(f"$ green {' '.join(argv)}\nexit: {code}\n{out}")
+            if err:
+                parts.append("--- stderr\n" + err)
+    path = os.path.join(os.path.dirname(__file__), "golden", "green.txt")
+    with open(path, encoding="utf-8") as handle:
+        assert "".join(parts) == handle.read()
+
+
 def test_vmaps_ball_golden_output(capsys):
     path = os.path.join(os.path.dirname(__file__), "golden",
                         "vmaps_ball_cap5.txt")
@@ -139,7 +173,7 @@ def test_green_refusals_exit_2(capsys):
         for margin in ("0", "-2"):
             assert run(capsys, "green", spec, "--margin", margin) == (
                 2, "", "error: margin must be >= 1\n")
-    # D over the pool [-3000, 3000] would need 6001 rows of 6001 cells.
+    # D over the pool [-3000, 3000] has 6001 sources, 6001² source pairs.
     assert run(capsys, "green", "pz:1000", "--relation", "D") == (
         2, "", "error: witnessed analysis needs 36012001 hit-row cells, "
                "over the budget of 10000000\n")
@@ -194,8 +228,17 @@ def test_munn_vertex_count(capsys):
 
 
 def test_munn_empty_word_rejected(capsys):
-    code, _, err = run(capsys, "munn", "  ")
-    assert code == 2
+    for word in ("  ", ""):
+        assert run(capsys, "munn", word) == (2, "", "error: empty word\n")
+
+
+def test_identity_refusals_print_error_prefix(capsys):
+    assert run(capsys, "identity", "bicyclic:3", "xy=yx") == (
+        2, "", "error: identities need a closed table or a pz window\n")
+    code, out, err = run(capsys, "identity", "b2", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: neither a catalogue key nor an identity: ")
+    assert err.count("\n") == 1
 
 
 def test_word_budget_refusals_exit_2(capsys):
@@ -370,8 +413,8 @@ def test_identity_deep_terms_exit_2(capsys):
     for text in ("x^2000 = x", nested + " = x"):
         code, out, err = run(capsys, "identity", "b2", text)
         assert (code, out) == (2, "")
-        assert err.startswith("neither a catalogue key nor an identity: "
-                              "term exceeds 256 nodes")
+        assert err.startswith("error: neither a catalogue key nor an "
+                              "identity: term exceeds 256 nodes")
         assert err.count("\n") == 1
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import tracemalloc
@@ -13,7 +14,6 @@ from greenbox.engine import (MAX_POOL_ELEMENTS, RELATIONS, BallEnumeration,
                              _dense, _sccs, _UnionFind, adjoin_identity,
                              ball_enumerate, ball_witnesses, direct_product,
                              eggbox, enumerate_oracle, format_eggbox,
-                             format_table,
                              green_definitional, green_scc, iso_tables,
                              parse_table, subsemigroup,
                              table_from_ball, verify_associative, witnessed_green,
@@ -23,6 +23,18 @@ from greenbox.engine import (MAX_POOL_ELEMENTS, RELATIONS, BallEnumeration,
 def natural_numbers_ball(radius):
     """Ball of the free monogenic semigroup (N, +) on the generator 1."""
     return ball_enumerate(Oracle(lambda x, y: x + y), [1], radius)
+
+
+def format_table(fs):
+    """The table text format that ``parse_table`` reads."""
+    lines = ["elements: " + " ".join(fs.names)]
+    for i, nm in enumerate(fs.names):
+        lines.append(f"row {nm}: " + " ".join(fs.names[x] for x in fs.table[i]))
+    if fs.unary is not None:
+        for i, nm in enumerate(fs.names):
+            lines.append(f"unary {nm}: {fs.names[fs.unary[i]]}")
+    lines.append("generators: " + " ".join(fs.names[g] for g in fs.generators))
+    return "\n".join(lines) + "\n"
 
 
 def rees_quotient(fs, ideal):
@@ -841,6 +853,104 @@ def test_shared_witnesses_match_reference_on_p_windows(data, window, margin):
         assert (witnesses.related(a, b, relation)
                 == reference_find_witnesses(Oracle(zoo.p_mult), a, b, relation,
                                             pool))
+
+
+# witness search against the partition: both read the same orbits
+
+
+def assert_witness(mult, value, w, a, b, left):
+    """w is ("identity",) with a = b, or a pool pair (u, label) with u·a = b
+    (a·u = b when not ``left``) whose label, if any, is a word of u."""
+    if w == ("identity",):
+        assert a == b
+        return
+    u, label = w
+    assert (mult(u, a) if left else mult(a, u)) == b
+    assert label is None or value(label) == u
+
+
+def assert_two_sided(mult, w, a, b):
+    if w == ("identity",):
+        assert a == b
+        return
+    u, v = w
+    ua = a if u is None else mult(u, a)
+    assert (ua if v is None else mult(ua, v)) == b
+
+
+def assert_witnesses_within_classes(mult, value, witnesses, elements,
+                                    classes, queries):
+    """Every pair that ``witnesses`` relates shares a class of
+    ``classes[relation]``, and every witness it returns holds."""
+    for i, j, relation in queries:
+        x, y = elements[i], elements[j]
+        w = witnesses.related(x, y, relation)
+        if w is None:
+            continue
+        assert classes[relation][i] == classes[relation][j]
+        if relation in "LR":
+            assert_witness(mult, value, w["u"], x, y, relation == "L")
+            assert_witness(mult, value, w["v"], y, x, relation == "L")
+        elif relation == "H":
+            for side, left in (("L", True), ("R", False)):
+                assert_witness(mult, value, w[side]["u"], x, y, left)
+                assert_witness(mult, value, w[side]["v"], y, x, left)
+        elif relation == "D":
+            c = w["via"]
+            assert w["via_word"] is None or value(w["via_word"]) == c
+            assert_witness(mult, value, w["L"]["u"], x, c, True)
+            assert_witness(mult, value, w["L"]["v"], c, x, True)
+            assert_witness(mult, value, w["R"]["u"], c, y, False)
+            assert_witness(mult, value, w["R"]["v"], y, c, False)
+        else:
+            assert_two_sided(mult, w["u"], x, y)
+            assert_two_sided(mult, w["v"], y, x)
+
+
+def index_queries(n):
+    return st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                              st.sampled_from(RELATIONS)), max_size=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(1, 3),
+       st.one_of(st.integers(1, 4),
+                 st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=1,
+                          max_size=3)))
+def test_witnesses_lie_within_witnessed_classes_on_balls(data, margin, spec):
+    # A bicyclic ball of radius ``spec``, or the closure of maps on 3 points.
+    if isinstance(spec, int):
+        ball = zoo.bicyclic_ball(spec)
+    else:
+        oracle = zoo.transformation_oracle(3)
+        ball = ball_enumerate(oracle, spec,
+                              max(closed_ball(oracle, spec).lengths))
+    mult = ball.oracle.mult
+
+    def value(word):
+        if not word:
+            return ball.seeds[0]
+        return functools.reduce(mult, [ball.generators[a] for a in word])
+
+    classes = {rel: witnessed_green(ball, rel, margin).classes
+               for rel in RELATIONS}
+    assert_witnesses_within_classes(
+        mult, value, ball_witnesses(ball, margin), ball.elements, classes,
+        data.draw(index_queries(len(ball))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 6), st.integers(1, 3))
+def test_witnesses_lie_within_witnessed_classes_on_p_windows(data, window,
+                                                             margin):
+    witnesses = zoo.p_witnesses(window, margin)
+    elements = range(-window, window + 1)
+    classes = {rel: witnesses.partition(
+        elements, [1] * len(elements), [1] * len(witnesses.pool), rel, 1)[1]
+        for rel in RELATIONS}
+    assert_witnesses_within_classes(
+        zoo.p_mult, None, witnesses, elements, classes,
+        data.draw(index_queries(len(elements))))
 
 
 # isomorphism

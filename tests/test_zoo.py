@@ -527,7 +527,8 @@ def test_parse_zoo_ball_and_window():
 
 
 @pytest.mark.parametrize("bad", ["nonsense", "mn:x", "np:", "prod:",
-                                 "prod:bicyclic:3,b2"])
+                                 "prod:bicyclic:3,b2", "prod:b2,",
+                                 "prod:,b2", "prod:b2, ,rz:2"])
 def test_parse_zoo_rejects(bad):
     with pytest.raises(ValueError):
         zoo.parse_zoo(bad)
