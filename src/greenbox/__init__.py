@@ -1,6 +1,7 @@
 """greenbox: a desk-scale computational semigroup toolkit.
 
 Submodules:
+  limits      the ledger of desk-scale limits and their checks
   words       signed words, free reduction, parsing
   munn        inverse automata, folding, Munn trees, free inverse arithmetic
   engine      enumeration, Green's relations (two algorithms), constructions
@@ -12,8 +13,9 @@ Submodules:
   cli         command-line interface
 """
 
-from . import cli, engine, identities, munn, report, stephen, vmaps, words, zoo
+from . import (cli, engine, identities, limits, munn, report, stephen, vmaps,
+               words, zoo)
 
-__all__ = ["cli", "engine", "identities", "munn", "report", "stephen",
-           "vmaps", "words", "zoo"]
+__all__ = ["cli", "engine", "identities", "limits", "munn", "report",
+           "stephen", "vmaps", "words", "zoo"]
 __version__ = "0.1.0"

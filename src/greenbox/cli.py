@@ -13,7 +13,8 @@ import os
 import sys
 
 from . import engine, identities, munn, report, stephen, vmaps, zoo
-from .words import Alphabet, WordSyntaxError, parse_word
+from .limits import LIMITS
+from .words import Alphabet, parse_word
 
 
 def _load_structure(spec: str, from_file: bool):
@@ -207,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--file", action="store_true")
     p.add_argument("--relation", choices=list("HLRDJhlrdj"), default=None)
-    p.add_argument("--margin", type=int, default=3)
+    p.add_argument("--margin", type=int, default=LIMITS["witness_margin"])
     p.set_defaults(func=cmd_green)
 
     p = sub.add_parser("munn", help="Munn tree of a word")
@@ -220,8 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
     p.add_argument("--equal", default=None,
                    help="second word; decide equality instead of tracing")
-    p.add_argument("--stages", type=int, default=40)
-    p.add_argument("--max-vertices", type=int, default=20_000)
+    p.add_argument("--stages", type=int, default=LIMITS["stephen_stages"])
+    p.add_argument("--max-vertices", type=int,
+                   default=LIMITS["stephen_vertices"])
     p.add_argument("--dot-dir", default=None)
     p.set_defaults(func=cmd_stephen)
 
@@ -257,8 +259,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, WordSyntaxError, OSError, KeyError,
-            engine.BudgetError) as exc:
+    except (ValueError, OSError, KeyError) as exc:  # BudgetError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

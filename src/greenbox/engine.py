@@ -21,18 +21,13 @@ from math import inf
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from .limits import LIMITS, BudgetError, at_least, need  # engine.BudgetError
+
 RELATIONS = ("H", "L", "R", "D", "J")
 
 
 class OracleError(RuntimeError):
     """The multiplication oracle contradicted itself during enumeration."""
-
-
-class BudgetError(ValueError):
-    """A requested computation exceeds its declared desk-scale budget."""
-
-
-MAX_TABLE_CELLS = 10_000_000    # n² cells of a multiplication table
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +119,7 @@ class FiniteSemigroup:
         is its left Cayley row.  Every other y was reached in the right
         search as p·g with p before it, so y·z = p·(g·z): row y reads row
         p at the entries of g's left row, one lookup per cell."""
-        check_table_size(len(self))
+        need("table_cells", len(self) ** 2, n=len(self))
         first, later = self._search
         table = [None] * len(self)
         for g, a in first:
@@ -206,16 +201,16 @@ def _closure(table, gens) -> set:
     return _reached([[row[g] for g in gens] for row in table], gens)
 
 
-def verify_associative(table, *, sample: int = 100_000, seed: int = 0,
-                       exhaustive_limit: int = 200) -> Optional[tuple]:
+def verify_associative(table) -> Optional[tuple]:
     """Return a witness triple (x, y, z) with x(yz) != (xy)z, or None.
 
-    Exhaustive up to ``exhaustive_limit`` elements (n^3 products), randomly
-    sampled above.  Oracle-built tables are associative by construction;
-    this guards hand-entered ones.
+    Exhaustive up to the ``exhaustive_triples`` limit of elements (n^3
+    products), sampled above it (``sampled_triples`` triples, seed 0).
+    Oracle-built tables are associative by construction; this guards
+    hand-entered ones.
     """
     n = len(table)
-    if n <= exhaustive_limit:
+    if n <= LIMITS["exhaustive_triples"]:
         for x in range(n):
             tx = table[x]
             for y in range(n):
@@ -225,8 +220,8 @@ def verify_associative(table, *, sample: int = 100_000, seed: int = 0,
                     if txy[z] != tx[ty[z]]:
                         return (x, y, z)
         return None
-    rng = random.Random(seed)
-    for _ in range(sample):
+    rng = random.Random(0)
+    for _ in range(LIMITS["sampled_triples"]):
         x, y, z = rng.randrange(n), rng.randrange(n), rng.randrange(n)
         if table[table[x][y]][z] != table[x][table[y][z]]:
             return (x, y, z)
@@ -329,20 +324,22 @@ class _Growth:
 
     def reach(self, radius: int, max_elements: int) -> int:
         """Largest r <= radius such that every level from 2 to r adds
-        elements and keeps the count within max_elements."""
-        if radius < 1:
-            raise ValueError("radius must be >= 1")
+        elements and keeps the count within ``max_elements``."""
+        at_least("radius", radius)
         r = 1
         while (r < radius and self.size(r)
                < self.size(r + 1, max_elements) <= max_elements):
             r += 1
         return r
 
-    def ball(self, radius: int, max_elements: int) -> "BallEnumeration":
-        """The ball of this radius; BudgetError if a level stops it short."""
-        r = self.reach(radius, max_elements)
-        if r < radius and self.size(r + 1, max_elements) > self.size(r):
-            raise BudgetError(f"ball exceeded {max_elements} elements")
+    def ball(self, radius: int, limit: str) -> "BallEnumeration":
+        """The ball of this radius; BudgetError if a level up to it pushes
+        the element count past the named limit."""
+        cap = LIMITS[limit]
+        r = self.reach(radius, cap)
+        if r < radius:
+            # Level r + 1 adds nothing, or its count is over the cap.
+            need(limit, self.size(r + 1, cap))
         return BallEnumeration(self, radius)
 
 
@@ -371,11 +368,12 @@ class BallEnumeration:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def extend(self, radius: int, max_elements: int = 1_000_000) -> "BallEnumeration":
-        """The ball of a larger radius, resuming the shared growth."""
+    def extend(self, radius: int) -> "BallEnumeration":
+        """The ball of a larger radius, resuming the shared growth, as a
+        pool of witness multipliers: within the ``pool_elements`` limit."""
         if radius <= self.radius or self.closed:
             return self
-        return self._growth.ball(radius, max_elements)
+        return self._growth.ball(radius, "pool_elements")
 
     def __repr__(self) -> str:
         return (f"BallEnumeration(radius={self.radius}, n={len(self)}, "
@@ -383,27 +381,27 @@ class BallEnumeration:
 
 
 def ball_enumerate(oracle: Oracle, generators: Sequence, radius: int,
-                   *, seeds: Sequence = (),
-                   max_elements: int = 1_000_000) -> BallEnumeration:
+                   *, seeds: Sequence = ()) -> BallEnumeration:
     """Breadth-first ball of the generated semigroup, one radius at a time.
 
     Raises BudgetError when a level up to the radius pushes the element
-    count past max_elements.
+    count past the ``ball_elements`` limit.
     """
-    return _Growth(oracle, generators, seeds).ball(radius, max_elements)
+    return _Growth(oracle, generators, seeds).ball(radius, "ball_elements")
 
 
 def enumerate_oracle(oracle: Oracle, generators: Sequence, *,
-                     seeds: Sequence = (), max_elements: int = 10_000,
-                     max_word_length: int = 1_000_000):
+                     seeds: Sequence = (),
+                     max_elements: int = LIMITS["closure_elements"]):
     """Close the generators under the oracle.
 
     Returns a FiniteSemigroup when the closure is reached within budget,
     otherwise the BallEnumeration at the largest radius whose elements fit
-    (a normal result, not an error).
+    (a normal result, not an error).  Every level adds an element, so that
+    radius is at most ``max_elements``.
     """
     growth = _Growth(oracle, generators, seeds)
-    ball = BallEnumeration(growth, growth.reach(max_word_length, max_elements))
+    ball = BallEnumeration(growth, growth.reach(max_elements, max_elements))
     return table_from_ball(ball) if ball.closed else ball
 
 
@@ -433,13 +431,6 @@ def _right_search(right: Sequence[Sequence[int]], gens: Sequence[int]) -> tuple:
                 queue.append(y)
                 later.append((y, p, a))
     return first, later
-
-
-def check_table_size(n: int) -> None:
-    """BudgetError when a table of n elements exceeds ``MAX_TABLE_CELLS``."""
-    if n * n > MAX_TABLE_CELLS:
-        raise BudgetError(f"a table of {n} elements needs {n * n} cells, "
-                          f"over the budget of {MAX_TABLE_CELLS}")
 
 
 def table_from_ball(ball: BallEnumeration) -> FiniteSemigroup:
@@ -726,7 +717,7 @@ def direct_product(factors: Sequence[FiniteSemigroup]) -> FiniteSemigroup:
     size = 1
     for f in factors:
         size *= len(f)
-    check_table_size(size)
+    need("table_cells", size * size, n=size)
     tuples = list(itertools.product(*[range(len(f)) for f in factors]))
     ints = list(range(size))    # one int object per index, shared by cells
 
@@ -797,8 +788,7 @@ def subsemigroup(fs: FiniteSemigroup, seed: Iterable[int]) -> tuple:
 # table isomorphism
 
 
-def iso_tables(fs1: FiniteSemigroup, fs2: FiniteSemigroup,
-               *, max_size: int = 64) -> tuple:
+def iso_tables(fs1: FiniteSemigroup, fs2: FiniteSemigroup) -> tuple:
     """Multiplication-preserving bijection search, or (False, None).
 
     A unary-preserving bijection is required when both tables carry a unary
@@ -806,8 +796,7 @@ def iso_tables(fs1: FiniteSemigroup, fs2: FiniteSemigroup,
     sizes) keeps the backtracking shallow at desk scale.
     """
     n = len(fs1)
-    if n > max_size or len(fs2) > max_size:
-        raise BudgetError(f"isomorphism search refused above {max_size} elements")
+    need("iso_elements", max(n, len(fs2)))
     if len(fs2) != n:
         return False, None
     use_unary = fs1.unary is not None and fs2.unary is not None
@@ -908,23 +897,6 @@ class WitnessedGreen:
     certified: bool
 
 
-def check_margin(margin: int) -> None:
-    """Witness multipliers reach ``margin`` times as far as the elements."""
-    if margin < 1:
-        raise ValueError("margin must be >= 1")
-
-
-MAX_ROW_CELLS = 10_000_000      # source pairs of a witnessed partition
-MAX_POOL_ELEMENTS = 100_000     # multipliers: the ball of radius margin·r
-
-
-def check_row_cells(n: int) -> None:
-    """BudgetError when n sources make more than ``MAX_ROW_CELLS`` pairs."""
-    if n * n > MAX_ROW_CELLS:
-        raise BudgetError(f"witnessed analysis needs {n * n} hit-row cells, "
-                          f"over the budget of {MAX_ROW_CELLS}")
-
-
 def _mutual_pairs(rows: Iterable[dict]) -> Iterator[tuple]:
     """(a, b, t) for each pair a < b of sources whose rows, given in source
     order and keyed by source, hold each other; t is the larger entry.  Of
@@ -1002,7 +974,7 @@ class Witnesses:
         the radius at which both hits and both endpoints are present, and
         one sweep over the sorted edges answers every radius.  Returns the
         counts by radius and the dense labels of the elements present at
-        ``radius``.  More than ``MAX_ROW_CELLS`` source pairs raise
+        ``radius``.  Source pairs over the ``witness_pairs`` limit raise
         BudgetError before any product.
         """
         relation = relation.upper()
@@ -1010,7 +982,7 @@ class Witnesses:
             raise ValueError(f"unknown relation {relation!r}")
         d = relation == "D"
         sources = self.pool if d else elements
-        check_row_cells(len(sources))
+        need("witness_pairs", len(sources) ** 2)
         index = self.position if d else {e: i for i, e in enumerate(elements)}
         start = usable if d else enter      # the radius each source enters at
 
@@ -1144,21 +1116,21 @@ class Witnesses:
 
 
 def witnessed_green(ball: BallEnumeration, relation: str,
-                    margin: int = 3) -> WitnessedGreen:
+                    margin: int = LIMITS["witness_margin"]) -> WitnessedGreen:
     """Per-radius witnessed class counts for one Green relation.
 
     The ball adapter of ``Witnesses.partition``.  An element enters at its
     word length (at least 1), and a multiplier of length l from the ball of
     radius ``ball.radius * margin`` is usable from radius ceil(l / margin).
     "Apparently infinite" means three consecutive strict count increases,
-    a labeled heuristic, never a certificate.  A multiplier ball over
-    ``MAX_POOL_ELEMENTS`` raises BudgetError, and so do more than
-    ``MAX_ROW_CELLS`` pairs of ball elements, before the ball is extended.
+    a labeled heuristic, never a certificate.  A multiplier ball over the
+    ``pool_elements`` limit raises BudgetError, and so do pairs of ball
+    elements over ``witness_pairs``, before the ball is extended.
     """
-    check_margin(margin)
+    at_least("margin", margin)
     if relation.upper() != "D":
-        check_row_cells(len(ball))
-    ext = ball.extend(ball.radius * margin, MAX_POOL_ELEMENTS)
+        need("witness_pairs", len(ball) ** 2)
+    ext = ball.extend(ball.radius * margin)
     counts, classes = Witnesses(ball.oracle, ext.elements).partition(
         ball.elements, [max(n, 1) for n in ball.lengths],
         [-(-n // margin) for n in ext.lengths], relation, ball.radius)
@@ -1173,19 +1145,20 @@ def witnessed_green(ball: BallEnumeration, relation: str,
                           certified=ball.closed)
 
 
-def ball_witnesses(ball: BallEnumeration, margin: int = 3) -> Witnesses:
+def ball_witnesses(ball: BallEnumeration,
+                   margin: int = LIMITS["witness_margin"]) -> Witnesses:
     """Witness searches in the ball at its radius: the multipliers are the
     elements usable there, those of length l with ceil(l / margin) <=
     ``ball.radius``, each labelled by its shortest word.  A multiplier ball
-    over ``MAX_POOL_ELEMENTS`` raises BudgetError.
+    over the ``pool_elements`` limit raises BudgetError.
     """
-    check_margin(margin)
-    ext = ball.extend(ball.radius * margin, MAX_POOL_ELEMENTS)
+    at_least("margin", margin)
+    ext = ball.extend(ball.radius * margin)
     return Witnesses(ball.oracle, ext.elements, ext.words)
 
 
 def witnessed_related(ball: BallEnumeration, x, y, relation: str,
-                      margin: int = 3) -> Optional[dict]:
+                      margin: int = LIMITS["witness_margin"]) -> Optional[dict]:
     """Explicit witnesses that x and y are related in the ball, or None:
     one query of a fresh ``ball_witnesses``."""
     return ball_witnesses(ball, margin).related(x, y, relation)

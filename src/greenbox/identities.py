@@ -27,6 +27,7 @@ from operator import getitem
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .engine import FiniteSemigroup
+from .limits import LIMITS, need
 
 
 class Term:
@@ -137,14 +138,12 @@ class Identity(Term):
 # parsing
 
 
-MAX_TERM_SIZE = 256
-
-
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
         self.open = 0           # parenthesised groups entered, not yet left
+        self.cap = LIMITS["term_nodes"]
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -162,14 +161,12 @@ class _Scanner:
     def error(self, message: str):
         raise ValueError(f"{message} (at position {self.pos})")
 
-    def check_size(self, size: int) -> int:
-        if size > MAX_TERM_SIZE:
-            self.error(f"term exceeds {MAX_TERM_SIZE} nodes")
-        return size
+    def too_big(self):
+        self.error(f"term exceeds {self.cap} nodes")
 
 
 def parse_term(text: str) -> Term:
-    """Parse one term of at most MAX_TERM_SIZE nodes: variables, constants,
+    """Parse one term of at most ``term_nodes`` nodes: variables, constants,
     products, postfixes and parenthesised groups, x^k counting k copies of
     x.  The cap bounds the recursion of parsing and evaluation and the cost
     of one evaluation; it is far above every catalogue term."""
@@ -191,7 +188,9 @@ def _parse_seq(sc: _Scanner) -> tuple:
             break
         factor, factor_size = _parse_factor(sc)
         factors.append(factor)
-        size = sc.check_size(size + factor_size + 1)
+        size += factor_size + 1
+        if size > sc.cap:
+            sc.too_big()
     if not factors:
         sc.error("expected a term")
     term = factors[0]
@@ -206,13 +205,14 @@ def _parse_factor(sc: _Scanner) -> tuple:
         sc.take()
         # Checked on the way down: a group is a node, and nesting recurses.
         sc.open += 1
-        sc.check_size(sc.open)
+        if sc.open > sc.cap:
+            sc.too_big()
         inner, size = _parse_seq(sc)
         if sc.peek() != ")":
             sc.error("expected ')'")
         sc.take()
         sc.open -= 1
-        atom, size = inner, sc.check_size(size + 1)
+        atom, size = inner, size + 1
     elif ch == "0":
         sc.take()
         atom, size = ZeroC(), 1
@@ -224,12 +224,15 @@ def _parse_factor(sc: _Scanner) -> tuple:
         atom, size = Var(name), 1
     else:
         sc.error(f"unexpected {ch!r}")
-    # Postfixes bind tighter than juxtaposition and may stack.
+    # Postfixes bind tighter than juxtaposition and may stack; each one,
+    # and a closed group, is checked before the next postfix is read.
     while True:
+        if size > sc.cap:
+            sc.too_big()
         nxt = sc.text[sc.pos] if sc.pos < len(sc.text) else ""
         if nxt == "'":
             sc.pos += 1
-            atom, size = Inv(atom), sc.check_size(size + 1)
+            atom, size = Inv(atom), size + 1
             continue
         if nxt == "^":
             sc.pos += 1
@@ -245,13 +248,15 @@ def _parse_factor(sc: _Scanner) -> tuple:
                 sc.error("expected digits after '^'")
             k = int(digits)
             if k == 0 and sign == 1:
-                atom, size = IdPow(atom), sc.check_size(size + 1)
+                atom, size = IdPow(atom), size + 1
             else:
                 base, base_size = ((atom, size) if sign == 1
                                    else (Inv(atom), size + 1))
                 copies = max(k, 1)
                 # The copies of the base, joined by copies - 1 products.
-                size = sc.check_size(copies * (base_size + 1) - 1)
+                size = copies * (base_size + 1) - 1
+                if size > sc.cap:
+                    sc.too_big()
                 out = base
                 for _ in range(copies - 1):
                     out = Mul(out, base)
@@ -388,12 +393,10 @@ class CheckResult:
         return self.holds
 
 
-MAX_EVALUATIONS = 10_000_000
-
-
-def _check_over(ops: _Ops, identity: Identity, elements, window_verified: bool,
-                max_evaluations: int = MAX_EVALUATIONS) -> CheckResult:
-    """The budget comes first, then each side compiles once, lhs first.
+def _check_over(ops: _Ops, identity: Identity, elements,
+                window_verified: bool) -> CheckResult:
+    """The ``assignments`` limit comes first, then each side compiles
+    once, lhs first.
 
     Assignments run in ``itertools.product`` order, the last variable
     innermost.  Each subterm is evaluated at the loop level of its deepest
@@ -402,9 +405,7 @@ def _check_over(ops: _Ops, identity: Identity, elements, window_verified: bool,
     loop is one comparison of the two sides' lists."""
     variables = identity.variables()
     n, k = len(elements), len(variables)
-    if n ** k > max_evaluations:
-        raise ValueError(
-            f"{n}^{k} assignments exceed the budget of {max_evaluations}")
+    need("assignments", n ** k, n=n, k=k)
     # Without variables there is one assignment, the empty one.
     inner = list(elements) if variables else [None]
     last = max(k - 1, 0)
@@ -441,12 +442,11 @@ def _check_over(ops: _Ops, identity: Identity, elements, window_verified: bool,
     return CheckResult(identity, True, None, n ** k, window_verified)
 
 
-def check_identity_exhaustive(fs, identity: Identity, *,
-                              max_evaluations: int = MAX_EVALUATIONS) -> CheckResult:
+def check_identity_exhaustive(fs, identity: Identity) -> CheckResult:
     """All assignments over the whole structure, in element-index order, so
     the first counterexample is deterministic."""
     ops = _read(fs)
-    return _check_over(ops, identity, ops.elements, False, max_evaluations)
+    return _check_over(ops, identity, ops.elements, False)
 
 
 def check_identity_window(structure, identity: Identity,
@@ -502,16 +502,17 @@ def catalogue_entry(key: str) -> list:
     key = key.lower()
     if key in _CATALOGUE_SOURCES:
         return _fixed_entry(key)
-    if key.startswith("c") and key[1:].isdigit():
+    if key.startswith("c") and key[1:].isdecimal():
         m = int(key[1:])
         return [parse_identity(f"x^{m} = x^{m + 1}", name=key)]
-    if key.startswith("x") and key.endswith("-in-g") and key[1:-5].isdigit():
+    if key.startswith("x") and key.endswith("-in-g") and key[1:-5].isdecimal():
         n = int(key[1:-5])
         return [parse_identity(f"x^{n}x^-{n} = x^-{n}x^{n}", name=key)]
-    if key.startswith("burnside-"):
-        m, n = (int(x) for x in key[len("burnside-"):].split("-"))
+    m, _, n = key.removeprefix("burnside-").partition("-")
+    if key.startswith("burnside-") and m.isdecimal() and n.isdecimal():
+        m, n = int(m), int(n)
         return [parse_identity(f"x^{m} = x^{m + n}", name=key)]
-    if key.startswith("nil-") and key[4:].isdigit():
+    if key.startswith("nil-") and key[4:].isdecimal():
         n = int(key[4:])
         return [parse_identity(f"x^{n} = 0", name=key)]
     raise KeyError(f"no catalogue entry {key!r}")
@@ -525,7 +526,7 @@ class ClassifyEntry:
     reason: Optional[str] = None
 
 
-def classify(fs, *, max_evaluations: int = MAX_EVALUATIONS) -> list:
+def classify(fs) -> list:
     """Run every applicable catalogue entry against the structure."""
     ops = _read(fs)
     lacks = [(Term.uses_unary, ops.unary is None, "no unary operation"),
@@ -540,8 +541,7 @@ def classify(fs, *, max_evaluations: int = MAX_EVALUATIONS) -> list:
             report.append(ClassifyEntry(key, "skipped", reason=reason))
             continue
         for ident in ids:
-            result = _check_over(ops, ident, ops.elements, False,
-                                 max_evaluations)
+            result = _check_over(ops, ident, ops.elements, False)
             if not result.holds:
                 report.append(ClassifyEntry(
                     key, "fails", counterexample=result.counterexample))

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .engine import FiniteSemigroup, Oracle, enumerate_oracle
+from .limits import LIMITS, at_least
 from .munn import (InverseAutomaton, LiveGraph, Mark, canonical_key, follow,
                    munn_tree, quotient)
 from .munn import to_dot as dot_export  # stage automata share the exporter
@@ -278,21 +279,16 @@ def initial_stage(u: Word, pres: Presentation) -> InverseAutomaton:
     return InverseAutomaton(1, (), base=0, final=0)
 
 
-def _check_budgets(max_stages: int, max_vertices: int) -> None:
-    if max_stages < 1:
-        raise ValueError("stages must be >= 1")
-    if max_vertices < 1:
-        raise ValueError("vertices must be >= 1")
-
-
-def stephen_run(u: Word, pres: Presentation, *, max_stages: int = 40,
-                max_vertices: int = 20_000) -> StageTrace:
+def stephen_run(u: Word, pres: Presentation, *,
+                max_stages: int = LIMITS["stephen_stages"],
+                max_vertices: int = LIMITS["stephen_vertices"]) -> StageTrace:
     """Iterate stages to a fixpoint or to budget.
 
     Budget exhaustion is a normal closed=False trace, never an error; the
     trace's ``stop`` names the reason.
     """
-    _check_budgets(max_stages, max_vertices)
+    at_least("stages", max_stages)
+    at_least("vertices", max_vertices)
     trace = StageTrace(u, pres)
     while trace.stages_used < max_stages:
         if not trace.advance(pres, max_vertices):
@@ -311,8 +307,9 @@ def accepts(aut, w: Word) -> bool:
     return aut.walk(aut.base, w) == aut.final
 
 
-def tau_equal(u: Word, v: Word, pres: Presentation, *, max_stages: int = 40,
-              max_vertices: int = 20_000) -> str:
+def tau_equal(u: Word, v: Word, pres: Presentation, *,
+              max_stages: int = LIMITS["stephen_stages"],
+              max_vertices: int = LIMITS["stephen_vertices"]) -> str:
     """Word problem semidecision: 'equal', 'distinct' or 'unknown'.
 
     Equality holds as soon as some stage of u accepts v and some stage of v
@@ -320,7 +317,8 @@ def tau_equal(u: Word, v: Word, pres: Presentation, *, max_stages: int = 40,
     both traces closed with different pointed canonical forms.  Both runs
     are read on their live graphs.
     """
-    _check_budgets(max_stages, max_vertices)
+    at_least("stages", max_stages)
+    at_least("vertices", max_vertices)
     tu, tv = StageTrace(u, pres), StageTrace(v, pres)
 
     def verdict() -> str:
@@ -342,8 +340,9 @@ def tau_equal(u: Word, v: Word, pres: Presentation, *, max_stages: int = 40,
     return verdict() if tu.closed and tv.closed else "unknown"
 
 
-def dclass_signature(u: Word, pres: Presentation, *, max_stages: int = 40,
-                     max_vertices: int = 20_000):
+def dclass_signature(u: Word, pres: Presentation, *,
+                     max_stages: int = LIMITS["stephen_stages"],
+                     max_vertices: int = LIMITS["stephen_vertices"]):
     """Canonical unpointed graph of the closed stage, or None when the
     trace does not close within budget.  Words with equal signatures lie in
     the same D-class of the presented semigroup."""
@@ -358,9 +357,7 @@ def dclass_signature(u: Word, pres: Presentation, *, max_stages: int = 40,
 # finite presented semigroups as tables
 
 
-def presented_table(pres: Presentation, *, max_stages: int = 40,
-                    max_vertices: int = 20_000,
-                    max_elements: int = 200) -> FiniteSemigroup:
+def presented_table(pres: Presentation) -> FiniteSemigroup:
     """Multiplication table of a presented inverse semigroup, when finite.
 
     Elements are the pointed canonical forms of their closed Schutzenberger
@@ -369,13 +366,14 @@ def presented_table(pres: Presentation, *, max_stages: int = 40,
     which names it; a product classifies the concatenated words, and the
     inverse the inverted word.  Only the right Cayley graph is classified,
     n·|A| Stephen runs, and the semigroup is held as its Cayley graphs.
-    Raises when any trace fails to close or the element budget is exceeded.
+    Raises RuntimeError when any trace fails to close within the Stephen
+    limits, or the elements pass the ``presented_elements`` limit.
     """
     words: dict = {}
 
     def classify(w: Word):
-        trace = stephen_run(w, pres, max_stages=max_stages,
-                            max_vertices=max_vertices)
+        trace = stephen_run(w, pres, max_stages=LIMITS["stephen_stages"],
+                            max_vertices=LIMITS["stephen_vertices"])
         if not trace.closed:
             raise RuntimeError(
                 f"trace of {format_word(w, pres.alphabet)!r} did not close; "
@@ -389,7 +387,8 @@ def presented_table(pres: Presentation, *, max_stages: int = 40,
                     name=lambda x: format_word(words[x], pres.alphabet))
     gens = [classify((sign * (i + 1),))
             for i in range(len(pres.alphabet)) for sign in (1, -1)]
-    fs = enumerate_oracle(oracle, gens, max_elements=max_elements)
+    most = LIMITS["presented_elements"]
+    fs = enumerate_oracle(oracle, gens, max_elements=most)
     if not isinstance(fs, FiniteSemigroup):
-        raise RuntimeError(f"more than {max_elements} elements")
+        raise RuntimeError(f"more than {most} elements")
     return fs

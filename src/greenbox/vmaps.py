@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .engine import Oracle, ball_enumerate
+from .limits import LIMITS, at_least
 
 WHOLE_X = "X"
 EMPTY = "empty"
@@ -27,8 +28,7 @@ class VSet(namedtuple("VSet", "r s")):
     __slots__ = ()
 
     def __new__(cls, r: int, s: int):
-        if s < 0:
-            raise ValueError("s must be >= 0")
+        at_least("s", s, 0)
         return tuple.__new__(cls, (r, s))
 
     def contains(self, x: int, y: int) -> bool:
@@ -201,8 +201,7 @@ def vset_idempotent_witness(r: int, s: int) -> VMap:
     that chain degenerates to the identity on all of X, so the conjugate
     psi^-r (phi phi^-1) psi^r is used instead.
     """
-    if s < 0:
-        raise ValueError("s must be >= 0")
+    at_least("s", s, 0)
     if s == 0:
         return compose_all([power(psi(), -r), phi(), invert(phi()),
                             power(psi(), r)])
@@ -218,8 +217,7 @@ def j_chain(r: int, s: int) -> VMap:
     chain is a global shift); elsewhere the chain's domain is already
     exactly V(r, s).  The result is a total bijection onto V(0, 0).
     """
-    if s < 0:
-        raise ValueError("s must be >= 0")
+    at_least("s", s, 0)
     chain = compose_all([power(psi(), s - r - 1), power(phi(), -s),
                          power(psi(), 1 - s)])
     return restrict(chain, VSet(r, s))
@@ -251,8 +249,9 @@ def generate_ball(generators: Sequence, cap: int) -> VBall:
     balls of inverse subsemigroups.  Distinctness is by (domain, shift).
     The ball is ``engine.ball_enumerate`` under composition.
     """
-    if cap < 1 or cap > 12:
-        raise ValueError("word length cap must be between 1 and 12")
+    most = LIMITS["vmap_word_length"]
+    if cap < 1 or cap > most:
+        raise ValueError(f"word length cap must be between 1 and {most}")
     gens = list(generators)
     ball = ball_enumerate(Oracle(compose), [g for _, g in gens], cap)
     return VBall(gens, cap, ball.elements, ball.words, ball.closed)

@@ -10,7 +10,7 @@ Text grammar: letters are identifiers matching ``[a-z][a-z0-9]*``, an inverse
 is written ``x^-1``, positive powers ``x^3``, negative powers ``x^-3``.
 Adjacent factors are separated by whitespace, or by nothing when the alphabet
 is known and longest-match scanning is unambiguous (single-character names).
-A parsed word has at most ``MAX_WORD_LETTERS`` letters.
+A parsed word has at most the ``word_letters`` limit of letters.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ from __future__ import annotations
 import re
 from typing import Iterable, Optional
 
+from .limits import LIMITS
+
 Word = tuple  # tuple of nonzero ints
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9]*")
 _INT_RE = re.compile(r"-?[0-9]+")
-
-MAX_WORD_LETTERS = 100_000
 
 
 class WordSyntaxError(ValueError):
@@ -119,6 +119,7 @@ def parse_word(text: str, alphabet: Optional[Alphabet] = None, *,
     out: list[int] = []
     pos = 0
     n = len(text)
+    cap = LIMITS["word_letters"]
     while pos < n:
         ch = text[pos]
         if ch.isspace():
@@ -133,16 +134,15 @@ def parse_word(text: str, alphabet: Optional[Alphabet] = None, *,
             m = _INT_RE.match(text, pos + 1)
             if not m:
                 raise WordSyntaxError("expected integer exponent after '^'", pos + 1)
-            if len(m.group().lstrip("-0")) > len(str(MAX_WORD_LETTERS)):
+            if len(m.group().lstrip("-0")) > len(str(cap)):
                 # Over budget, and maybe past int()'s digit limit.
-                exponent = MAX_WORD_LETTERS + 1
+                exponent = cap + 1
             else:
                 exponent = int(m.group())
             pos = m.end()
         signed = alphabet.index(name) + 1
-        if len(out) + abs(exponent) > MAX_WORD_LETTERS:
-            raise WordSyntaxError(
-                f"word longer than {MAX_WORD_LETTERS} letters", start)
+        if len(out) + abs(exponent) > cap:
+            raise WordSyntaxError(f"word longer than {cap} letters", start)
         if exponent >= 0:
             out.extend([signed] * exponent)
         else:

@@ -12,10 +12,10 @@ import random
 import re
 from typing import Iterable, Optional, Sequence
 
-from .engine import (MAX_POOL_ELEMENTS, BallEnumeration, BudgetError,
-                     FiniteSemigroup, Oracle, Witnesses, adjoin_identity,
-                     ball_enumerate, check_margin, check_row_cells,
-                     check_table_size, direct_product, enumerate_oracle)
+from .engine import (BallEnumeration, FiniteSemigroup, Oracle, Witnesses,
+                     adjoin_identity, ball_enumerate, direct_product,
+                     enumerate_oracle)
+from .limits import LIMITS, at_least, need
 from .munn import FisTriple, triple_inverse, triple_multiply
 
 # ---------------------------------------------------------------------------
@@ -58,10 +58,10 @@ def bicyclic_oracle() -> Oracle:
 def bicyclic_ball(radius: int) -> BallEnumeration:
     """Ball of the bicyclic monoid on generators (1,0), (0,1); the identity
     (0,0) is seeded as the empty product.  Its (r+1)(r+2)/2 elements are
-    checked against ``MAX_POOL_ELEMENTS`` before any product: every
+    checked against the ``pool_elements`` limit before any product: every
     witnessed analysis extends the ball to a pool at least as large."""
-    if radius >= 1 and (radius + 1) * (radius + 2) // 2 > MAX_POOL_ELEMENTS:
-        raise BudgetError(f"ball exceeded {MAX_POOL_ELEMENTS} elements")
+    if radius >= 1:
+        need("pool_elements", (radius + 1) * (radius + 2) // 2)
     return ball_enumerate(bicyclic_oracle(), [(1, 0), (0, 1)], radius,
                           seeds=[(0, 0)])
 
@@ -101,10 +101,9 @@ def b2_with_identity() -> FiniteSemigroup:
 
 def monogenic_monoid(p: int) -> FiniteSemigroup:
     """N_p: p + 1 elements 1, a, ..., a^p with a^i a^j = a^min(i+j, p)."""
-    if p < 1:
-        raise ValueError("index must be >= 1")
+    at_least("index", p)
     n = p + 1
-    check_table_size(n)
+    need("table_cells", n * n, n=n)
     table = [[min(i + j, p) for j in range(n)] for i in range(n)]
     names = ["1"] + [f"a^{i}" if i > 1 else "a" for i in range(1, n)]
     return FiniteSemigroup(table, names=names, generators=[0, 1])
@@ -145,8 +144,7 @@ class PWindow:
     """
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("window bound must be >= 1")
+        at_least("window bound", n)
         self.n = n
         self.elements = range(-n, n + 1)
         self.completely_regular = True
@@ -170,40 +168,45 @@ class PWindow:
         return f"PWindow({self.n})"
 
 
-def p_witnesses(window: int, margin: int = 3) -> Witnesses:
+def p_witnesses(window: int,
+                margin: int = LIMITS["witness_margin"]) -> Witnesses:
     """Witness searches in P with the unlabelled multipliers
     [-margin*window, margin*window], all usable at the window's one radius
     (on balls, a multiplier of length l is usable from radius
-    ceil(l / margin)).
+    ceil(l / margin)).  A pool over the ``pool_elements`` limit raises
+    BudgetError before it is built.
     """
-    check_margin(margin)
+    at_least("margin", margin)
     reach = margin * window
+    need("pool_elements", 2 * reach + 1, "witnessed analysis needs {amount} "
+         "multipliers, over the budget of {limit}")
     return Witnesses(Oracle(p_mult), range(-reach, reach + 1))
 
 
 def p_witnessed_related(a: int, b: int, relation: str, window: int,
-                        margin: int = 3) -> Optional[dict]:
+                        margin: int = LIMITS["witness_margin"]
+                        ) -> Optional[dict]:
     """Witnesses in P that a and b are related, or None: one query of a
     fresh ``p_witnesses``."""
     return p_witnesses(window, margin).related(a, b, relation)
 
 
-def p_window_green_counts(window: int, relation: str, margin: int = 3) -> int:
+def p_window_green_counts(window: int, relation: str,
+                          margin: int = LIMITS["witness_margin"]) -> int:
     """Number of witnessed classes among the window elements: the
     one-radius adapter of ``engine.Witnesses.partition``.  The elements
     [-window, window] enter at radius 1 and the multipliers
     [-margin*window, margin*window] are usable from radius 1; on balls an
     element enters at its word length and a multiplier of length l is
-    usable from radius ceil(l / margin).  The source pairs, then the pool
-    size against ``MAX_POOL_ELEMENTS``, are checked before any list is built.
+    usable from radius ceil(l / margin).  The source pairs against the
+    ``witness_pairs`` limit, then the pool, are checked before any list is
+    built.
     """
-    check_margin(margin)
+    at_least("margin", margin)
     reach = margin * window
-    check_row_cells(2 * (reach if relation.upper() == "D" else window) + 1)
-    if 2 * reach + 1 > MAX_POOL_ELEMENTS:
-        raise BudgetError(f"witnessed analysis needs {2 * reach + 1} "
-                          f"multipliers, over the budget of {MAX_POOL_ELEMENTS}")
-    counts, _ = Witnesses(Oracle(p_mult), range(-reach, reach + 1)).partition(
+    sources = 2 * (reach if relation.upper() == "D" else window) + 1
+    need("witness_pairs", sources ** 2)
+    counts, _ = p_witnesses(window, margin).partition(
         range(-window, window + 1), [1] * (2 * window + 1),
         [1] * (2 * reach + 1), relation, 1)
     return counts[1]
@@ -215,9 +218,8 @@ def p_window_green_counts(window: int, relation: str, margin: int = 3) -> int:
 
 def right_zero(n: int) -> FiniteSemigroup:
     """x y = y; one R-class, singleton L-classes.  Bands carry x' = x."""
-    if n < 1:
-        raise ValueError("size must be >= 1")
-    check_table_size(n)
+    at_least("size", n)
+    need("table_cells", n * n, n=n)
     table = [[j for j in range(n)] for _ in range(n)]
     return FiniteSemigroup(table, names=[f"r{i + 1}" for i in range(n)],
                            unary=list(range(n)), generators=range(n))
@@ -225,9 +227,8 @@ def right_zero(n: int) -> FiniteSemigroup:
 
 def left_zero(n: int) -> FiniteSemigroup:
     """x y = x; one L-class, singleton R-classes."""
-    if n < 1:
-        raise ValueError("size must be >= 1")
-    check_table_size(n)
+    at_least("size", n)
+    need("table_cells", n * n, n=n)
     table = [[i for _ in range(n)] for i in range(n)]
     return FiniteSemigroup(table, names=[f"l{i + 1}" for i in range(n)],
                            unary=list(range(n)), generators=range(n))
@@ -235,9 +236,8 @@ def left_zero(n: int) -> FiniteSemigroup:
 
 def null_semigroup(n: int) -> FiniteSemigroup:
     """All products are the zero; n counts the zero element."""
-    if n < 1:
-        raise ValueError("size must be >= 1")
-    check_table_size(n)
+    at_least("size", n)
+    need("table_cells", n * n, n=n)
     table = [[0] * n for _ in range(n)]
     names = ["0"] + [f"b{i}" for i in range(1, n)]
     return FiniteSemigroup(table, names=names, generators=range(1, n) or [0])
@@ -253,29 +253,25 @@ def transformation_oracle(n: int) -> Oracle:
                   name=lambda f: "".join(map(str, f)))
 
 
-def transformation_semigroup(n: int, maps: Iterable[Sequence[int]],
-                             max_elements: int = 10_000):
-    """Closure of total maps on [n] under composition."""
-    if n > 5:
-        raise BudgetError("transformation domain capped at 5 points")
+def transformation_semigroup(n: int, maps: Iterable[Sequence[int]]):
+    """Closure of total maps on [n] under composition, within the
+    ``transf_points`` and ``closure_elements`` limits."""
+    need("transf_points", n)
     maps = [tuple(m) for m in maps]
     for m in maps:
         if len(m) != n or any(not (0 <= x < n) for x in m):
             raise ValueError("maps must be total on the domain")
     return enumerate_oracle(transformation_oracle(n), maps,
-                            max_elements=max_elements)
+                            max_elements=LIMITS["closure_elements"])
 
 
-def random_transformation_semigroup(n: int, seed: int, k: int,
-                                    max_elements: int = 10_000):
+def random_transformation_semigroup(n: int, seed: int, k: int):
     """Closure of k maps on [n] drawn from ``random.Random(seed)``.  The
     maps are drawn lazily, after the domain and generator budgets pass."""
-    if k > max_elements:
-        raise BudgetError(f"{k} generators exceed the element budget "
-                          f"of {max_elements}")
+    need("closure_elements", k)
     rng = random.Random(seed)
     maps = (tuple(rng.randrange(n) for _ in range(n)) for _ in range(k))
-    return transformation_semigroup(n, maps, max_elements=max_elements)
+    return transformation_semigroup(n, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +288,7 @@ def squarefree_word(length: int) -> str:
     next and prefixes of the fixed point are obtained by iterating until
     long enough.
     """
-    if length < 1:
-        raise ValueError("length must be >= 1")
+    at_least("length", length)
     w = "a"
     while len(w) < length:
         w = "".join(_MORPHISM[ch] for ch in w)
@@ -353,7 +348,7 @@ def _word_quotient(words: Sequence[str], letters: Sequence[str]) -> FiniteSemigr
     count, so the table can always be filled when read.
     """
     elems = list(words) + ["0"]
-    check_table_size(len(elems))
+    need("table_cells", len(elems) ** 2, n=len(elems))
     pos = {w: i for i, w in enumerate(elems)}
     zero = pos["0"]
     letters = [c for c in letters if c in pos]
@@ -371,19 +366,15 @@ def sw_semigroup(cap: int) -> FiniteSemigroup:
     A square-free ternary word is aperiodic, so it has at least l + 1
     factors of each length l (Morse-Hedlund): the table budget is checked
     on that lower bound before the factors are collected."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    check_table_size(cap * (cap + 3) // 2 + 1)
+    at_least("cap", cap)
+    size = cap * (cap + 3) // 2 + 1
+    need("table_cells", size * size, n=size)
     factors = sorted(_stable_factor_set(cap), key=lambda w: (len(w), w))
     return _word_quotient(factors, "abc")
 
 
 # ---------------------------------------------------------------------------
 # pattern instances and free objects of [u = 0]
-
-
-MAX_PATTERN_WORD = 24
-MAX_PATTERN_LEN = 6
 
 
 def pattern_instance_free(w: str, pattern: str) -> bool:
@@ -397,8 +388,8 @@ def pattern_instance_free(w: str, pattern: str) -> bool:
     """
     if not pattern:
         raise ValueError("pattern must be nonempty")
-    if len(w) > MAX_PATTERN_WORD or len(pattern) > MAX_PATTERN_LEN:
-        raise BudgetError("pattern matching capped at |w| <= 24, |pattern| <= 6")
+    need("pattern_word", len(w))
+    need("pattern_letters", len(pattern))
     groups: dict = {}
     parts = []
     for var in pattern:
@@ -410,14 +401,14 @@ def pattern_instance_free(w: str, pattern: str) -> bool:
     return re.search("".join(parts), w, re.S) is None
 
 
-def free_nil(pattern: str, letters: int, cap: int, *,
-             max_elements: int = 5_000) -> FiniteSemigroup:
+def free_nil(pattern: str, letters: int, cap: int) -> FiniteSemigroup:
     """Capped n-generated free object of the variety [u = 0].
 
-    Nonzero elements are the pattern-instance-free words of length <= cap;
-    products concatenate, falling to 0 on a pattern instance.  Words longer
-    than the cap also map to 0, so the cap acts as a Rees quotient of the
-    true free object (recorded in the name).
+    Nonzero elements are the pattern-instance-free words of length <= cap,
+    at most the ``free_elements`` limit of them; products concatenate,
+    falling to 0 on a pattern instance.  Words longer than the cap also
+    map to 0, so the cap acts as a Rees quotient of the true free object
+    (recorded in the name).
     """
     if letters < 1 or letters > 26:
         raise ValueError("letters out of range")
@@ -434,9 +425,7 @@ def free_nil(pattern: str, letters: int, cap: int, *,
                     nxt.append(wc)
         words.extend(nxt)
         frontier = nxt
-        if len(words) > max_elements:
-            raise BudgetError(
-                f"free object exceeds {max_elements} nonzero elements")
+        need("free_elements", len(words))
     return _word_quotient(words, alphabet)
 
 
@@ -464,7 +453,7 @@ def mn_table(n: int) -> FiniteSemigroup:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    check_table_size(mn_size(n))
+    need("table_cells", mn_size(n) ** 2, n=mn_size(n))
     triples = [(r, span - r, t)             # in (span, r, t) order
                for span in range(1, n)
                for r in range(span + 1)
@@ -558,7 +547,7 @@ def parse_zoo(spec: str):
                         f"product factor {part!r} is not a closed table")
                 factors.append(f)
             return direct_product(factors)
-    except (ValueError, BudgetError) as exc:
+    except ValueError as exc:  # BudgetError included
         raise ValueError(f"bad zoo spec {spec!r}: {exc}") from None
     raise ValueError(f"unknown zoo spec {spec!r}")
 

@@ -9,6 +9,7 @@ import pytest
 
 from greenbox import zoo
 from greenbox.cli import build_parser, console_main, main
+from greenbox.limits import LIMITS
 from test_engine import format_table
 
 
@@ -235,10 +236,13 @@ def test_munn_empty_word_rejected(capsys):
 def test_identity_refusals_print_error_prefix(capsys):
     assert run(capsys, "identity", "bicyclic:3", "xy=yx") == (
         2, "", "error: identities need a closed table or a pz window\n")
-    code, out, err = run(capsys, "identity", "b2", "")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: neither a catalogue key nor an identity: ")
-    assert err.count("\n") == 1
+    # The burnside keys used to leak unpacking and int() errors.
+    for text in ("", "burnside-1", "burnside-a-b", "burnside-1-2-3"):
+        code, out, err = run(capsys, "identity", "b2", text)
+        assert (code, out) == (2, ""), text
+        assert err.startswith(
+            "error: neither a catalogue key nor an identity: "), text
+        assert err.count("\n") == 1, text
 
 
 def test_word_budget_refusals_exit_2(capsys):
@@ -569,7 +573,7 @@ def test_table_golden_output(capsys):
 
 
 def test_table_budget_refusals_exit_2_quickly(capsys):
-    # Each spec would need a table over engine.MAX_TABLE_CELLS (or, for
+    # Each spec would need a table over LIMITS["table_cells"] (or, for
     # transf:, more generators than elements), and is refused before any
     # table, factor set or map is built.
     cases = {
@@ -587,3 +591,55 @@ def test_table_budget_refusals_exit_2_quickly(capsys):
         assert (code, out) == (2, ""), spec
         assert err.startswith(f"error: bad zoo spec {spec!r}: {reason}"), spec
         assert err.count("\n") == 1, spec
+
+
+# Each ledger entry the CLI can reach, with an argv just over it.
+LEDGER_REFUSALS = {
+    "table_cells": ["table", "rz:3163"],
+    "closure_elements": ["table", "transf:4:1:10001"],
+    "pool_elements": ["green", "pz:5", "--margin", "10000", "--relation", "L"],
+    "witness_pairs": ["green", "pz:1581", "--relation", "L"],
+    "word_letters": ["munn", "a^100001"],
+    "term_nodes": ["identity", "b2", "x^129 = x"],
+    "assignments": ["identity", "pz:5000000", "x = x"],
+    "transf_points": ["table", "transf:6:1:1"],
+    "free_elements": ["table", "freenil:xx:3:18"],
+    "pattern_word": ["table", "freenil:xyxxzy:2:25"],
+    "pattern_letters": ["table", "freenil:xxxxxxx:2:3"],
+    "vmap_word_length": ["vmaps", "ball", "--cap", "13"],
+}
+# Entries no CLI input is refused by, and why.
+LIBRARY_ONLY = {
+    "ball_elements": "a V-map ball of word length at most 12 stays under it",
+    "iso_elements": "only the report searches for isomorphisms",
+    "exhaustive_triples": "a switch to sampling, not a refusal",
+    "sampled_triples": "a sample size, not a refusal",
+    "witness_margin": "the --margin default",
+    "stephen_stages": "the --stages default; a run ends not closed",
+    "stephen_vertices": "the --max-vertices default; a run ends not closed",
+    "presented_elements": "only the report builds presented tables",
+}
+
+
+def test_every_ledger_entry_has_a_refusal_test_or_a_reason():
+    assert not set(LEDGER_REFUSALS) & set(LIBRARY_ONLY)
+    assert set(LEDGER_REFUSALS) | set(LIBRARY_ONLY) == set(LIMITS)
+
+
+@pytest.mark.parametrize("name", sorted(LEDGER_REFUSALS))
+def test_ledger_limits_refuse_just_over(capsys, name):
+    code, out, err = run(capsys, *LEDGER_REFUSALS[name])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(LIMITS[name]) in err
+
+
+def test_readme_limits_table_matches_ledger():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Limits\n")[1]
+    rows = [line.split("|")[1:4] for line in section.split("\n## ")[0]
+            .splitlines() if line.startswith("| `")]
+    table = {name.strip().strip("`"): int(value.replace(",", ""))
+             for name, _, value in rows}
+    assert table == LIMITS
+    assert len(rows) == len(LIMITS)

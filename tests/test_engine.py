@@ -4,13 +4,14 @@ import random
 import tracemalloc
 from math import comb, factorial
 from operator import itemgetter
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from greenbox import zoo
-from greenbox.engine import (MAX_POOL_ELEMENTS, RELATIONS, BallEnumeration,
-                             BudgetError, FiniteSemigroup, Oracle, _closure,
+from greenbox.engine import (RELATIONS, BallEnumeration, BudgetError,
+                             FiniteSemigroup, Oracle, _closure,
                              _dense, _sccs, _UnionFind, adjoin_identity,
                              ball_enumerate, ball_witnesses, direct_product,
                              eggbox, enumerate_oracle, format_eggbox,
@@ -18,6 +19,7 @@ from greenbox.engine import (MAX_POOL_ELEMENTS, RELATIONS, BallEnumeration,
                              parse_table, subsemigroup,
                              table_from_ball, verify_associative, witnessed_green,
                              witnessed_related)
+from greenbox.limits import LIMITS
 
 
 def natural_numbers_ball(radius):
@@ -105,8 +107,10 @@ def test_enumerate_monogenic_monoid_oracle():
 
 
 def test_enumerate_bicyclic_does_not_close():
+    # The radius-4 ball has 15 elements and the radius-5 ball 21.
     ball = enumerate_oracle(zoo.bicyclic_oracle(), [(1, 0), (0, 1)],
-                            seeds=[(0, 0)], max_word_length=4)
+                            seeds=[(0, 0)], max_elements=15)
+    assert ball.radius == 4
     assert isinstance(ball, BallEnumeration)
     assert not ball.closed
     # Brute closure check at this radius: some product escapes the ball.
@@ -223,9 +227,9 @@ def test_budget_ball_matches_fresh_reenumeration():
         assert isinstance(ball, BallEnumeration)
         assert ball.radius == radius
         assert ball_fields(ball) == ref
-        with pytest.raises(BudgetError):
-            ball_enumerate(oracle, generators, radius + 1, seeds=seeds,
-                           max_elements=max_elements)
+        with (patch.dict(LIMITS, ball_elements=max_elements),
+              pytest.raises(BudgetError)):
+            ball_enumerate(oracle, generators, radius + 1, seeds=seeds)
 
 
 def counting_oracle(oracle):
@@ -275,8 +279,6 @@ def test_radius_below_one_rejected():
     for radius in (0, -4):
         with pytest.raises(ValueError, match="radius must be >= 1"):
             ball_enumerate(oracle, generators, radius)
-        with pytest.raises(ValueError, match="radius must be >= 1"):
-            enumerate_oracle(oracle, generators, max_word_length=radius)
 
 
 # table fill: the Cayley-graph fill against one oracle product per cell
@@ -805,7 +807,7 @@ def test_find_witnesses_matches_reference_on_bicyclic_balls(
     ball = zoo.bicyclic_ball(radius)
     x = data.draw(st.sampled_from(ball.elements))
     y = x if same else data.draw(st.sampled_from(ball.elements))
-    ext = ball.extend(radius * margin, MAX_POOL_ELEMENTS)
+    ext = ball.extend(radius * margin)
     pool = list(zip(ext.elements, ext.words))
     assert (witnessed_related(ball, x, y, relation, margin)
             == reference_find_witnesses(ball.oracle, x, y, relation, pool))
@@ -836,7 +838,7 @@ def test_shared_witnesses_match_reference_on_bicyclic_balls(
         data, radius, margin):
     ball = zoo.bicyclic_ball(radius)
     witnesses = ball_witnesses(ball, margin)
-    ext = ball.extend(radius * margin, MAX_POOL_ELEMENTS)
+    ext = ball.extend(radius * margin)
     pool = list(zip(ext.elements, ext.words))
     for x, y, relation in data.draw(witness_queries(ball.elements)):
         assert (witnesses.related(x, y, relation)

@@ -1,17 +1,19 @@
 import itertools
 from functools import lru_cache
 from itertools import repeat
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from greenbox import zoo
 from greenbox.engine import FiniteSemigroup
-from greenbox.identities import (MAX_EVALUATIONS, IdPow, Inv, Mul, Var, ZeroC,
-                                 _read, _Stager, catalogue, catalogue_entry,
+from greenbox.identities import (IdPow, Inv, Mul, Var, ZeroC, _read, _Stager,
+                                 catalogue, catalogue_entry,
                                  check_identity_exhaustive,
                                  check_identity_window, classify,
                                  parse_identity, parse_term)
+from greenbox.limits import LIMITS, BudgetError
 from test_engine import rees_quotient
 
 
@@ -319,14 +321,14 @@ def reference_variables(term):
 
 
 def reference_check_over(structure, identity, elements, window_verified,
-                         max_evaluations=MAX_EVALUATIONS):
+                         max_evaluations=LIMITS["assignments"]):
     """(holds, counterexample, checked, window_verified)."""
     structure = reference_structure(structure)
     variables = sorted(reference_variables(identity.lhs)
                        | reference_variables(identity.rhs))
     n, k = len(elements), len(variables)
     if n ** k > max_evaluations:
-        raise ValueError(
+        raise BudgetError(
             f"{n}^{k} assignments exceed the budget of {max_evaluations}")
     checked = 0
     for combo in itertools.product(elements, repeat=k):
@@ -383,7 +385,7 @@ def outcome(check):
             result.window_verified)
 
 
-def assert_matches_reference(structure, ident, budget=MAX_EVALUATIONS):
+def assert_matches_reference(structure, ident, budget=LIMITS["assignments"]):
     if isinstance(structure, zoo.PWindow):
         window = structure.elements
         new = outcome(lambda: check_identity_window(structure, ident, window))
@@ -391,8 +393,8 @@ def assert_matches_reference(structure, ident, budget=MAX_EVALUATIONS):
                                                    True))
     else:
         elements = list(range(len(structure)))
-        new = outcome(lambda: check_identity_exhaustive(
-            structure, ident, max_evaluations=budget))
+        with patch.dict(LIMITS, assignments=budget):
+            new = outcome(lambda: check_identity_exhaustive(structure, ident))
         old = outcome(lambda: reference_check_over(structure, ident, elements,
                                                    False, budget))
     assert new == old
@@ -402,7 +404,7 @@ def assert_matches_reference(structure, ident, budget=MAX_EVALUATIONS):
 @settings(max_examples=500, deadline=None)
 @given(structure=st.sampled_from(REFERENCE_STRUCTURES), lhs=TERM_TEXTS,
        rhs=TERM_TEXTS,
-       budget=st.one_of(st.just(MAX_EVALUATIONS), st.integers(1, 130)))
+       budget=st.one_of(st.just(LIMITS["assignments"]), st.integers(1, 130)))
 def test_compiled_checker_matches_recursive_reference(structure, lhs, rhs,
                                                       budget):
     try:

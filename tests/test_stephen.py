@@ -1,10 +1,12 @@
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from greenbox import stephen, zoo
 from greenbox.engine import FiniteSemigroup, green_scc, iso_tables
+from greenbox.limits import LIMITS
 from greenbox.munn import (InverseAutomaton, LiveGraph, canonical_key,
                            fis_equal, fold, munn_tree)
 from greenbox.stephen import (Presentation, StageTrace, accepts,
@@ -334,8 +336,8 @@ def test_signature_count_matches_engine_d_count():
 
 def test_presented_table_raises_on_infinite():
     pres = parse_presentation(M_TEXT)
-    with pytest.raises(RuntimeError):
-        presented_table(pres, max_stages=6)
+    with patch.dict(LIMITS, stephen_stages=6), pytest.raises(RuntimeError):
+        presented_table(pres)
 
 
 def test_presented_table_stops_expanding_at_the_element_budget(monkeypatch):
@@ -440,8 +442,11 @@ def test_presented_table_errors_match_reference(text, kwargs):
     pres = parse_presentation(text)
     with pytest.raises(RuntimeError) as ref:
         reference_presented_table(pres, **kwargs)
-    with pytest.raises(RuntimeError) as new:
-        presented_table(pres, **kwargs)
+    # Each budget keyword names the ledger entry stephen_<name>.
+    ledger = {"stephen_" + k[len("max_"):]: v for k, v in kwargs.items()}
+    assert set(ledger) <= set(LIMITS)
+    with patch.dict(LIMITS, ledger), pytest.raises(RuntimeError) as new:
+        presented_table(pres)
     assert str(new.value) == str(ref.value)
 
 

@@ -94,6 +94,10 @@ def test_vmap_constructor_guards():
         VMap(WHOLE_X, (0, -1))
     with pytest.raises(ValueError):
         VMap(VSet(0, 0), (0, -1))
+    for make in (lambda: VSet(0, -1), lambda: j_chain(2, -1),
+                 lambda: vset_idempotent_witness(0, -2)):
+        with pytest.raises(ValueError, match=r"^s must be >= 0$"):
+            make()
 
 
 # composition

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from greenbox.words import (MAX_WORD_LETTERS, Alphabet, WordSyntaxError,
-                            format_word, free_reduce, invert_word, parse_word)
+from greenbox.limits import LIMITS
+from greenbox.words import (Alphabet, WordSyntaxError, format_word,
+                            free_reduce, invert_word, parse_word)
 
 ABC = Alphabet(["a", "b", "c"])
 A, B, C = 1, 2, 3
@@ -123,7 +124,7 @@ def test_printer_parser_round_trip(w):
 
 
 def test_word_length_budget():
-    budget = MAX_WORD_LETTERS
+    budget = LIMITS["word_letters"]
     assert len(parse_word(f"a^{budget}", ABC)) == budget
     assert len(parse_word(f"b a^{budget - 1}", ABC)) == budget
     assert parse_word("a^0000000000000000000003 b^-00", ABC) == (A, A, A)

@@ -190,6 +190,9 @@ def test_p_witnessed_window_counts():
     for margin in (0, -1):
         with pytest.raises(ValueError, match="margin must be >= 1"):
             zoo.p_window_green_counts(5, "L", margin=margin)
+    # The searches' pool is refused before its position dict is built.
+    with pytest.raises(BudgetError, match="needs 600000001 multipliers"):
+        zoo.p_witnesses(10 ** 8)
 
 
 def test_p_witnessed_matches_closed_form():
@@ -267,6 +270,8 @@ def test_transformation_domain_guard():
 def test_squarefree_prefixes():
     assert zoo.squarefree_word(3) == "abc"
     assert zoo.squarefree_word(6) == "abcacb"
+    with pytest.raises(ValueError, match=r"^length must be >= 1$"):
+        zoo.squarefree_word(0)
 
 
 def test_squarefree_1000():
@@ -532,6 +537,17 @@ def test_parse_zoo_ball_and_window():
 def test_parse_zoo_rejects(bad):
     with pytest.raises(ValueError):
         zoo.parse_zoo(bad)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("np:0", "index must be >= 1"), ("rz:0", "size must be >= 1"),
+    ("lz:-1", "size must be >= 1"), ("null:0", "size must be >= 1"),
+    ("sw:0", "cap must be >= 1"), ("pz:0", "window bound must be >= 1"),
+    ("bicyclic:0", "radius must be >= 1")])
+def test_parse_zoo_lower_bound_messages(spec, message):
+    with pytest.raises(ValueError) as info:
+        zoo.parse_zoo(spec)
+    assert str(info.value) == f"bad zoo spec {spec!r}: {message}"
 
 
 def test_inverse_semigroups_have_equal_l_and_r_counts():
