@@ -124,7 +124,7 @@ def cmd_identity(args) -> int:
         if args.window is not None:
             obj = zoo.PWindow(args.window)
         for ident in idents:
-            result = identities.check_identity_window(obj, ident, obj.elements)
+            result = identities.check_identity_window(obj, ident)
             _print_identity_result(ident, result)
         return 0
     if not isinstance(obj, engine.FiniteSemigroup):

@@ -49,13 +49,13 @@ class FiniteSemigroup:
     Give either ``table`` or ``right`` with ``letters``.  A table is
     checked to be square over element indices; its rows are kept, not
     copied, and they are its graphs: all of them when every element is a
-    generator, else the generator rows and columns.  A right graph gets its
-    generator rows from its own edges.  ``generators`` (all elements for a
-    table, ``letters`` for a graph, by default) must genuinely generate:
-    the Cayley-graph Green computation relies on it.  The constructor
-    checks this in O(n·|A|) lookups for |A| letters, following right
-    Cayley edges only; that relies on associativity, which ``parse_table``
-    verifies for hand-entered tables.
+    generator, else the rows and columns of ``generators`` (all elements
+    by default).  A right graph gets its generator rows from its own
+    edges, and its generators are its letters.  The generators must
+    genuinely generate: the Cayley-graph Green computation relies on it.
+    The constructor checks this in O(n·|A|) lookups for |A| letters,
+    following right Cayley edges only; that relies on associativity, which
+    ``parse_table`` verifies for hand-entered tables.
     """
 
     def __init__(self, table: Optional[Sequence[Sequence[int]]] = None, *,
@@ -72,8 +72,8 @@ class FiniteSemigroup:
                 if len(row) != n or min(row) < 0 or max(row) >= n:
                     raise ValueError(
                         "table is not a square matrix of element indices")
-            letters = generators = sorted(set(generators)) \
-                if generators is not None else list(range(n))
+            letters = sorted(set(generators)) if generators is not None \
+                else list(range(n))
             if len(letters) == n:
                 right = left = table
             else:
@@ -81,8 +81,6 @@ class FiniteSemigroup:
                 left = [table[g] for g in letters]
         else:
             letters = list(letters)
-            generators = sorted(set(generators if generators is not None
-                                    else letters))
             n = len(right)
         if not letters:
             raise ValueError("generator set must be nonempty")
@@ -104,7 +102,7 @@ class FiniteSemigroup:
                     row[y] = right[row[p]][a]
                 left.append(row)
         self.left = left
-        self.generators = generators
+        self.generators = sorted(set(letters))
         self.keys = list(keys) if keys is not None else list(range(n))
         self.names = [str(x) for x in (names if names is not None else self.keys)]
         self.unary = list(unary) if unary is not None else None
@@ -188,17 +186,13 @@ class FiniteSemigroup:
         return f"FiniteSemigroup(n={len(self)}, generators={self.generators})"
 
 
-def _reached(right, gens) -> set:
-    """Elements that the right Cayley search from the generators reaches."""
-    first, later = _right_search(right, gens)
-    return {g for g, _ in first}.union(y for y, _, _ in later)
-
-
 def _closure(table, gens) -> set:
     """Subsemigroup generated by ``gens``: the right Cayley search over the
     table's generator columns.  In an associative table the generator words
     are closed under every product, so no pair needs multiplying."""
-    return _reached([[row[g] for g in gens] for row in table], gens)
+    first, later = _right_search([[row[g] for g in gens] for row in table],
+                                 gens)
+    return {g for g, _ in first}.union(y for y, _, _ in later)
 
 
 def verify_associative(table) -> Optional[tuple]:
@@ -251,29 +245,24 @@ class Oracle:
 class _Growth:
     """Breadth-first growth of the semigroup generated under an oracle.
 
-    Every ball of the same (oracle, generators, seeds) is a prefix of one
-    growth, and a larger ball resumes it.  Elements appear in word-length
-    order with ties broken by generator index (so reports are
-    deterministic) and are expanded one at a time in that order;
-    ``right[i]`` is the right Cayley row of the i-th non-seed element, one
-    column per distinct generator, as listed in ``columns``.
-    Seeds have length 0 and are not expanded.  Each element records its
-    shortest word as a prefix link: ``prefix[i]`` (None for seeds and
-    generators) and ``last[i]``, the last generator (None for seeds).
+    Every ball of the same (oracle, generators) is a prefix of one growth,
+    and a larger ball resumes it.  Elements appear in word-length order
+    with ties broken by generator index (so reports are deterministic) and
+    are expanded one at a time in that order; ``right[i]`` is the right
+    Cayley row of the i-th element, one column per distinct generator, as
+    listed in ``columns``.  Each element records its shortest word as a
+    prefix link: ``prefix[i]`` (None for generators) and ``last[i]``, the
+    last generator.
     """
 
-    def __init__(self, oracle: Oracle, generators: Sequence, seeds: Sequence):
+    def __init__(self, oracle: Oracle, generators: Sequence):
         if not generators:
             raise ValueError("generator set must be nonempty")
         self.oracle = oracle
         self.generators = list(generators)
-        self.seeds = list(seeds)
         self.elements, self.lengths, self.right = [], [], []
         self.prefix, self.last, self._words = [], [], []
         self.index: dict = {}
-        for s in self.seeds:
-            self._push(s, None, None, 0)
-        self.n_seeds = len(self.elements)
         self.gens = [self._push(g, None, a, 1)
                      for a, g in enumerate(self.generators)]
         # A repeated generator adds no element, so it gets no column.
@@ -300,8 +289,7 @@ class _Growth:
         words, prefix, last = self._words, self.prefix, self.last
         for i in range(len(words), len(self.elements)):
             p, a = prefix[i], last[i]
-            words.append(() if a is None else (a,) if p is None
-                         else words[p] + (a,))
+            words.append((a,) if p is None else words[p] + (a,))
         return words
 
     def size(self, radius: int, cap: float = inf) -> int:
@@ -314,7 +302,7 @@ class _Growth:
         elements, lengths, right = self.elements, self.lengths, self.right
         mult, push = self.oracle.mult, self._push
         while lengths[-1] <= radius and len(elements) <= cap:
-            i = self.n_seeds + len(right)
+            i = len(right)
             if i == len(elements):
                 break
             x, length = elements[i], lengths[i] + 1
@@ -349,14 +337,13 @@ class BallEnumeration:
     ``closed`` is True when the ball is multiplication-closed, i.e. it is
     the whole generated semigroup: expanding it adds no longer element.
     ``words`` hold one shortest witness per element as a tuple of generator
-    indices; seeds get the empty word.  They are built when first read.
+    indices, built when first read.
     """
 
     def __init__(self, growth: _Growth, radius: int):
         n = growth.size(radius)
         self._growth, self.radius = growth, radius
         self.oracle, self.generators = growth.oracle, growth.generators
-        self.seeds = growth.seeds
         self.elements = growth.elements[:n]
         self.lengths = growth.lengths[:n]
         self.closed = n == len(growth.elements)
@@ -380,18 +367,17 @@ class BallEnumeration:
                 f"closed={self.closed})")
 
 
-def ball_enumerate(oracle: Oracle, generators: Sequence, radius: int,
-                   *, seeds: Sequence = ()) -> BallEnumeration:
+def ball_enumerate(oracle: Oracle, generators: Sequence,
+                   radius: int) -> BallEnumeration:
     """Breadth-first ball of the generated semigroup, one radius at a time.
 
     Raises BudgetError when a level up to the radius pushes the element
     count past the ``ball_elements`` limit.
     """
-    return _Growth(oracle, generators, seeds).ball(radius, "ball_elements")
+    return _Growth(oracle, generators).ball(radius, "ball_elements")
 
 
 def enumerate_oracle(oracle: Oracle, generators: Sequence, *,
-                     seeds: Sequence = (),
                      max_elements: int = LIMITS["closure_elements"]):
     """Close the generators under the oracle.
 
@@ -400,7 +386,7 @@ def enumerate_oracle(oracle: Oracle, generators: Sequence, *,
     (a normal result, not an error).  Every level adds an element, so that
     radius is at most ``max_elements``.
     """
-    growth = _Growth(oracle, generators, seeds)
+    growth = _Growth(oracle, generators)
     ball = BallEnumeration(growth, growth.reach(max_elements, max_elements))
     return table_from_ball(ball) if ball.closed else ball
 
@@ -436,39 +422,24 @@ def _right_search(right: Sequence[Sequence[int]], gens: Sequence[int]) -> tuple:
 def table_from_ball(ball: BallEnumeration) -> FiniteSemigroup:
     """The semigroup of a closed ball, held as its Cayley graphs.
 
-    The enumeration already holds the right Cayley row of every non-seed
-    element.  Only the seed rows, and the columns of seeds that no
-    generator word reaches (these seeds become letters), are multiplied
-    out by the oracle.
+    The enumeration already holds the right Cayley row of every element,
+    so only the unary images, when the oracle has them, are computed here.
     """
     if not ball.closed:
         raise ValueError("ball is not closed")
     oracle, growth, elements = ball.oracle, ball._growth, ball.elements
-    index = growth.index
-
-    def position(e, what: str) -> int:
-        if e not in index:
-            raise OracleError(f"{what} {e!r} not in the closed element set")
-        return index[e]
-
-    seeds = range(growth.n_seeds)
-    letters = [growth.gens[a] for a, _ in growth.columns]
-    right = [[position(oracle.mult(elements[s], g), "product key")
-              for _, g in growth.columns] for s in seeds] + growth.right
-    reached = _reached(right, letters) if seeds else ()
-    unreached = [s for s in seeds if s not in reached]
-    if unreached:
-        right = [row + [position(oracle.mult(x, elements[s]), "product key")
-                        for s in unreached]
-                 for x, row in zip(elements, right)]
     unary = None
     if oracle.unary is not None:
-        unary = [position(oracle.unary(x), "unary image key")
-                 for x in elements]
-    return FiniteSemigroup(right=right, letters=letters + unreached,
+        unary = []
+        for e in map(oracle.unary, elements):
+            if e not in growth.index:
+                raise OracleError(
+                    f"unary image key {e!r} not in the closed element set")
+            unary.append(growth.index[e])
+    return FiniteSemigroup(right=growth.right,
+                           letters=[growth.gens[a] for a, _ in growth.columns],
                            names=[oracle.name(e) for e in elements],
-                           keys=elements, unary=unary,
-                           generators=set(growth.gens).union(seeds))
+                           keys=elements, unary=unary)
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +555,6 @@ class _UnionFind:
             if x > y:
                 x, y = y, x
             self.parent[y] = x
-
-    def labels(self) -> list:
-        return [self.find(x) for x in range(len(self.parent))]
 
 
 def _join(p1: Sequence[int], p2: Sequence[int]) -> list:
@@ -961,20 +929,22 @@ class Witnesses:
         1..``radius``.
 
         ``elements`` enter at the radii ``enter``, and the multiplier at
-        each pool position is usable from radius ``usable[position]``.  At
-        radius k, two present elements are directly related when
-        multipliers usable at k carry each to the other: u·x for L, x·u for
-        R, both for H, and u·x·v with u, v optional for J; D joins L and R
-        over the pool usable at k.  Classes are the union-find closure.
+        each pool position is usable from radius ``usable[position]``, all
+        radii at least 1.  At radius k, two present elements are directly
+        related when multipliers usable at k carry each to the other: u·x
+        for L, x·u for R, both for H, and u·x·v with u, v optional for J;
+        D joins L and R over the pool usable at k.  Classes are the
+        union-find closure.
 
         The sources are the elements, or the whole pool for D.  Each
         source's orbit, restricted to the sources and read through
         ``usable``, is its row: the lowest radius at which it reaches each
         source.  A pair whose rows hold each other is an edge, tagged with
-        the radius at which both hits and both endpoints are present, and
-        one sweep over the sorted edges answers every radius.  Returns the
-        counts by radius and the dense labels of the elements present at
-        ``radius``.  Source pairs over the ``witness_pairs`` limit raise
+        the radius at which both hits and both endpoints are present.  An
+        edge tagged 1 is joined as it arrives, one tagged up to ``radius``
+        waits in that radius's bucket, and a later one is dropped; the
+        buckets are joined in radius order.  Returns the counts by radius
+        and the dense labels of the elements present at ``radius``.  Source pairs over the ``witness_pairs`` limit raise
         BudgetError before any product.
         """
         relation = relation.upper()
@@ -1027,15 +997,19 @@ class Witnesses:
             pairs = itertools.chain(
                 _mutual_pairs(row(x, True) for x in sources),
                 _mutual_pairs(row(x, False) for x in sources))
-        edges = sorted((max(t, start[a], start[b]), a, b) for a, b, t in pairs)
-        node = [index[e] for e in elements] if d else range(len(elements))
         uf = _UnionFind(len(sources))
+        buckets: list = [[] for _ in range(radius + 1)]
+        for a, b, t in pairs:
+            t = max(t, start[a], start[b])
+            if t == 1:
+                uf.union(a, b)
+            elif t <= radius:
+                buckets[t].append((a, b))
+        node = [index[e] for e in elements] if d else range(len(elements))
         counts = {}
-        done = 0
         for k in range(1, radius + 1):
-            while done < len(edges) and edges[done][0] <= k:
-                uf.union(edges[done][1], edges[done][2])
-                done += 1
+            for a, b in buckets[k]:
+                uf.union(a, b)
             counts[k] = len({uf.find(v) for v, r in zip(node, enter) if r <= k})
         labels = _dense([uf.find(v) for v, r in zip(node, enter) if r <= radius])
         return counts, labels
@@ -1120,7 +1094,7 @@ def witnessed_green(ball: BallEnumeration, relation: str,
     """Per-radius witnessed class counts for one Green relation.
 
     The ball adapter of ``Witnesses.partition``.  An element enters at its
-    word length (at least 1), and a multiplier of length l from the ball of
+    word length, and a multiplier of length l from the ball of
     radius ``ball.radius * margin`` is usable from radius ceil(l / margin).
     "Apparently infinite" means three consecutive strict count increases,
     a labeled heuristic, never a certificate.  A multiplier ball over the
@@ -1132,7 +1106,7 @@ def witnessed_green(ball: BallEnumeration, relation: str,
         need("witness_pairs", len(ball) ** 2)
     ext = ball.extend(ball.radius * margin)
     counts, classes = Witnesses(ball.oracle, ext.elements).partition(
-        ball.elements, [max(n, 1) for n in ball.lengths],
+        ball.elements, ball.lengths,
         [-(-n // margin) for n in ext.lengths], relation, ball.radius)
     radii = sorted(counts)
     increases = [counts[radii[i]] < counts[radii[i + 1]]

@@ -165,6 +165,15 @@ class _Scanner:
         self.error(f"term exceeds {self.cap} nodes")
 
 
+def _count(digits: str) -> int:
+    """The value of a decimal power or catalogue parameter, read as
+    ``term_nodes`` + 1 when it has more digits than that limit: such a
+    power is over the term cap, and a long one is past int()'s digit
+    limit."""
+    cap = LIMITS["term_nodes"]
+    return cap + 1 if len(digits.lstrip("0")) > len(str(cap)) else int(digits)
+
+
 def parse_term(text: str) -> Term:
     """Parse one term of at most ``term_nodes`` nodes: variables, constants,
     products, postfixes and parenthesised groups, x^k counting k copies of
@@ -246,7 +255,7 @@ def _parse_factor(sc: _Scanner) -> tuple:
                 sc.pos += 1
             if not digits:
                 sc.error("expected digits after '^'")
-            k = int(digits)
+            k = _count(digits)
             if k == 0 and sign == 1:
                 atom, size = IdPow(atom), size + 1
             else:
@@ -393,7 +402,7 @@ class CheckResult:
         return self.holds
 
 
-def _check_over(ops: _Ops, identity: Identity, elements,
+def _check_over(ops: _Ops, identity: Identity,
                 window_verified: bool) -> CheckResult:
     """The ``assignments`` limit comes first, then each side compiles
     once, lhs first.
@@ -403,7 +412,7 @@ def _check_over(ops: _Ops, identity: Identity, elements,
     variable other than the last, or once per check if it has none; one
     that uses the last variable is a list over the elements, so each inner
     loop is one comparison of the two sides' lists."""
-    variables = identity.variables()
+    variables, elements = identity.variables(), ops.elements
     n, k = len(elements), len(variables)
     need("assignments", n ** k, n=n, k=k)
     # Without variables there is one assignment, the empty one.
@@ -445,16 +454,15 @@ def _check_over(ops: _Ops, identity: Identity, elements,
 def check_identity_exhaustive(fs, identity: Identity) -> CheckResult:
     """All assignments over the whole structure, in element-index order, so
     the first counterexample is deterministic."""
-    ops = _read(fs)
-    return _check_over(ops, identity, ops.elements, False)
+    return _check_over(_read(fs), identity, False)
 
 
-def check_identity_window(structure, identity: Identity,
-                          window) -> CheckResult:
-    """Exhaustive over a finite element window; the verdict is explicitly
-    window-verified, standing in for the universal claim without certifying
-    it.  The window has the same assignment budget as the exhaustive check."""
-    return _check_over(_read(structure), identity, window, True)
+def check_identity_window(structure, identity: Identity) -> CheckResult:
+    """Exhaustive over the structure's finite element window; the verdict
+    is explicitly window-verified, standing in for the universal claim
+    without certifying it.  The window has the same assignment budget as
+    the exhaustive check."""
+    return _check_over(_read(structure), identity, True)
 
 
 # ---------------------------------------------------------------------------
@@ -503,17 +511,17 @@ def catalogue_entry(key: str) -> list:
     if key in _CATALOGUE_SOURCES:
         return _fixed_entry(key)
     if key.startswith("c") and key[1:].isdecimal():
-        m = int(key[1:])
+        m = _count(key[1:])
         return [parse_identity(f"x^{m} = x^{m + 1}", name=key)]
     if key.startswith("x") and key.endswith("-in-g") and key[1:-5].isdecimal():
-        n = int(key[1:-5])
+        n = _count(key[1:-5])
         return [parse_identity(f"x^{n}x^-{n} = x^-{n}x^{n}", name=key)]
     m, _, n = key.removeprefix("burnside-").partition("-")
     if key.startswith("burnside-") and m.isdecimal() and n.isdecimal():
-        m, n = int(m), int(n)
+        m, n = _count(m), _count(n)
         return [parse_identity(f"x^{m} = x^{m + n}", name=key)]
     if key.startswith("nil-") and key[4:].isdecimal():
-        n = int(key[4:])
+        n = _count(key[4:])
         return [parse_identity(f"x^{n} = 0", name=key)]
     raise KeyError(f"no catalogue entry {key!r}")
 
@@ -541,7 +549,7 @@ def classify(fs) -> list:
             report.append(ClassifyEntry(key, "skipped", reason=reason))
             continue
         for ident in ids:
-            result = _check_over(ops, ident, ops.elements, False)
+            result = _check_over(ops, ident, False)
             if not result.holds:
                 report.append(ClassifyEntry(
                     key, "fails", counterexample=result.counterexample))

@@ -401,11 +401,6 @@ def _least_edges(delta: list) -> tuple:
     return tuple(e for block in best for e in block[:-1])
 
 
-def isomorphic(a: InverseAutomaton, b: InverseAutomaton,
-               pointed: bool = True) -> bool:
-    return canonical_key(a, pointed) == canonical_key(b, pointed)
-
-
 def fis_equal(u: Word, v: Word) -> bool:
     """Word problem in the free inverse semigroup via Munn tree isomorphism."""
     if not u or not v:

@@ -58,10 +58,6 @@ class Alphabet:
     def name(self, i: int) -> str:
         return self._names[i]
 
-    def signed(self, name: str, positive: bool = True) -> int:
-        i = self._index[name] + 1
-        return i if positive else -i
-
     @property
     def names(self) -> tuple:
         return tuple(self._names)

@@ -56,14 +56,14 @@ def bicyclic_oracle() -> Oracle:
 
 
 def bicyclic_ball(radius: int) -> BallEnumeration:
-    """Ball of the bicyclic monoid on generators (1,0), (0,1); the identity
-    (0,0) is seeded as the empty product.  Its (r+1)(r+2)/2 elements are
-    checked against the ``pool_elements`` limit before any product: every
-    witnessed analysis extends the ball to a pool at least as large."""
+    """Ball of the bicyclic monoid on generators (0,0), (1,0), (0,1).  The
+    identity (0,0) = (0,1)·(1,0) is listed first, so it is element 0, at
+    radius 1, with word (0,).  Its (r+1)(r+2)/2 elements are checked
+    against the ``pool_elements`` limit before any product: every witnessed
+    analysis extends the ball to a pool at least as large."""
     if radius >= 1:
         need("pool_elements", (radius + 1) * (radius + 2) // 2)
-    return ball_enumerate(bicyclic_oracle(), [(1, 0), (0, 1)], radius,
-                          seeds=[(0, 0)])
+    return ball_enumerate(bicyclic_oracle(), [(0, 0), (1, 0), (0, 1)], radius)
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,13 @@ def test_identity_refusals_print_error_prefix(capsys):
         assert err.startswith(
             "error: neither a catalogue key nor an identity: "), text
         assert err.count("\n") == 1, text
+    # Over 4,300 digits, int() would refuse with its own digit-limit text.
+    nines = "9" * 5000
+    assert run(capsys, "identity", "b2", f"x^{nines} = x") == (
+        2, "", "error: neither a catalogue key nor an identity: "
+               "term exceeds 256 nodes (at position 5002)\n")
+    assert run(capsys, "identity", "b2", f"c{nines}") == (
+        2, "", "error: term exceeds 256 nodes (at position 5)\n")
 
 
 def test_word_budget_refusals_exit_2(capsys):

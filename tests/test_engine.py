@@ -101,15 +101,15 @@ def test_enumerate_b2_oracle():
 
 def test_enumerate_monogenic_monoid_oracle():
     oracle = Oracle(lambda i, j: min(i + j, 3))
-    fs = enumerate_oracle(oracle, [1], seeds=[0])
+    fs = enumerate_oracle(oracle, [0, 1])
     assert isinstance(fs, FiniteSemigroup)
     assert len(fs) == 4
 
 
 def test_enumerate_bicyclic_does_not_close():
     # The radius-4 ball has 15 elements and the radius-5 ball 21.
-    ball = enumerate_oracle(zoo.bicyclic_oracle(), [(1, 0), (0, 1)],
-                            seeds=[(0, 0)], max_elements=15)
+    ball = enumerate_oracle(zoo.bicyclic_oracle(), [(0, 0), (1, 0), (0, 1)],
+                            max_elements=15)
     assert ball.radius == 4
     assert isinstance(ball, BallEnumeration)
     assert not ball.closed
@@ -131,7 +131,7 @@ def test_enumeration_order_is_breadth_first_deterministic():
 # enumeration: the resumable growth against the fresh search it replaced
 
 
-def reference_ball(oracle, generators, radius, seeds=(), max_elements=10 ** 6):
+def reference_ball(oracle, generators, radius, max_elements=10 ** 6):
     """A fresh breadth-first search from radius 1 that peeks one level past
     the radius without storing it; raises BudgetError mid-level."""
     elements, words, lengths, index = [], [], [], {}
@@ -145,8 +145,6 @@ def reference_ball(oracle, generators, radius, seeds=(), max_elements=10 ** 6):
         lengths.append(length)
         return True
 
-    for s in seeds:
-        push(s, (), 0)
     frontier = [len(elements) - 1 for a, g in enumerate(generators)
                 if push(g, (a,), 1)]
     for length in range(2, radius + 1):
@@ -165,14 +163,14 @@ def reference_ball(oracle, generators, radius, seeds=(), max_elements=10 ** 6):
     return elements, words, lengths, closed
 
 
-def reference_budget_ball(oracle, generators, seeds, max_elements):
+def reference_budget_ball(oracle, generators, max_elements):
     """Fresh balls of radius 1, 2, ... until one closes or one level pushes
     the count past max_elements: the largest radius that fits."""
     radius = 1
-    ball = reference_ball(oracle, generators, 1, seeds, max_elements)
+    ball = reference_ball(oracle, generators, 1, max_elements)
     while not ball[-1]:
         try:
-            ball = reference_ball(oracle, generators, radius + 1, seeds,
+            ball = reference_ball(oracle, generators, radius + 1,
                                   max_elements)
         except BudgetError:
             break
@@ -188,48 +186,45 @@ def ball_fields(ball):
 def enumeration_cases(draw):
     kind = draw(st.sampled_from(["bicyclic", "free monogenic", "T3"]))
     if kind == "bicyclic":
-        return zoo.bicyclic_oracle(), [(1, 0), (0, 1)], [(0, 0)]
+        return zoo.bicyclic_oracle(), [(0, 0), (1, 0), (0, 1)]
     if kind == "free monogenic":
-        return Oracle(lambda x, y: x + y), [1], []
+        return Oracle(lambda x, y: x + y), [1]
     maps = draw(st.lists(st.tuples(*[st.integers(0, 2)] * 3),
                          min_size=1, max_size=3))
-    seeds = [(0, 1, 2)] if draw(st.booleans()) else []
-    return zoo.transformation_oracle(3), maps, seeds
+    identity = [(0, 1, 2)] if draw(st.booleans()) else []
+    return zoo.transformation_oracle(3), identity + maps
 
 
 @settings(max_examples=80, deadline=None)
 @given(enumeration_cases(), st.lists(st.integers(1, 9), min_size=3,
                                      max_size=3, unique=True).map(sorted))
 def test_extend_matches_fresh_enumeration(case, radii):
-    oracle, generators, seeds = case
+    oracle, generators = case
     r, mid, big = radii
-    small = ball_enumerate(oracle, generators, r, seeds=seeds)
+    small = ball_enumerate(oracle, generators, r)
     # Grow past mid first, so the mid ball is a prefix of a longer growth.
     for radius in (big, mid):
         ext = small.extend(radius)
-        fresh = ball_enumerate(oracle, generators, radius, seeds=seeds)
+        fresh = ball_enumerate(oracle, generators, radius)
         assert ball_fields(ext) == ball_fields(fresh)
-        assert ball_fields(fresh) == reference_ball(oracle, generators,
-                                                    radius, seeds)
+        assert ball_fields(fresh) == reference_ball(oracle, generators, radius)
         assert ext.radius == (r if small.closed else radius)
 
 
 def test_budget_ball_matches_fresh_reenumeration():
-    cases = [(zoo.bicyclic_oracle(), [(1, 0), (0, 1)], [(0, 0)], m)
+    cases = [(zoo.bicyclic_oracle(), [(0, 0), (1, 0), (0, 1)], m)
              for m in range(1, 61)]
     cases.append((zoo.transformation_oracle(4),
-                  [(1, 2, 3, 0), (1, 0, 2, 3), (0, 0, 2, 3)], [], 100))
-    for oracle, generators, seeds, max_elements in cases:
-        ball = enumerate_oracle(oracle, generators, seeds=seeds,
-                                max_elements=max_elements)
-        radius, ref = reference_budget_ball(oracle, generators, seeds,
-                                            max_elements)
+                  [(1, 2, 3, 0), (1, 0, 2, 3), (0, 0, 2, 3)], 100))
+    for oracle, generators, max_elements in cases:
+        ball = enumerate_oracle(oracle, generators, max_elements=max_elements)
+        radius, ref = reference_budget_ball(oracle, generators, max_elements)
         assert isinstance(ball, BallEnumeration)
         assert ball.radius == radius
         assert ball_fields(ball) == ref
         with (patch.dict(LIMITS, ball_elements=max_elements),
               pytest.raises(BudgetError)):
-            ball_enumerate(oracle, generators, radius + 1, seeds=seeds)
+            ball_enumerate(oracle, generators, radius + 1)
 
 
 def counting_oracle(oracle):
@@ -245,12 +240,12 @@ def counting_oracle(oracle):
 
 def test_enumeration_oracle_call_counts():
     # A closed enumeration makes one product per element and generator,
-    # seeds included, and the table reuses them.
+    # and the table reuses them.
     full_t4 = [(1, 2, 3, 0), (1, 0, 2, 3), (0, 0, 2, 3)]
-    for seeds in ([], [(0, 1, 2, 3)]):
+    for generators in (full_t4, [(0, 1, 2, 3)] + full_t4):
         oracle, calls = counting_oracle(zoo.transformation_oracle(4))
-        fs = enumerate_oracle(oracle, full_t4, seeds=seeds)
-        assert (len(fs), calls[0]) == (256, 256 * 3)
+        fs = enumerate_oracle(oracle, generators)
+        assert (len(fs), calls[0]) == (256, 256 * len(generators))
     # A repeated generator adds no element and so gets no products.
     oracle, calls = counting_oracle(zoo.transformation_oracle(4))
     fs = enumerate_oracle(oracle, full_t4 + full_t4[:2])
@@ -261,17 +256,19 @@ def test_enumeration_oracle_call_counts():
     assert (len(fs), calls[0]) == (3125, 9375)
     # The budget stop reuses its levels instead of re-enumerating them.
     oracle, calls = counting_oracle(zoo.bicyclic_oracle())
-    ball = enumerate_oracle(oracle, [(1, 0), (0, 1)], seeds=[(0, 0)],
+    ball = enumerate_oracle(oracle, [(0, 0), (1, 0), (0, 1)],
                             max_elements=5000)
     assert (ball.radius, len(ball)) == (98, 4950)
-    assert calls[0] <= 10_100
+    assert calls[0] <= 15_150       # a row of 3 per radius-99 element
     # The closure check expands the last level only until a longer element
-    # appears: rows of the 35 shorter non-seed elements and one of length 8.
+    # appears: rows of the 36 shorter elements and one of length 8.
     oracle, calls = counting_oracle(zoo.bicyclic_oracle())
-    ball = ball_enumerate(oracle, [(1, 0), (0, 1)], 8, seeds=[(0, 0)])
-    assert calls[0] == 2 * 36
+    ball = ball_enumerate(oracle, [(0, 0), (1, 0), (0, 1)], 8)
+    assert calls[0] == 3 * 37
+    # Both orbits of each of the 325 pool elements, and at most a row of 3
+    # per pool element to grow the pool.
     witnessed_green(ball, "D")
-    assert calls[0] <= 211_920
+    assert calls[0] <= 212_225
 
 
 def test_radius_below_one_rejected():
@@ -293,7 +290,7 @@ def oracle_table(ball):
     unary = None
     if oracle.unary is not None:
         unary = [index[oracle.unary(x)] for x in ball.elements]
-    gens = {index[e] for e in list(ball.generators) + list(ball.seeds)}
+    gens = {index[e] for e in ball.generators}
     return FiniteSemigroup(table, names=[oracle.name(e) for e in ball.elements],
                            keys=list(ball.elements),
                            unary=unary, generators=gens)
@@ -309,8 +306,8 @@ def assert_fill_matches_reference(fs, ball):
     assert fs.generators == ref.generators
 
 
-def closed_ball(oracle, generators, seeds=()):
-    return ball_enumerate(oracle, generators, 10 ** 6, seeds=seeds)
+def closed_ball(oracle, generators):
+    return ball_enumerate(oracle, generators, 10 ** 6)
 
 
 def test_fill_matches_reference_on_report_closures():
@@ -329,12 +326,6 @@ def test_fill_matches_reference_on_full_t4():
     assert_fill_matches_reference(table_from_ball(ball), ball)
 
 
-def test_fill_matches_reference_on_seeded_monogenic():
-    # The seed 0 is no generator word: its column comes from the oracle.
-    ball = closed_ball(Oracle(lambda i, j: min(i + j, 3)), [1], seeds=[0])
-    assert_fill_matches_reference(table_from_ball(ball), ball)
-
-
 def test_fill_matches_reference_on_b2_oracle():
     ball = closed_ball(matrix_unit_oracle(), [(1, 2), (2, 1)])
     assert_fill_matches_reference(table_from_ball(ball), ball)
@@ -347,9 +338,9 @@ def test_fill_matches_reference_on_b2_oracle():
     st.booleans())))
 @example((3, [(1, 2, 0), (1, 2, 0), (0, 0, 1)], True))
 def test_fill_matches_reference_on_random_generators(case):
-    n, maps, seed_identity = case
-    seeds = [tuple(range(n))] if seed_identity else []
-    ball = closed_ball(zoo.transformation_oracle(n), maps, seeds)
+    n, maps, with_identity = case
+    identity = [tuple(range(n))] if with_identity else []
+    ball = closed_ball(zoo.transformation_oracle(n), identity + maps)
     assert_fill_matches_reference(table_from_ball(ball), ball)
 
 
@@ -691,7 +682,7 @@ def reference_partition(ball, sub, multipliers, relation):
         for j in range(i + 1, len(elems)):
             if all(elems[j] in r[i] and elems[i] in r[j] for r in reaches):
                 uf.union(i, j)
-    return _dense(uf.labels())
+    return _dense(map(uf.find, range(len(elems))))
 
 
 def reference_join_lr(oracle, elems):
@@ -704,7 +695,7 @@ def reference_join_lr(oracle, elems):
             for j in range(i + 1, len(elems)):
                 if elems[j] in reach[i] and elems[i] in reach[j]:
                     uf.union(i, j)
-    labels = uf.labels()
+    labels = [uf.find(i) for i in range(len(elems))]
     return {elems[i]: labels[i] for i in range(len(elems))}
 
 
@@ -930,8 +921,6 @@ def test_witnesses_lie_within_witnessed_classes_on_balls(data, margin, spec):
     mult = ball.oracle.mult
 
     def value(word):
-        if not word:
-            return ball.seeds[0]
         return functools.reduce(mult, [ball.generators[a] for a in word])
 
     classes = {rel: witnessed_green(ball, rel, margin).classes
@@ -1082,8 +1071,8 @@ def test_ball_monotone_in_radius():
 
 
 def test_enumerate_element_budget_returns_partial_ball():
-    ball = enumerate_oracle(zoo.bicyclic_oracle(), [(1, 0), (0, 1)],
-                            seeds=[(0, 0)], max_elements=20)
+    ball = enumerate_oracle(zoo.bicyclic_oracle(), [(0, 0), (1, 0), (0, 1)],
+                            max_elements=20)
     assert isinstance(ball, BallEnumeration)
     assert not ball.closed
     assert len(ball) <= 20
@@ -1357,7 +1346,7 @@ def reference_green_scc(fs):
                 uf.union(first[c], i)
             else:
                 first[c] = i
-    d = _dense(uf.labels())
+    d = _dense(map(uf.find, range(n)))
     return (_dense(list(zip(l, r))), l, r, d, d)
 
 

@@ -176,14 +176,12 @@ def test_window_budget_refusal():
     # The window check shares the exhaustive check's budget: 601^3 > 10^7.
     window = zoo.PWindow(300)
     with pytest.raises(ValueError, match="budget"):
-        check_identity_window(window, parse_identity("x(yz) = (xy)z"),
-                              window.elements)
+        check_identity_window(window, parse_identity("x(yz) = (xy)z"))
 
 
 def test_rolstar_on_p_window():
     window = zoo.PWindow(15)
-    result = check_identity_window(window, catalogue_entry("rolstar")[0],
-                                   window.elements)
+    result = check_identity_window(window, catalogue_entry("rolstar")[0])
     assert result.holds
     assert result.window_verified
     assert result.checked == 31 ** 3
@@ -193,14 +191,12 @@ def test_cr_axioms_on_p_window():
     window = zoo.PWindow(15)
     for text in ["x(yz) = (xy)z", "(x')' = x", "xx'x = x", "xx' = x'x",
                  "x = xx'x"]:
-        assert check_identity_window(window, parse_identity(text),
-                                     window.elements).holds
+        assert check_identity_window(window, parse_identity(text)).holds
 
 
 def test_inverse_identity_fails_on_p():
     window = zoo.PWindow(6)
-    result = check_identity_window(window, catalogue()["inverse"][0],
-                                   window.elements)
+    result = check_identity_window(window, catalogue()["inverse"][0])
     assert not result.holds
 
 
@@ -388,7 +384,7 @@ def outcome(check):
 def assert_matches_reference(structure, ident, budget=LIMITS["assignments"]):
     if isinstance(structure, zoo.PWindow):
         window = structure.elements
-        new = outcome(lambda: check_identity_window(structure, ident, window))
+        new = outcome(lambda: check_identity_window(structure, ident))
         old = outcome(lambda: reference_check_over(structure, ident, window,
                                                    True))
     else:
