@@ -294,24 +294,28 @@ class _Ops(NamedTuple):
     elements: Sequence
     row: Callable               # row(a, bs) == [mult(a, b) for b in bs]
     vmult: Callable             # vmult(xs, ys) == list(map(mult, xs, ys))
+    idpow: Callable             # idpow(xs) == [mult(x, unary(x)) for x in xs]
 
 
 def _read(structure) -> _Ops:
     """The operations of a FiniteSemigroup, or of a structure such as
-    ``zoo.PWindow`` that carries ``mult``, ``row``, ``vmult``, ``unary``,
-    ``zero_element``, ``completely_regular`` and ``elements``."""
+    ``zoo.PWindow`` that carries ``mult``, ``row``, ``vmult``, ``idpow``,
+    ``unary``, ``zero_element``, ``completely_regular`` and ``elements``."""
     if isinstance(structure, FiniteSemigroup):
         table, unary = structure.table, structure.unary
+        cr = structure.is_completely_regular()
+        # Only a completely regular structure stages x^0, and it has a unary.
+        idem = [row[u] for row, u in zip(table, unary)] if cr else []
         return _Ops(lambda a, b: table[a][b],
                     None if unary is None else unary.__getitem__,
-                    structure.zero, structure.is_completely_regular(),
-                    range(len(table)),
+                    structure.zero, cr, range(len(table)),
                     lambda a, bs: list(map(table[a].__getitem__, bs)),
                     lambda xs, ys: list(
-                        map(getitem, map(table.__getitem__, xs), ys)))
+                        map(getitem, map(table.__getitem__, xs), ys)),
+                    lambda xs: list(map(idem.__getitem__, xs)))
     return _Ops(structure.mult, structure.unary, structure.zero_element,
                 structure.completely_regular, structure.elements,
-                structure.row, structure.vmult)
+                structure.row, structure.vmult, structure.idpow)
 
 
 class _Stager:
@@ -370,10 +374,10 @@ class _Stager:
                 raise ValueError(
                     "x^0 is only meaningful on completely regular structures")
             level, vec, r = self.stage(term.arg)
-            return self._emit(
-                level, vec,
-                (lambda: vmult(vals[r], map(unary, vals[r]))) if vec
-                else (lambda: mult(vals[r], unary(vals[r]))))
+            idpow = ops.idpow
+            return self._emit(level, vec,
+                              (lambda: idpow(vals[r])) if vec
+                              else (lambda: mult(vals[r], unary(vals[r]))))
         if isinstance(term, ZeroC):
             zero = ops.zero
             if zero is None:

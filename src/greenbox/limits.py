@@ -34,6 +34,7 @@ LIMITS = {
     "stephen_stages": 40,             # stages: a Stephen run
     "stephen_vertices": 20_000,       # vertices: a Stephen stage
     "presented_elements": 200,        # elements: a presented table
+    "spec_digits": 4_300,             # digits: a number in a zoo spec
 }
 
 _PATTERN = ("pattern matching capped at |w| <= {pattern_word}, "
@@ -53,6 +54,7 @@ REFUSALS = {    # need's text for each limit it checks
     "free_elements": "free object exceeds {limit} nonzero elements",
     "pattern_word": _PATTERN,
     "pattern_letters": _PATTERN,
+    "spec_digits": "a number of {amount} digits exceeds the limit of {limit}",
 }
 
 

@@ -12,7 +12,6 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
-from itertools import starmap
 from typing import Callable, Optional
 
 from . import engine, identities, munn, stephen, vmaps, zoo
@@ -326,14 +325,14 @@ def _vmaps_samples(seed: int, probes: int):
 def _vmaps_sampling_agrees(seed: int, probes: int = 10_000) -> bool:
     f, p = vmaps.phi(), vmaps.psi()
     gens = [f, vmaps.invert(f), p, vmaps.invert(p)]
+    steps = [vmaps.BruteMap.from_vmap(g) for g in gens]
     for word, points in _vmaps_samples(seed, probes):
         sym = vmaps.identity_map()
         brute = vmaps.BruteMap.from_vmap(sym)
         for i in word:
             sym = vmaps.compose(sym, gens[i])
-            brute = brute.then(vmaps.BruteMap.from_vmap(gens[i]))
-        if (list(starmap(sym.apply, points))
-                != list(starmap(brute.apply, points))):
+            brute = brute.then(steps[i])
+        if sym.apply_all(points) != brute.apply_all(points):
             return False
     return True
 

@@ -101,6 +101,17 @@ class VMap(namedtuple("VMap", "domain shift")):
             return None
         return (x + self.shift[0], y + self.shift[1])
 
+    def apply_all(self, points: Sequence) -> list:
+        """[self.apply(x, y) for x, y in points], as one comprehension."""
+        dom, (dx, dy) = self
+        if dom == EMPTY:
+            return [None] * len(points)
+        if dom == WHOLE_X:
+            return [(x + dx, y + dy) if y >= 0 else None for x, y in points]
+        r, s = dom
+        return [(x + dx, y + dy) if s <= y <= x + s - r else None
+                for x, y in points]
+
     def __str__(self) -> str:
         if self.is_empty:
             return "empty"
@@ -167,14 +178,24 @@ def invert(f: VMap) -> VMap:
 
 
 def power(f: VMap, n: int) -> VMap:
-    """f^n; negative exponents invert first, f^0 is the identity on X."""
+    """f^n; negative exponents invert first, f^0 is the identity on X.
+
+    A translation of all of X is raised in closed form; any other map by
+    repeated squaring, in at most 2 log2 |n| compositions."""
     if n == 0:
         return identity_map()
     base = f if n > 0 else invert(f)
-    out = base
-    for _ in range(abs(n) - 1):
-        out = compose(out, base)
-    return out
+    n = abs(n)
+    if base.domain == WHOLE_X:
+        return tuple.__new__(VMap, (WHOLE_X, (n * base.shift[0], 0)))
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else compose(out, base)
+        n >>= 1
+        if not n:
+            return out
+        base = compose(base, base)
 
 
 def restrict(f: VMap, dom) -> VMap:
@@ -288,6 +309,23 @@ class BruteMap(tuple):
             x += dx
             y += dy
         return (x, y)
+
+    def apply_all(self, points: Sequence) -> list:
+        """[self.apply(x, y) for x, y in points]: the points walk the chain
+        together, one comprehension a step, and a point off the step's
+        domain becomes None.  A point (x, y) is on it when y >= low and
+        y - x <= high; X has no diagonal bound."""
+        out = [p if p[1] >= 0 else None for p in points]
+        for dom, ox, oy, dx, dy in self:
+            if dom == EMPTY:
+                return [None] * len(out)
+            if dom == WHOLE_X:
+                low, high = -oy, float("inf")
+            else:
+                low, high = dom.s - oy, dom.s - dom.r + ox - oy
+            out = [None if p is None or p[1] < low or p[1] - p[0] > high
+                   else (p[0] + dx, p[1] + dy) for p in out]
+        return out
 
     def then(self, other: "BruteMap") -> "BruteMap":
         return BruteMap(self + other)

@@ -164,6 +164,11 @@ class PWindow:
         """[m o n for m, n in zip(ms, ns)]."""
         return [m if m & 1 else m + n for m, n in zip(ms, ns)]
 
+    @staticmethod
+    def idpow(ms: Iterable[int]) -> list:
+        """[m o m' for m in ms]: m for odd m, 0 for even m."""
+        return [m if m & 1 else 0 for m in ms]
+
     def __repr__(self) -> str:
         return f"PWindow({self.n})"
 
@@ -514,28 +519,18 @@ def parse_zoo(spec: str):
     if spec == "b2^1":
         return b2_with_identity()
     head, _, rest = spec.partition(":")
+    # Looked up per call, so a wrapped module attribute is the one called.
+    one_number = {"mn": mn_table, "np": monogenic_monoid, "pz": PWindow,
+                  "rz": right_zero, "lz": left_zero, "null": null_semigroup,
+                  "sw": sw_semigroup, "bicyclic": bicyclic_ball}
     try:
-        if head == "mn":
-            return mn_table(int(rest))
-        if head == "np":
-            return monogenic_monoid(int(rest))
-        if head == "pz":
-            return PWindow(int(rest))
-        if head == "rz":
-            return right_zero(int(rest))
-        if head == "lz":
-            return left_zero(int(rest))
-        if head == "null":
-            return null_semigroup(int(rest))
-        if head == "sw":
-            return sw_semigroup(int(rest))
-        if head == "bicyclic":
-            return bicyclic_ball(int(rest))
+        if head in one_number:
+            return one_number[head](_number(rest))
         if head == "freenil":
             pattern, letters, cap = rest.split(":")
-            return free_nil(pattern, int(letters), int(cap))
+            return free_nil(pattern, _number(letters), _number(cap))
         if head == "transf":
-            n, seed, k = (int(x) for x in rest.split(":"))
+            n, seed, k = (_number(x) for x in rest.split(":"))
             return random_transformation_semigroup(n, seed, k)
         if head == "prod":
             parts = _split_product(rest)
@@ -550,6 +545,14 @@ def parse_zoo(spec: str):
     except ValueError as exc:  # BudgetError included
         raise ValueError(f"bad zoo spec {spec!r}: {exc}") from None
     raise ValueError(f"unknown zoo spec {spec!r}")
+
+
+def _number(field: str) -> int:
+    """A numeric spec field, refused by the ``spec_digits`` limit before
+    int() reads it (int() has a digit limit of its own, with its own
+    text)."""
+    need("spec_digits", sum(map(str.isdecimal, field)))
+    return int(field)
 
 
 def _split_product(rest: str) -> list:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import time
 import tracemalloc
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from greenbox import zoo
+from greenbox import vmaps, zoo
 from greenbox.cli import build_parser, console_main, main
 from greenbox.limits import LIMITS
 from test_engine import format_table
@@ -252,6 +253,30 @@ def test_identity_refusals_print_error_prefix(capsys):
         2, "", "error: term exceeds 256 nodes (at position 5)\n")
 
 
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize("spec", [
+    f"{head}:{NINES}" for head in
+    ("mn", "np", "pz", "rz", "lz", "null", "sw", "bicyclic")] + [
+    f"freenil:ab:{NINES}:2", f"freenil:ab:2:{NINES}",
+    f"transf:{NINES}:1:2", f"transf:3:{NINES}:2", f"transf:3:1:{NINES}",
+    f"prod:b2,mn:{NINES}"])
+def test_zoo_numbers_over_the_digit_limit_exit_2(capsys, spec):
+    # int() would refuse them with its own digit-limit text.
+    code, out, err = run(capsys, "table", spec)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad zoo spec {spec!r}: ")
+    assert err.endswith(": a number of 5000 digits exceeds the limit of "
+                        "4300\n")
+    assert err.count("\n") == 1
+
+
+def test_zoo_numbers_at_the_digit_limit_are_read(capsys):
+    code, out, _ = run(capsys, "table", f"transf:3:{'9' * 4300}:2")
+    assert code == 0 and " elements; H=" in out
+
+
 def test_word_budget_refusals_exit_2(capsys):
     assert run(capsys, "munn", "a^100000000") == (
         2, "", "error: word longer than 100000 letters (at position 0)\n")
@@ -442,6 +467,22 @@ def test_vmaps_chain(capsys):
     assert "V(0,0)" in out
 
 
+def test_vmaps_chain_composes_logarithmically_often(capsys, monkeypatch):
+    # Counted, not timed: a linear power would make 3·10^12 compositions.
+    calls = []
+    compose = vmaps.compose
+
+    def counted(f, g):
+        calls.append(1)
+        return compose(f, g)
+
+    monkeypatch.setattr(vmaps, "compose", counted)
+    s = 10 ** 12
+    assert run(capsys, "vmaps", "chain", "-r", "3", "-s", str(s)) == (
+        0, f"chain for V(3,{s}): V(3,{s}) + (-3,-{s}) (image V(0,0))\n", "")
+    assert 0 < len(calls) <= 2 * math.log2(s) + 8
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
 
@@ -614,6 +655,7 @@ LEDGER_REFUSALS = {
     "pattern_word": ["table", "freenil:xyxxzy:2:25"],
     "pattern_letters": ["table", "freenil:xxxxxxx:2:3"],
     "vmap_word_length": ["vmaps", "ball", "--cap", "13"],
+    "spec_digits": ["table", "mn:" + "9" * 4301],
 }
 # Entries no CLI input is refused by, and why.
 LIBRARY_ONLY = {

@@ -479,3 +479,31 @@ def test_table_row_matches_products(case):
     n, a, bs = case
     ops = mn_ops(n)
     assert ops.row(a, bs) == list(map(ops.mult, repeat(a), bs))
+
+
+# One ^0 operation serves tables and windows: idpow(xs) is x x' for each x
+# of xs, in order.
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-60, 60), max_size=40))
+def test_window_idpow_matches_products(xs):
+    want = [zoo.p_mult(x, zoo.p_unary(x)) for x in xs]
+    assert zoo.PWindow.idpow(xs) == want
+    assert _read(zoo.PWindow(3)).idpow(iter(xs)) == want
+
+
+def test_table_idpow_matches_products():
+    for structure in REFERENCE_STRUCTURES + [zoo.parse_zoo("rz:4")]:
+        ops = _read(structure)
+        if ops.completely_regular:
+            xs = list(ops.elements) * 2
+            assert ops.idpow(xs) == [ops.mult(x, ops.unary(x)) for x in xs]
+
+
+def test_window_idpow_of_a_list_calls_no_unary():
+    window, calls = zoo.PWindow(6), []
+    window.unary = lambda m: calls.append(m) or zoo.p_unary(m)
+    result = check_identity_window(window, parse_identity("x^0 z^0 = z^0 x^0"))
+    assert result.holds is False
+    assert all(abs(m) <= 6 for m in calls) and len(calls) <= 13

@@ -416,6 +416,9 @@ class RefBruteMap:
             return self.apply(x - dx, y - dy) is not None
         return RefBruteMap(defined, (-dx, -dy))
 
+    def apply_all(self, points):
+        return [self.apply(x, y) for x, y in points]
+
 
 def build(kind, args):
     """The same map built twice: (validated tuple, reference dataclass)."""
@@ -575,3 +578,85 @@ def test_report_samples_match_randint_and_choice_draws():
     for seed in range(20):
         assert (list(report._vmaps_samples(seed, 10_000))
                 == list(reference_vmaps_samples(seed, 10_000)))
+
+
+# powers by repeated squaring and point-list application, against the
+# linear power and pointwise apply they replaced in the report
+
+
+def linear_power(f, n):
+    """f^n as |n| - 1 compositions."""
+    if n == 0:
+        return identity_map()
+    base = f if n > 0 else invert(f)
+    out = base
+    for _ in range(abs(n) - 1):
+        out = compose(out, base)
+    return out
+
+
+def brute_power(f, n):
+    """f^n as a BruteMap chain of |n| steps."""
+    step = BruteMap.from_vmap(f if n >= 0 else invert(f))
+    chain = BruteMap.from_vmap(identity_map())
+    for _ in range(abs(n)):
+        chain = chain.then(step)
+    return chain
+
+
+any_maps = st.one_of(st.sampled_from(GENERATORS + [EMPTY_MAP]),
+                     valid_maps().map(lambda spec: build(*spec)[0]))
+probe_points = st.lists(st.tuples(st.integers(-25, 25), st.integers(-5, 25)),
+                        max_size=30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(any_maps, st.integers(-40, 40), probe_points)
+def test_power_matches_linear_power_and_brute_chain(f, n, probes):
+    got, want = power(f, n), linear_power(f, n)
+    assert got == want and str(got) == str(want)
+    assert type(got.domain) is type(want.domain)
+    assert got.apply_all(probes) == brute_power(f, n).apply_all(probes)
+
+
+def test_power_makes_logarithmically_many_compositions(monkeypatch):
+    calls = []
+
+    def counted(f, g):
+        calls.append(1)
+        return compose(f, g)
+
+    monkeypatch.setattr("greenbox.vmaps.compose", counted)
+    for n in (1, 2, 3, 1000, 2 ** 40 - 1, 10 ** 12):
+        calls.clear()
+        pn = power(phi(), n)
+        assert (pn.domain, pn.image()) == (VSet(n - 1, 0), VSet(n - 1, n))
+        assert len(calls) <= 2 * n.bit_length()
+        calls.clear()
+        assert power(phi(), -n) == invert(pn)
+        assert len(calls) <= 2 * n.bit_length()
+    calls.clear()
+    assert power(psi(), 10 ** 12) == VMap(WHOLE_X, (10 ** 12, 0))
+    assert calls == []
+
+
+@settings(max_examples=400, deadline=None)
+@given(generator_words(), probe_points)
+def test_point_list_application_matches_pointwise(word, probes):
+    sym = compose_all(word)
+    new, ref = chains(word)
+    for m in (sym, new, ref, new.inverse(), ref.inverse()):
+        assert m.apply_all(probes) == [m.apply(x, y) for x, y in probes]
+
+
+def test_point_list_application_edge_maps():
+    probes = [(0, 0), (3, -1), (-4, 2), (5, 5), (0, -7)]
+    for m in (EMPTY_MAP, identity_map(), psi(), invert(psi()), phi(),
+              VMap(VSet(-3, 2), (4, -2))):
+        for brute in (BruteMap.from_vmap(m), RefBruteMap.from_vmap(m)):
+            assert (brute.apply_all(probes) == m.apply_all(probes)
+                    == [m.apply(x, y) for x, y in probes])
+    assert EMPTY_MAP.apply_all(probes) == [None] * 5
+    assert identity_map().apply_all(probes) == [
+        (0, 0), None, (-4, 2), (5, 5), None]
+    assert BruteMap.from_vmap(EMPTY_MAP).apply_all([]) == []
