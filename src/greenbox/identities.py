@@ -295,12 +295,14 @@ class _Ops(NamedTuple):
     row: Callable               # row(a, bs) == [mult(a, b) for b in bs]
     vmult: Callable             # vmult(xs, ys) == list(map(mult, xs, ys))
     idpow: Callable             # idpow(xs) == [mult(x, unary(x)) for x in xs]
+    vunary: Optional[Callable]  # vunary(xs) == list(map(unary, xs))
 
 
 def _read(structure) -> _Ops:
     """The operations of a FiniteSemigroup, or of a structure such as
     ``zoo.PWindow`` that carries ``mult``, ``row``, ``vmult``, ``idpow``,
-    ``unary``, ``zero_element``, ``completely_regular`` and ``elements``."""
+    ``unary``, ``vunary``, ``zero_element``, ``completely_regular`` and
+    ``elements``."""
     if isinstance(structure, FiniteSemigroup):
         table, unary = structure.table, structure.unary
         cr = structure.is_completely_regular()
@@ -312,10 +314,13 @@ def _read(structure) -> _Ops:
                     lambda a, bs: list(map(table[a].__getitem__, bs)),
                     lambda xs, ys: list(
                         map(getitem, map(table.__getitem__, xs), ys)),
-                    lambda xs: list(map(idem.__getitem__, xs)))
+                    lambda xs: list(map(idem.__getitem__, xs)),
+                    None if unary is None
+                    else lambda xs: list(map(unary.__getitem__, xs)))
     return _Ops(structure.mult, structure.unary, structure.zero_element,
                 structure.completely_regular, structure.elements,
-                structure.row, structure.vmult, structure.idpow)
+                structure.row, structure.vmult, structure.idpow,
+                structure.vunary)
 
 
 class _Stager:
@@ -366,8 +371,9 @@ class _Stager:
             if unary is None:
                 raise ValueError(f"term {term} needs a unary operation")
             level, vec, r = self.stage(term.arg)
+            vunary = ops.vunary
             return self._emit(level, vec,
-                              (lambda: list(map(unary, vals[r]))) if vec
+                              (lambda: vunary(vals[r])) if vec
                               else (lambda: unary(vals[r])))
         if isinstance(term, IdPow):
             if not ops.completely_regular:
@@ -385,13 +391,16 @@ class _Stager:
             return self._emit(-1, False, lambda: zero)
         raise TypeError(f"not a term: {term!r}")
 
-    def side(self, term: Term, width: int) -> int:
-        """The register of ``term`` as a list of ``width`` values."""
+    def side(self, term: Term, inner: tuple) -> int:
+        """The register of ``term`` as a list as long as the value of the
+        staged node ``inner``, the innermost variable's list."""
         level, vec, r = self.stage(term)
         if vec:
             return r
+        inner_level, _, inner_reg = inner
         vals = self.vals
-        return self._emit(level, True, lambda: [vals[r]] * width)[2]
+        return self._emit(max(level, inner_level), True,
+                          lambda: [vals[r]] * len(vals[inner_reg]))[2]
 
 
 @dataclass
@@ -406,6 +415,12 @@ class CheckResult:
         return self.holds
 
 
+# Values of the innermost variable evaluated at once.  Above the square
+# root of the ``assignments`` limit, so every check with two or more
+# variables is one block.
+BLOCK = 4_096
+
+
 def _check_over(ops: _Ops, identity: Identity,
                 window_verified: bool) -> CheckResult:
     """The ``assignments`` limit comes first, then each side compiles
@@ -414,33 +429,47 @@ def _check_over(ops: _Ops, identity: Identity,
     Assignments run in ``itertools.product`` order, the last variable
     innermost.  Each subterm is evaluated at the loop level of its deepest
     variable other than the last, or once per check if it has none; one
-    that uses the last variable is a list over the elements, so each inner
-    loop is one comparison of the two sides' lists."""
+    that uses the last variable is a list over a block of at most
+    ``BLOCK`` elements, so each inner loop is one comparison of the two
+    sides' lists a block.  When the elements fill more than one block,
+    the blocks are one more loop level, innermost, and the subterms that
+    use the last variable are evaluated once a block."""
     variables, elements = identity.variables(), ops.elements
     n, k = len(elements), len(variables)
     need("assignments", n ** k, n=n, k=k)
-    # Without variables there is one assignment, the empty one.
-    inner = list(elements) if variables else [None]
     last = max(k - 1, 0)
+    # Without variables there is one assignment, the empty one.
+    starts = range(0, n, BLOCK) if variables else range(1)
+    blocked = len(starts) > 1
+    inner = (last if blocked else -1, True, last)
     slots = {v: (d, False, d) for d, v in enumerate(variables[:last])}
-    slots.update((v, (-1, True, last)) for v in variables[last:])
-    stager = _Stager(ops, slots, [None] * last + [inner], last)
-    lhs = stager.side(identity.lhs, len(inner))
-    rhs = stager.side(identity.rhs, len(inner))
+    slots.update((v, inner) for v in variables[last:])
+    first = list(elements[:BLOCK]) if variables else [None]
+    stager = _Stager(ops, slots, [None] * last + [first], last + 1)
+    lhs = stager.side(identity.lhs, inner)
+    rhs = stager.side(identity.rhs, inner)
     vals, steps = stager.vals, stager.steps
 
     def sweep(d: int, prefix: int) -> Optional[CheckResult]:
         """The first failure with the first d variables set, ``prefix``
         being the index of their values in product order."""
         if d == last:
-            left, right = vals[lhs], vals[rhs]
-            if left == right:
-                return None
-            j = next(j for j, (a, b) in enumerate(zip(left, right)) if a != b)
-            return CheckResult(
-                identity, False, dict(zip(variables, vals[:last] + [inner[j]])),
-                prefix * n + j + 1, window_verified)
-        for i, e in enumerate(inner):
+            for start in starts:
+                if blocked:
+                    vals[d] = list(elements[start:start + BLOCK])
+                    for r, fn in steps[d]:
+                        vals[r] = fn()
+                left, right = vals[lhs], vals[rhs]
+                if left == right:
+                    continue
+                j = next(j for j, (a, b) in enumerate(zip(left, right))
+                         if a != b)
+                return CheckResult(
+                    identity, False,
+                    dict(zip(variables, vals[:last] + [vals[d][j]])),
+                    prefix * n + start + j + 1, window_verified)
+            return None
+        for i, e in enumerate(elements):
             vals[d] = e
             for r, fn in steps[d]:
                 vals[r] = fn()

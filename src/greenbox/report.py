@@ -12,7 +12,7 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from . import engine, identities, munn, stephen, vmaps, zoo
 from .words import Word, free_reduce, invert_word
@@ -161,15 +161,60 @@ def entry_p_semigroup(seed: int = 0) -> ReportEntry:
               "l_classes": l_count})
 
 
-def _random_word(rng: random.Random, letters: int, max_len: int) -> Word:
-    length = rng.randint(1, max_len)
-    return tuple(rng.choice([1, -1]) * rng.randint(1, letters)
+class _Draws:
+    """The draws of ``random.Random(seed)``: its randrange(n), randint,
+    choice and shuffle streams, bit for bit.  Each draw is the stdlib's
+    rejection loop, one ``getrandbits(n.bit_length())`` call per attempt,
+    without the two Python calls the stdlib makes around it."""
+
+    __slots__ = ("getrandbits",)
+
+    def __init__(self, seed: int):
+        self.getrandbits = random.Random(seed).getrandbits
+
+    def randrange(self, n: int) -> int:
+        if n < 1:
+            raise ValueError("empty range for randrange()")
+        bits, k = self.getrandbits, n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return r
+
+    def randint(self, a: int, b: int) -> int:
+        return a + self.randrange(b - a + 1)
+
+    def choice(self, seq: Sequence):
+        return seq[self.randrange(len(seq))]
+
+    def shuffle(self, x: list) -> None:
+        for i in reversed(range(1, len(x))):
+            j = self.randrange(i + 1)
+            x[i], x[j] = x[j], x[i]
+
+
+def _random_word(draws: _Draws, letters: int, max_len: int) -> Word:
+    length = draws.randint(1, max_len)
+    return tuple(draws.choice((1, -1)) * draws.randint(1, letters)
                  for _ in range(length))
 
 
+def _munn_samples(seed: int) -> tuple:
+    """c05's draws: 500 random words over 3 letters, then five shuffled
+    edge orders of the linear automaton of each of the first 100."""
+    draws = _Draws(seed)
+    words = [_random_word(draws, 3, 12) for _ in range(500)]
+    orders = []
+    for u in words[:100]:
+        shuffles = [list(range(len(u))) for _ in range(5)]
+        for order in shuffles:
+            draws.shuffle(order)
+        orders.append(shuffles)
+    return words, orders
+
+
 def entry_munn_randoms(seed: int = 0) -> ReportEntry:
-    rng = random.Random(seed)
-    words = [_random_word(rng, 3, 12) for _ in range(500)]
+    words, orders = _munn_samples(seed)
     trees = [munn.munn_tree(u) for u in words]
     sandwich_ok = all(
         munn.canonical_key(t)
@@ -181,12 +226,10 @@ def entry_munn_randoms(seed: int = 0) -> ReportEntry:
         munn.is_fis_idempotent(u) == (t.base == t.final)
         for u, t in zip(words[:200], trees))
     confluence_ok = True
-    for u in words[:100]:
+    for u, shuffles in zip(words, orders):
         lin = munn.linear_automaton(u)
         reference = munn.canonical_key(munn.fold(lin))
-        for _ in range(5):
-            order = list(range(len(lin.edges)))
-            rng.shuffle(order)
+        for order in shuffles:
             if munn.canonical_key(munn.fold(lin, edge_order=order)) != reference:
                 confluence_ok = False
     product_ok = all(
@@ -233,11 +276,16 @@ def entry_stephen_m(seed: int = 0) -> ReportEntry:
         data={"stage_vertex_counts": counts})
 
 
+def _word_pairs(seed: int) -> list:
+    """c07's draws: 100 pairs of random words over 2 letters."""
+    draws = _Draws(seed)
+    return [(_random_word(draws, 2, 8), _random_word(draws, 2, 8))
+            for _ in range(100)]
+
+
 def entry_stephen_consistency(seed: int = 0) -> ReportEntry:
-    rng = random.Random(seed)
     free_pres = stephen.Presentation(stephen.Alphabet(["a", "b"]), [])
-    pairs = [(_random_word(rng, 2, 8), _random_word(rng, 2, 8))
-             for _ in range(100)]
+    pairs = _word_pairs(seed)
     free_ok = True
     for u, v in pairs:
         expected = "equal" if munn.fis_equal(u, v) else "distinct"
@@ -314,11 +362,11 @@ def entry_vmaps(seed: int = 0) -> ReportEntry:
 def _vmaps_samples(seed: int, probes: int):
     """200 random words over phi, phi^-1, psi, psi^-1 (letters 0..3), each
     with probes // 200 points of [-20, 20] x [0, 20] to apply its map to."""
-    rng = random.Random(seed)
+    draws = _Draws(seed)
+    below = draws.randrange
     for _ in range(200):
-        word = [rng.randrange(4) for _ in range(rng.randint(1, 8))]
-        points = [(rng.randrange(41) - 20, rng.randrange(21))
-                  for _ in range(probes // 200)]
+        word = [below(4) for _ in range(draws.randint(1, 8))]
+        points = [(below(41) - 20, below(21)) for _ in range(probes // 200)]
         yield word, points
 
 

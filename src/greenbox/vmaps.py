@@ -311,20 +311,32 @@ class BruteMap(tuple):
         return (x, y)
 
     def apply_all(self, points: Sequence) -> list:
-        """[self.apply(x, y) for x, y in points]: the points walk the chain
-        together, one comprehension a step, and a point off the step's
-        domain becomes None.  A point (x, y) is on it when y >= low and
-        y - x <= high; X has no diagonal bound."""
-        out = [p if p[1] >= 0 else None for p in points]
+        """[self.apply(x, y) for x, y in points]: each step's bounds are
+        worked out once, then each point walks the chain on plain ints
+        and leaves as None at the first step whose domain it is off.  A
+        point (x, y) is on it when y >= low and y - x <= high; X has no
+        diagonal bound."""
+        steps = []
         for dom, ox, oy, dx, dy in self:
             if dom == EMPTY:
-                return [None] * len(out)
+                return [None] * len(points)
             if dom == WHOLE_X:
-                low, high = -oy, float("inf")
+                steps.append((-oy, float("inf"), dx, dy))
             else:
-                low, high = dom.s - oy, dom.s - dom.r + ox - oy
-            out = [None if p is None or p[1] < low or p[1] - p[0] > high
-                   else (p[0] + dx, p[1] + dy) for p in out]
+                steps.append((dom.s - oy, dom.s - dom.r + ox - oy, dx, dy))
+        out = []
+        for x, y in points:
+            if y < 0:
+                out.append(None)
+                continue
+            for low, high, dx, dy in steps:
+                if y < low or y - x > high:
+                    out.append(None)
+                    break
+                x += dx
+                y += dy
+            else:
+                out.append((x, y))
         return out
 
     def then(self, other: "BruteMap") -> "BruteMap":

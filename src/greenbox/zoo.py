@@ -169,6 +169,11 @@ class PWindow:
         """[m o m' for m in ms]: m for odd m, 0 for even m."""
         return [m if m & 1 else 0 for m in ms]
 
+    @staticmethod
+    def vunary(ms: Iterable[int]) -> list:
+        """[m' for m in ms]: m for odd m, -m for even m."""
+        return [m if m & 1 else -m for m in ms]
+
     def __repr__(self) -> str:
         return f"PWindow({self.n})"
 
@@ -255,7 +260,7 @@ def null_semigroup(n: int) -> FiniteSemigroup:
 def transformation_oracle(n: int) -> Oracle:
     # Right action: x (fg) = (x f) g.
     return Oracle(lambda f, g: tuple(map(g.__getitem__, f)),
-                  name=lambda f: "".join(map(str, f)))
+                  name=("%d" * n).__mod__)
 
 
 def transformation_semigroup(n: int, maps: Iterable[Sequence[int]]):

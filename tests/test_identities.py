@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from functools import lru_cache
 from itertools import repeat
 from unittest.mock import patch
@@ -6,7 +7,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from greenbox import zoo
+from greenbox import identities, zoo
 from greenbox.engine import FiniteSemigroup
 from greenbox.identities import (IdPow, Inv, Mul, Var, ZeroC, _read, _Stager,
                                  catalogue, catalogue_entry,
@@ -441,6 +442,58 @@ def test_staged_failures_inside_the_inner_list_match_reference():
     assert inside >= 3
 
 
+# The innermost variable runs in blocks of at most identities.BLOCK
+# values.  Under the assignment limit only a one-variable check has more
+# than one block; a small block splits every check, so a first failure can
+# lie in any block.
+
+
+@settings(max_examples=300, deadline=None)
+@given(structure=st.sampled_from(REFERENCE_STRUCTURES),
+       lhs=SHAPED_TERM_TEXTS, rhs=SHAPED_TERM_TEXTS, block=st.integers(1, 4))
+def test_blocked_checks_match_recursive_reference(structure, lhs, rhs, block):
+    try:
+        ident = parse_identity(f"{lhs} = {rhs}")
+    except ValueError:
+        assume(False)           # over the term size cap
+    with patch.object(identities, "BLOCK", block):
+        assert_matches_reference(structure, ident)
+
+
+def semilattice_with_nilpotent(m):
+    """The chain 0 > 1 > ... > m - 2 (x y = max(x, y), m - 2 the zero)
+    with a nilpotent m - 1 adjoined: every product with it is the zero.
+    Only the last element fails x x = x."""
+    zero, nil = m - 2, m - 1
+    table = [[max(x, y) for y in range(m - 1)] + [zero]
+             for x in range(m - 1)]
+    return FiniteSemigroup(table + [[zero] * m])
+
+
+def test_failure_in_a_later_block_matches_reference():
+    structure = semilattice_with_nilpotent(10)
+    for text in ("x x = x", "y = x y x", "y = y y x"):
+        ident = parse_identity(text)
+        with patch.object(identities, "BLOCK", 3):
+            result = assert_matches_reference(structure, ident)
+        holds, _, checked, _ = result
+        assert not holds and checked == 10      # in the last of 4 blocks
+
+
+def test_one_variable_window_check_holds_one_block_at_a_time():
+    assert identities.BLOCK ** 2 > LIMITS["assignments"]
+    window = zoo.PWindow(4 * identities.BLOCK)
+    tracemalloc.start()
+    try:
+        result = check_identity_window(window, parse_identity("xx'x = x"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.holds and result.checked == 8 * identities.BLOCK + 1
+    # About 0.8 MB for one block's lists; unblocked, over 6 MB.
+    assert peak < 2_000_000
+
+
 # One row operation serves tables and windows: row(a, bs) is the products
 # a·b in the order of bs.
 
@@ -499,6 +552,32 @@ def test_table_idpow_matches_products():
         if ops.completely_regular:
             xs = list(ops.elements) * 2
             assert ops.idpow(xs) == [ops.mult(x, ops.unary(x)) for x in xs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-60, 60), max_size=40))
+def test_window_vunary_matches_unary(xs):
+    want = list(map(zoo.p_unary, xs))
+    assert zoo.PWindow.vunary(xs) == want
+    assert _read(zoo.PWindow(3)).vunary(iter(xs)) == want
+
+
+def test_table_vunary_matches_unary():
+    for structure in REFERENCE_STRUCTURES + [zoo.parse_zoo("mn:3")]:
+        ops = _read(structure)
+        if ops.unary is None:
+            assert ops.vunary is None
+        else:
+            xs = list(ops.elements) * 2
+            assert ops.vunary(xs) == list(map(ops.unary, xs))
+
+
+def test_window_unary_of_a_list_calls_no_unary():
+    window, calls = zoo.PWindow(6), []
+    window.unary = lambda m: calls.append(m) or zoo.p_unary(m)
+    result = check_identity_window(window, parse_identity("x' z' = z' x'"))
+    assert result.holds is False
+    assert all(abs(m) <= 6 for m in calls) and len(calls) <= 13
 
 
 def test_window_idpow_of_a_list_calls_no_unary():
