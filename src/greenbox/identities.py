@@ -441,33 +441,38 @@ def _check_over(ops: _Ops, identity: Identity,
     # Without variables there is one assignment, the empty one.
     starts = range(0, n, BLOCK) if variables else range(1)
     blocked = len(starts) > 1
-    inner = (last if blocked else -1, True, last)
+    slot = (last if blocked else -1, True, last)
     slots = {v: (d, False, d) for d, v in enumerate(variables[:last])}
-    slots.update((v, inner) for v in variables[last:])
-    first = list(elements[:BLOCK]) if variables else [None]
-    stager = _Stager(ops, slots, [None] * last + [first], last + 1)
-    lhs = stager.side(identity.lhs, inner)
-    rhs = stager.side(identity.rhs, inner)
+    slots.update((v, slot) for v in variables[last:])
+    inner = list(elements[:BLOCK]) if variables else [None]
+    stager = _Stager(ops, slots, [None] * last + [inner], last + 1)
+    lhs = stager.side(identity.lhs, slot)
+    rhs = stager.side(identity.rhs, slot)
     vals, steps = stager.vals, stager.steps
+
+    def counterexample(offset: int) -> CheckResult:
+        """The first failure in the two sides' lists, whose first entry is
+        assignment ``offset`` in product order, counting from 0."""
+        left, right = vals[lhs], vals[rhs]
+        j = next(j for j, (a, b) in enumerate(zip(left, right)) if a != b)
+        return CheckResult(
+            identity, False,
+            dict(zip(variables, vals[:last] + [vals[last][j]])),
+            offset + j + 1, window_verified)
 
     def sweep(d: int, prefix: int) -> Optional[CheckResult]:
         """The first failure with the first d variables set, ``prefix``
         being the index of their values in product order."""
         if d == last:
+            if not blocked:
+                return (None if vals[lhs] == vals[rhs]
+                        else counterexample(prefix * n))
             for start in starts:
-                if blocked:
-                    vals[d] = list(elements[start:start + BLOCK])
-                    for r, fn in steps[d]:
-                        vals[r] = fn()
-                left, right = vals[lhs], vals[rhs]
-                if left == right:
-                    continue
-                j = next(j for j, (a, b) in enumerate(zip(left, right))
-                         if a != b)
-                return CheckResult(
-                    identity, False,
-                    dict(zip(variables, vals[:last] + [vals[d][j]])),
-                    prefix * n + start + j + 1, window_verified)
+                vals[d] = list(elements[start:start + BLOCK])
+                for r, fn in steps[d]:
+                    vals[r] = fn()
+                if vals[lhs] != vals[rhs]:
+                    return counterexample(prefix * n + start)
             return None
         for i, e in enumerate(elements):
             vals[d] = e

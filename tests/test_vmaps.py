@@ -660,3 +660,6 @@ def test_point_list_application_edge_maps():
     assert identity_map().apply_all(probes) == [
         (0, 0), None, (-4, 2), (5, 5), None]
     assert BruteMap.from_vmap(EMPTY_MAP).apply_all([]) == []
+    # A step whose check looks below its point still keeps y < 0 off X.
+    below = BruteMap(((WHOLE_X, 0, 1, 0, 0),))
+    assert below.apply_all(probes) == [below.apply(x, y) for x, y in probes]
