@@ -165,7 +165,7 @@ class _Draws:
     """The draws of ``random.Random(seed)``: its randrange(n), randint,
     choice and shuffle streams, bit for bit.  Each draw is the stdlib's
     rejection loop, one ``getrandbits(n.bit_length())`` call per attempt,
-    without the two Python calls the stdlib makes around it."""
+    run one Python call shallower than the stdlib runs it."""
 
     __slots__ = ("getrandbits",)
 
