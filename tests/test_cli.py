@@ -605,6 +605,8 @@ TABLE_GOLDEN = (
     + [f"freenil:xx:3:{cap}" for cap in range(1, 5)]
     + ["freenil:xyx:2:4", "freenil:x:2:3"]
     + ["prod:rz:3,null:2", "prod:b2,np:2", "prod:mn:3,lz:2"]
+    + ["prod:b2^1,np:3", "prod:np:2,np:3,np:2", "prod:b2,b2",
+       "prod:null:3,null:3", "prod:rz:2,lz:3"]
     + ["transf:3:1:2", "transf:4:2:2", "transf:4:5:3"]
 )
 
