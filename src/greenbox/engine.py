@@ -3,10 +3,9 @@
 Enumerates finitely generated semigroups from a multiplication oracle,
 computes Green's relations by two independent methods (strong connectivity
 on Cayley graphs, and direct principal-ideal comparison), and provides the
-standard constructions: direct products, an adjoined identity,
-subsemigroups, table isomorphism, eggbox pictures, and bounded "witnessed"
-Green analysis for balls and windows of semigroups that do not close
-within budget.
+standard constructions: direct products, an adjoined identity, table
+isomorphism, eggbox pictures, and bounded "witnessed" Green analysis for
+balls and windows of semigroups that do not close within budget.
 """
 
 from __future__ import annotations
@@ -184,15 +183,6 @@ class FiniteSemigroup:
 
     def __repr__(self) -> str:
         return f"FiniteSemigroup(n={len(self)}, generators={self.generators})"
-
-
-def _closure(table, gens) -> set:
-    """Subsemigroup generated by ``gens``: the right Cayley search over the
-    table's generator columns.  In an associative table the generator words
-    are closed under every product, so no pair needs multiplying."""
-    first, later = _right_search([[row[g] for g in gens] for row in table],
-                                 gens)
-    return {g for g, _ in first}.union(y for y, _, _ in later)
 
 
 def verify_associative(table) -> Optional[tuple]:
@@ -675,11 +665,17 @@ def format_eggbox(fs: FiniteSemigroup, gs: Optional[GreenStructure] = None) -> s
 
 
 def direct_product(factors: Sequence[FiniteSemigroup]) -> FiniteSemigroup:
-    """Componentwise product.  Generators are all elements: the product of
-    the factor generating sets does not generate in general, and Cayley
-    reachability needs a true generating set.  Elements are numbered in
+    """Componentwise product.  Elements are numbered in
     ``itertools.product`` order, so a tuple's index is the mixed-radix sum
-    of its components, and each cell is that sum of the factor products."""
+    of its components, and each product of tuples is that sum of the
+    factor products.
+
+    The tuples of factor generators need not generate the product (a null
+    factor's zero is no product of its generators), so the right search
+    from them tops them up with the elements it misses (``_top_up``).  The
+    product is held as the Cayley graphs of those letters, unless the two
+    graphs would hold at least as many cells as the table: then it is the
+    table, with every element a letter."""
     if not factors:
         raise ValueError("need at least one factor")
     size = 1
@@ -698,14 +694,68 @@ def direct_product(factors: Sequence[FiniteSemigroup]) -> FiniteSemigroup:
             out = [ints[r * m + c] for r in out for c in part]
         return out
 
-    table = [indices([f.table[i] for f, i in zip(factors, t)]) for t in tuples]
+    def column(x: int) -> list:
+        """y·x for every element y: each factor's column of x's component,
+        from its right graph when that component is one of its letters."""
+        return indices([[row[f.letters.index(i)] for row in f.right]
+                        if i in f.letters else [row[i] for row in f.table]
+                        for f, i in zip(factors, tuples[x])])
+
     unary = None
     if all(f.unary is not None for f in factors):
         unary = indices([f.unary for f in factors])
     names = ["(" + ",".join(factors[k].names[i] for k, i in enumerate(t)) + ")"
              for t in tuples]
-    return FiniteSemigroup(table, names=names, keys=tuples, unary=unary,
-                           generators=range(len(tuples)))
+    graphs = _top_up(size, indices([f.generators for f in factors]), column)
+    if graphs is None:
+        table = [indices([f.table[i] for f, i in zip(factors, t)])
+                 for t in tuples]
+        return FiniteSemigroup(table, names=names, keys=tuples, unary=unary)
+    letters, columns = graphs
+    return FiniteSemigroup(right=list(map(list, zip(*columns))),
+                           letters=letters, names=names, keys=tuples,
+                           unary=unary)
+
+
+def _top_up(n: int, letters: list, column: Callable) -> Optional[tuple]:
+    """(letters, columns): ``letters`` topped up until they generate, and
+    the right column of each, ``column(x)[y]`` being y·x.  The right search
+    from the letters takes the first element it has missed, in index
+    order, as a new letter whenever it runs dry, and follows each (element,
+    letter) edge once.  None once 2·|letters| reaches n, where the two
+    Cayley graphs would hold at least as many cells as the table."""
+    if 2 * len(letters) >= n:
+        return None
+    columns = list(map(column, letters))
+    seen = [False] * n
+    for g in letters:
+        seen[g] = True
+    queue = list(letters)
+    done = low = 0              # queue[:done] has followed every letter
+    while True:
+        while done < len(queue):
+            p = queue[done]
+            done += 1
+            for col in columns:
+                y = col[p]
+                if not seen[y]:
+                    seen[y] = True
+                    queue.append(y)
+        if len(queue) == n:
+            return letters, columns
+        if 2 * (len(letters) + 1) >= n:
+            return None
+        low = seen.index(False, low)
+        seen[low] = True
+        queue.append(low)
+        letters.append(low)
+        col = column(low)
+        columns.append(col)
+        for p in queue[:done]:
+            y = col[p]
+            if not seen[y]:
+                seen[y] = True
+                queue.append(y)
 
 
 def adjoin_identity(fs: FiniteSemigroup) -> FiniteSemigroup:
@@ -722,34 +772,6 @@ def adjoin_identity(fs: FiniteSemigroup) -> FiniteSemigroup:
     names = list(fs.names) + [label]
     gens = sorted(set(fs.generators) | {n})
     return FiniteSemigroup(table, names=names, unary=unary, generators=gens)
-
-
-def subsemigroup(fs: FiniteSemigroup, seed: Iterable[int]) -> tuple:
-    """Closure of ``seed`` under multiplication (and unary when present).
-
-    The product closure of the seed is re-seeded with its unary images
-    until nothing new appears.  Returns (sub, embedding) where
-    embedding[i] is the index in fs of element i of the subsemigroup.
-    """
-    seed = set(seed)
-    gens = set(seed)
-    current = _closure(fs.table, sorted(gens))
-    while fs.unary is not None:
-        images = {fs.unary[x] for x in current} - current
-        if not images:
-            break
-        gens |= images
-        current = _closure(fs.table, sorted(gens))
-    embedding = sorted(current)
-    pos = {x: i for i, x in enumerate(embedding)}
-    table = [[pos[fs.table[x][y]] for y in embedding] for x in embedding]
-    unary = [pos[fs.unary[x]] for x in embedding] if fs.unary is not None else None
-    names = [fs.names[x] for x in embedding]
-    # The closure adds unary images, so the seed alone need not generate
-    # it; the seed and the unary images of the closure do, under products.
-    gens = {pos[x] for x in seed} | set(unary or ())
-    sub = FiniteSemigroup(table, names=names, unary=unary, generators=gens)
-    return sub, embedding
 
 
 # ---------------------------------------------------------------------------

@@ -294,15 +294,16 @@ class _Ops(NamedTuple):
     elements: Sequence
     row: Callable               # row(a, bs) == [mult(a, b) for b in bs]
     vmult: Callable             # vmult(xs, ys) == list(map(mult, xs, ys))
-    idpow: Callable             # idpow(xs) == [mult(x, unary(x)) for x in xs]
+    idem: Callable              # idem(x) == mult(x, unary(x))
+    idpow: Callable             # idpow(xs) == list(map(idem, xs))
     vunary: Optional[Callable]  # vunary(xs) == list(map(unary, xs))
 
 
 def _read(structure) -> _Ops:
     """The operations of a FiniteSemigroup, or of a structure such as
-    ``zoo.PWindow`` that carries ``mult``, ``row``, ``vmult``, ``idpow``,
-    ``unary``, ``vunary``, ``zero_element``, ``completely_regular`` and
-    ``elements``."""
+    ``zoo.PWindow`` that carries ``mult``, ``row``, ``vmult``, ``idem``,
+    ``idpow``, ``unary``, ``vunary``, ``zero_element``,
+    ``completely_regular`` and ``elements``."""
     if isinstance(structure, FiniteSemigroup):
         table, unary = structure.table, structure.unary
         cr = structure.is_completely_regular()
@@ -314,13 +315,14 @@ def _read(structure) -> _Ops:
                     lambda a, bs: list(map(table[a].__getitem__, bs)),
                     lambda xs, ys: list(
                         map(getitem, map(table.__getitem__, xs), ys)),
+                    idem.__getitem__,
                     lambda xs: list(map(idem.__getitem__, xs)),
                     None if unary is None
                     else lambda xs: list(map(unary.__getitem__, xs)))
     return _Ops(structure.mult, structure.unary, structure.zero_element,
                 structure.completely_regular, structure.elements,
-                structure.row, structure.vmult, structure.idpow,
-                structure.vunary)
+                structure.row, structure.vmult, structure.idem,
+                structure.idpow, structure.vunary)
 
 
 class _Stager:
@@ -380,10 +382,10 @@ class _Stager:
                 raise ValueError(
                     "x^0 is only meaningful on completely regular structures")
             level, vec, r = self.stage(term.arg)
-            idpow = ops.idpow
+            idem, idpow = ops.idem, ops.idpow
             return self._emit(level, vec,
                               (lambda: idpow(vals[r])) if vec
-                              else (lambda: mult(vals[r], unary(vals[r]))))
+                              else (lambda: idem(vals[r])))
         if isinstance(term, ZeroC):
             zero = ops.zero
             if zero is None:

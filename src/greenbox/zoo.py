@@ -165,6 +165,11 @@ class PWindow:
         return [m if m & 1 else m + n for m, n in zip(ms, ns)]
 
     @staticmethod
+    def idem(m: int) -> int:
+        """m o m': m for odd m, 0 for even m."""
+        return m if m & 1 else 0
+
+    @staticmethod
     def idpow(ms: Iterable[int]) -> list:
         """[m o m' for m in ms]: m for odd m, 0 for even m."""
         return [m if m & 1 else 0 for m in ms]

@@ -5,10 +5,11 @@ import os
 import time
 import tracemalloc
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
-from greenbox import vmaps, zoo
+from greenbox import engine, vmaps, zoo
 from greenbox.cli import build_parser, console_main, main
 from greenbox.limits import LIMITS
 from test_engine import format_table
@@ -641,6 +642,24 @@ def test_table_budget_refusals_exit_2_quickly(capsys):
         assert (code, out) == (2, ""), spec
         assert err.startswith(f"error: bad zoo spec {spec!r}: {reason}"), spec
         assert err.count("\n") == 1, spec
+
+
+def test_table_of_a_monoid_product_fills_no_table(capsys):
+    # np:6^4 is held by its 16 tuples of generators: the eggbox reads their
+    # Cayley graphs, and the table of 2401^2 cells is never filled.
+    built = []
+
+    def product(factors):
+        built.append(engine.direct_product(factors))
+        return built[-1]
+
+    with patch.object(zoo, "direct_product", product):
+        code, out, _ = run(capsys, "table", "prod:np:6,np:6,np:6,np:6")
+    assert code == 0
+    assert out.startswith("2401 elements; H=2401 L=2401 R=2401 D=2401 ")
+    fs, = built
+    assert len(fs.letters) == 16
+    assert "table" not in fs.__dict__
 
 
 # Each ledger entry the CLI can reach, with an argv just over it.

@@ -1,7 +1,9 @@
 import functools
 import itertools
+import math
 import random
 import tracemalloc
+from dataclasses import astuple
 from math import comb, factorial
 from operator import itemgetter
 from unittest.mock import patch
@@ -11,12 +13,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from greenbox import zoo
 from greenbox.engine import (RELATIONS, BallEnumeration, BudgetError,
-                             FiniteSemigroup, Oracle, _closure,
-                             _dense, _sccs, _UnionFind, adjoin_identity,
+                             FiniteSemigroup, Oracle, _dense,
+                             _right_search, _sccs, _top_up, _UnionFind,
+                             adjoin_identity,
                              ball_enumerate, ball_witnesses, direct_product,
                              eggbox, enumerate_oracle, format_eggbox,
                              green_definitional, green_scc, iso_tables,
-                             parse_table, subsemigroup,
+                             parse_table,
                              table_from_ball, verify_associative, witnessed_green,
                              witnessed_related)
 from greenbox.limits import LIMITS
@@ -344,6 +347,43 @@ def test_fill_matches_reference_on_random_generators(case):
     assert_fill_matches_reference(table_from_ball(ball), ball)
 
 
+def closure(table, gens) -> set:
+    """Subsemigroup generated by ``gens``: the right Cayley search over the
+    table's generator columns.  In an associative table the generator words
+    are closed under every product, so no pair needs multiplying."""
+    first, later = _right_search([[row[g] for g in gens] for row in table],
+                                 gens)
+    return {g for g, _ in first}.union(y for y, _, _ in later)
+
+
+def subsemigroup(fs, seed):
+    """Closure of ``seed`` under multiplication (and unary when present).
+
+    The product closure of the seed is re-seeded with its unary images
+    until nothing new appears.  Returns (sub, embedding) where
+    embedding[i] is the index in fs of element i of the subsemigroup.
+    """
+    seed = set(seed)
+    gens = set(seed)
+    current = closure(fs.table, sorted(gens))
+    while fs.unary is not None:
+        images = {fs.unary[x] for x in current} - current
+        if not images:
+            break
+        gens |= images
+        current = closure(fs.table, sorted(gens))
+    embedding = sorted(current)
+    pos = {x: i for i, x in enumerate(embedding)}
+    table = [[pos[fs.table[x][y]] for y in embedding] for x in embedding]
+    unary = [pos[fs.unary[x]] for x in embedding] if fs.unary is not None else None
+    names = [fs.names[x] for x in embedding]
+    # The closure adds unary images, so the seed alone need not generate
+    # it; the seed and the unary images of the closure do, under products.
+    gens = {pos[x] for x in seed} | set(unary or ())
+    sub = FiniteSemigroup(table, names=names, unary=unary, generators=gens)
+    return sub, embedding
+
+
 def all_pairs_closure(table, seed):
     """Reference closure: every found element times every other, both sides."""
     closed = set(seed)
@@ -368,7 +408,7 @@ def test_closure_matches_all_pairs_reference(points, seed, k, data):
     gens = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1,
                                     max_size=min(n, 4))))
     expected = all_pairs_closure(table, gens)
-    assert _closure(table, gens) == expected
+    assert closure(table, gens) == expected
     missed = n - len(expected)
     if missed:
         with pytest.raises(ValueError, match=rf"miss {missed} element\(s\)"):
@@ -539,6 +579,92 @@ def test_product_fill_matches_tuple_reference():
 def test_product_size_guard():
     with pytest.raises(BudgetError):
         direct_product([zoo.right_zero(200), zoo.right_zero(200)])
+
+
+def generator_tuples(factors):
+    """The indices of the product's tuples of factor generators."""
+    tuples = itertools.product(*[range(len(f)) for f in factors])
+    return [i for i, t in enumerate(tuples)
+            if all(x in f.generators for f, x in zip(factors, t))]
+
+
+def reference_product_letters(factors, table):
+    """The letters a product is held by, or None for its table: the tuples
+    of factor generators, then the least element outside the closure of
+    the letters so far, one at a time, while 2·|letters| < n."""
+    n, letters = len(table), generator_tuples(factors)
+    while 2 * len(letters) < n:
+        missed = set(range(n)) - all_pairs_closure(table, letters)
+        if not missed:
+            return letters
+        letters.append(min(missed))
+    return None
+
+
+PRODUCT_ORACLE_SPECS = (
+    ["b2", "b2^1"] + [f"np:{p}" for p in range(1, 5)]
+    + [f"mn:{n}" for n in range(2, 5)] + [f"rz:{n}" for n in range(1, 5)]
+    + [f"lz:{n}" for n in range(1, 4)] + [f"null:{n}" for n in range(2, 5)]
+    + [f"transf:3:{seed}:{k}" for seed in range(3) for k in (1, 2)])
+PRODUCT_ORACLE_FACTORS = {spec: zoo.parse_zoo(spec)
+                          for spec in PRODUCT_ORACLE_SPECS}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(PRODUCT_ORACLE_SPECS), min_size=1,
+                max_size=3).filter(lambda specs: math.prod(
+                    len(PRODUCT_ORACLE_FACTORS[s]) for s in specs) <= 150))
+def test_product_matches_reference_table(specs):
+    factors = [PRODUCT_ORACLE_FACTORS[s] for s in specs]
+    prod = direct_product(factors)
+    tuples, table, unary = reference_product_table(factors)
+    names = ["(" + ",".join(f.names[i] for f, i in zip(factors, t)) + ")"
+             for t in tuples]
+    assert (prod.keys, prod.names, prod.unary) == (tuples, names, unary)
+    assert prod.letters == (reference_product_letters(factors, table)
+                            or list(range(len(table))))
+    gs, ref = green_scc(prod), FiniteSemigroup(table, unary=unary)
+    assert format_eggbox(prod, gs) == format_eggbox(ref)
+    # Green's relations and the eggbox read the graphs, not the table.
+    assert ("table" in prod.__dict__) == (len(prod.letters) == len(prod))
+    assert (gs.h, gs.l, gs.r, gs.d, gs.j) == astuple(green_scc(ref))
+    assert prod.table == table
+
+
+def test_product_letters_top_up_or_fall_back_to_the_table():
+    # b2 x b2: the four tuples of a and a' miss two elements, which become
+    # letters.  null:3 x null:3: the four tuples of nonzero elements and a
+    # first top-up make 2·5 letters >= 9 elements, so the table is kept.
+    b2b2 = direct_product([zoo.b2(), zoo.b2()])
+    assert (len(b2b2), len(b2b2.letters)) == (25, 6)
+    nulls = direct_product([zoo.null_semigroup(3)] * 2)
+    assert nulls.letters == list(range(9))
+    assert "table" in nulls.__dict__
+
+
+@pytest.mark.parametrize("specs", [["b2", "b2"], ["null:2", "np:30"],
+                                   ["np:3", "b2", "null:2"]])
+def test_top_up_follows_each_edge_once(specs):
+    # At most n·|A| column reads for the |A| letters whose columns are
+    # built, however many top-ups there are: a fresh right search per
+    # top-up would read about n·|A|²/2.
+    factors = [zoo.parse_zoo(spec) for spec in specs]
+    _, table, _ = reference_product_table(factors)
+    n, reads, built = len(table), [0], []
+
+    class Column(list):
+        def __getitem__(self, y):
+            reads[0] += 1
+            return list.__getitem__(self, y)
+
+    def column(x):
+        built.append(x)
+        return Column(row[x] for row in table)
+
+    graphs = _top_up(n, generator_tuples(factors), column)
+    assert (graphs and graphs[0]) == reference_product_letters(factors, table)
+    assert len(built) > len(generator_tuples(factors)) + 1
+    assert reads[0] <= n * len(built)
 
 
 # Rees quotients and adjunctions
@@ -1396,8 +1522,9 @@ PRODUCT_FACTOR_SPECS = ["b2", "b2^1", "np:2", "np:3", "rz:2", "rz:3", "lz:2",
 @given(st.lists(st.sampled_from(PRODUCT_FACTOR_SPECS), min_size=1,
                 max_size=2))
 def test_green_scc_matches_references_on_zoo_products(specs):
-    # Every element of a product is a letter: all-generator tables.
-    fs = direct_product([zoo.parse_zoo(s) for s in specs])
+    # The kernel on all-generator tables: the product's table, with every
+    # element a letter.
+    fs = FiniteSemigroup(direct_product([zoo.parse_zoo(s) for s in specs]).table)
     assert fs.letters == list(range(len(fs)))
     assert_scc_kernel_matches_reference(fs)
     assert_green_agree(fs)

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from collections import Counter
 from functools import lru_cache
 from itertools import repeat
 from unittest.mock import patch
@@ -544,6 +545,7 @@ def test_window_idpow_matches_products(xs):
     want = [zoo.p_mult(x, zoo.p_unary(x)) for x in xs]
     assert zoo.PWindow.idpow(xs) == want
     assert _read(zoo.PWindow(3)).idpow(iter(xs)) == want
+    assert list(map(_read(zoo.PWindow(3)).idem, xs)) == want
 
 
 def test_table_idpow_matches_products():
@@ -552,6 +554,7 @@ def test_table_idpow_matches_products():
         if ops.completely_regular:
             xs = list(ops.elements) * 2
             assert ops.idpow(xs) == [ops.mult(x, ops.unary(x)) for x in xs]
+            assert ops.idpow(xs) == list(map(ops.idem, xs))
 
 
 @settings(max_examples=300, deadline=None)
@@ -586,3 +589,16 @@ def test_window_idpow_of_a_list_calls_no_unary():
     result = check_identity_window(window, parse_identity("x^0 z^0 = z^0 x^0"))
     assert result.holds is False
     assert all(abs(m) <= 6 for m in calls) and len(calls) <= 13
+
+
+def test_scalar_idempotent_power_is_one_call_per_value():
+    # x is an outer variable, so x^0 is staged on scalars: one idem call
+    # for each of the 13 values of x, and no product or unary call.
+    window, calls = zoo.PWindow(6), Counter()
+    for name in ("mult", "unary", "idem"):
+        op = getattr(zoo.PWindow, name)
+        setattr(window, name, lambda *args, name=name, op=op:
+                calls.update([name]) or op(*args))
+    result = check_identity_window(window, parse_identity("x^0 (x y) = x y"))
+    assert (result.holds, result.checked) == (True, 169)
+    assert calls == {"idem": 13}
