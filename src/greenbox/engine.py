@@ -665,17 +665,16 @@ def format_eggbox(fs: FiniteSemigroup, gs: Optional[GreenStructure] = None) -> s
 
 
 def direct_product(factors: Sequence[FiniteSemigroup]) -> FiniteSemigroup:
-    """Componentwise product.  Elements are numbered in
-    ``itertools.product`` order, so a tuple's index is the mixed-radix sum
-    of its components, and each product of tuples is that sum of the
-    factor products.
+    """Componentwise product.  Elements are numbered in ``itertools.product``
+    order, so a tuple's index is the mixed-radix sum of its components, and
+    each product of tuples is that sum of the factor products.
 
     The tuples of factor generators need not generate the product (a null
-    factor's zero is no product of its generators), so the right search
-    from them tops them up with the elements it misses (``_top_up``).  The
-    product is held as the Cayley graphs of those letters, unless the two
-    graphs would hold at least as many cells as the table: then it is the
-    table, with every element a letter."""
+    factor's nonzero elements are products of nothing), so ``_top_up`` adds
+    the elements that the right search from them misses.  The product is
+    held as the Cayley graphs of those letters, unless the two graphs would
+    hold at least as many cells as the table: then it is the table, with
+    every element a letter."""
     if not factors:
         raise ValueError("need at least one factor")
     size = 1
