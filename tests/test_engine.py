@@ -13,15 +13,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from greenbox import zoo
 from greenbox.engine import (RELATIONS, BallEnumeration, BudgetError,
-                             FiniteSemigroup, Oracle, _dense,
-                             _right_search, _sccs, _top_up, _UnionFind,
-                             adjoin_identity,
+                             FiniteSemigroup, Oracle, _dense, _right_search,
+                             _sccs, _top_up, _UnionFind, adjoin_identity,
                              ball_enumerate, ball_witnesses, direct_product,
                              eggbox, enumerate_oracle, format_eggbox,
                              green_definitional, green_scc, iso_tables,
-                             parse_table,
-                             table_from_ball, verify_associative, witnessed_green,
-                             witnessed_related)
+                             parse_table, table_from_ball, verify_associative,
+                             witnessed_green, witnessed_related)
 from greenbox.limits import LIMITS
 
 
@@ -614,6 +612,9 @@ PRODUCT_ORACLE_FACTORS = {spec: zoo.parse_zoo(spec)
 @given(st.lists(st.sampled_from(PRODUCT_ORACLE_SPECS), min_size=1,
                 max_size=3).filter(lambda specs: math.prod(
                     len(PRODUCT_ORACLE_FACTORS[s]) for s in specs) <= 150))
+@example(["b2", "b2"])              # two top-ups, held as graphs
+@example(["null:3", "null:3"])      # a top-up reaches the table's size
+@example(["rz:2", "lz:3"])          # the table from the start
 def test_product_matches_reference_table(specs):
     factors = [PRODUCT_ORACLE_FACTORS[s] for s in specs]
     prod = direct_product(factors)
@@ -629,17 +630,6 @@ def test_product_matches_reference_table(specs):
     assert ("table" in prod.__dict__) == (len(prod.letters) == len(prod))
     assert (gs.h, gs.l, gs.r, gs.d, gs.j) == astuple(green_scc(ref))
     assert prod.table == table
-
-
-def test_product_letters_top_up_or_fall_back_to_the_table():
-    # b2 x b2: the four tuples of a and a' miss two elements, which become
-    # letters.  null:3 x null:3: the four tuples of nonzero elements and a
-    # first top-up make 2·5 letters >= 9 elements, so the table is kept.
-    b2b2 = direct_product([zoo.b2(), zoo.b2()])
-    assert (len(b2b2), len(b2b2.letters)) == (25, 6)
-    nulls = direct_product([zoo.null_semigroup(3)] * 2)
-    assert nulls.letters == list(range(9))
-    assert "table" in nulls.__dict__
 
 
 @pytest.mark.parametrize("specs", [["b2", "b2"], ["null:2", "np:30"],
