@@ -425,7 +425,9 @@ IDENTITY_GOLDEN = [
     ["np:3", "x' = x"],
     ["b2", "0 = x"],
     ["mn:4", "v w x y z = z y x w v"],
-]
+] + [[spec, key] for spec in ("b2", "b2^1", "np:4", "rz:3", "lz:3", "null:3")
+     for key in ("i-semigroup", "cr", "inverse", "si", "rolstar", "c2",
+                 "x2-in-g", "nil-2", "zero-mult", "x x' x = x")]
 
 
 def test_identity_golden_output(capsys):
@@ -601,7 +603,7 @@ TABLE_GOLDEN = (
     + [f"mn:{n}" for n in range(2, 10)]
     + [f"np:{p}" for p in range(1, 6)]
     + [f"rz:{n}" for n in range(1, 5)]
-    + ["lz:3", "null:3"]
+    + ["lz:1", "lz:3", "null:1", "null:2", "null:3"]
     + [f"sw:{cap}" for cap in range(1, 7)]
     + [f"freenil:xx:3:{cap}" for cap in range(1, 5)]
     + ["freenil:xyx:2:4", "freenil:x:2:3"]
@@ -619,6 +621,47 @@ def test_table_golden_output(capsys):
         code, out, _ = run(capsys, "table", spec)
         parts.append(f"$ table {spec}\nexit: {code}\n{out}")
     path = os.path.join(os.path.dirname(__file__), "golden", "table.txt")
+    with open(path, encoding="utf-8") as handle:
+        assert "".join(parts) == handle.read()
+
+
+# Hand-entered tables for `table --file`: B2 with its zero first, a proper
+# generator subset given out of order and twice, and unary lines; and the
+# 2x2 rectangular band with neither, comments and blank lines.
+TABLE_FILES = {
+    "b2.txt": """elements: 0 a b ab ba
+row 0: 0 0 0 0 0
+row a: 0 0 ab 0 a
+row b: 0 ba 0 b 0
+row ab: 0 a 0 ab 0
+row ba: 0 0 b 0 ba
+unary 0: 0
+unary a: b
+unary b: a
+unary ab: ab
+unary ba: ba
+generators: b a a
+""",
+    "band.txt": """# (i, j)(k, l) = (i, l) over i, j in {1, 2}
+elements: p q r s
+
+row p: p q p q
+row q: p q p q   # q = (1, 2)
+row r: r s r s
+row s: r s r s
+""",
+}
+
+
+def test_table_file_golden_output(tmp_path, capsys):
+    # Per file: its name, the exit code and stdout of `table --file`.
+    parts = []
+    for name, text in TABLE_FILES.items():
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = run(capsys, "table", str(path), "--file")
+        parts.append(f"$ table --file {name}\nexit: {code}\n{out}")
+    path = os.path.join(os.path.dirname(__file__), "golden", "table_file.txt")
     with open(path, encoding="utf-8") as handle:
         assert "".join(parts) == handle.read()
 
