@@ -45,42 +45,21 @@ class FiniteSemigroup:
     never fill it.  ``unary`` is an optional involution-style unary
     operation (element index array).
 
-    Give either ``table`` or ``right`` with ``letters``.  A table is
-    checked to be square over element indices; its rows are kept, not
-    copied, and they are its graphs: all of them when every element is a
-    generator, else the rows and columns of ``generators`` (all elements
-    by default).  A right graph gets its generator rows from its own
-    edges, and its generators are its letters.  The generators must
-    genuinely generate: the Cayley-graph Green computation relies on it.
-    The constructor checks this in O(n·|A|) lookups for |A| letters,
-    following right Cayley edges only; that relies on associativity, which
-    ``parse_table`` verifies for hand-entered tables.
+    When every element is a letter in index order, the right graph is the
+    table and is also the left graph; otherwise the left rows are filled
+    from the right search.  The letters must genuinely generate: the
+    Cayley-graph Green computation relies on it.  The constructor checks
+    this in O(n·|A|) lookups for |A| letters, following right Cayley edges
+    only; that relies on associativity, which ``parse_table`` verifies for
+    hand-entered tables.
     """
 
-    def __init__(self, table: Optional[Sequence[Sequence[int]]] = None, *,
-                 right: Optional[Sequence[Sequence[int]]] = None,
-                 letters: Optional[Sequence[int]] = None,
-                 names: Optional[Sequence[str]] = None,
+    def __init__(self, right: Sequence[Sequence[int]], letters: Sequence[int],
+                 *, names: Optional[Sequence[str]] = None,
                  keys: Optional[Sequence] = None,
-                 unary: Optional[Sequence[int]] = None,
-                 generators: Optional[Iterable[int]] = None):
-        if table is not None:
-            self.table = table = list(table)
-            n = len(table)
-            for row in table:
-                if len(row) != n or min(row) < 0 or max(row) >= n:
-                    raise ValueError(
-                        "table is not a square matrix of element indices")
-            letters = sorted(set(generators)) if generators is not None \
-                else list(range(n))
-            if len(letters) == n:
-                right = left = table
-            else:
-                right = [[row[g] for g in letters] for row in table]
-                left = [table[g] for g in letters]
-        else:
-            letters = list(letters)
-            n = len(right)
+                 unary: Optional[Sequence[int]] = None):
+        letters = list(letters)
+        n = len(right)
         if not letters:
             raise ValueError("generator set must be nonempty")
         self.right, self.letters = right, letters
@@ -89,7 +68,9 @@ class FiniteSemigroup:
         if missed:
             # The Cayley-graph Green computation silently depends on this.
             raise ValueError(f"declared generators miss {missed} element(s)")
-        if table is None:
+        if letters == list(range(n)):
+            left = right
+        else:
             # The row of letter g, column by column in search order: each
             # later y = p·h has g·y = (g·p)·h, one lookup per cell.
             left = []
@@ -101,11 +82,9 @@ class FiniteSemigroup:
                     row[y] = right[row[p]][a]
                 left.append(row)
         self.left = left
-        self.generators = sorted(set(letters))
         self.keys = list(keys) if keys is not None else list(range(n))
         self.names = [str(x) for x in (names if names is not None else self.keys)]
         self.unary = list(unary) if unary is not None else None
-        self._cr = None
 
     def __len__(self) -> int:
         return len(self.right)
@@ -166,23 +145,20 @@ class FiniteSemigroup:
                 return z
         return None
 
-    def is_completely_regular(self) -> bool:
+    @cached_property
+    def completely_regular(self) -> bool:
         """Unary present and x x' = x' x, x x' x = x for every element."""
-        if self._cr is None:
-            if self.unary is None:
-                self._cr = False
-            else:
-                t, u = self.table, self.unary
-                self._cr = all(
-                    t[x][u[x]] == t[u[x]][x] and t[t[x][u[x]]][x] == x
-                    for x in range(len(self)))
-        return self._cr
+        if self.unary is None:
+            return False
+        t, u = self.table, self.unary
+        return all(t[x][u[x]] == t[u[x]][x] and t[t[x][u[x]]][x] == x
+                   for x in range(len(self)))
 
     def element_index(self, key) -> int:
         return self.keys.index(key)
 
     def __repr__(self) -> str:
-        return f"FiniteSemigroup(n={len(self)}, generators={self.generators})"
+        return f"FiniteSemigroup(n={len(self)}, letters={self.letters})"
 
 
 def verify_associative(table) -> Optional[tuple]:
@@ -669,12 +645,12 @@ def direct_product(factors: Sequence[FiniteSemigroup]) -> FiniteSemigroup:
     order, so a tuple's index is the mixed-radix sum of its components, and
     each product of tuples is that sum of the factor products.
 
-    The tuples of factor generators need not generate the product (a null
+    The tuples of factor letters need not generate the product (a null
     factor's nonzero elements are products of nothing), so ``_top_up`` adds
     the elements that the right search from them misses.  The product is
     held as the Cayley graphs of those letters, unless the two graphs would
-    hold at least as many cells as the table: then it is the table, with
-    every element a letter."""
+    hold at least as many cells as the table: then every element is a
+    letter, and the right graph is the table."""
     if not factors:
         raise ValueError("need at least one factor")
     size = 1
@@ -705,14 +681,15 @@ def direct_product(factors: Sequence[FiniteSemigroup]) -> FiniteSemigroup:
         unary = indices([f.unary for f in factors])
     names = ["(" + ",".join(factors[k].names[i] for k, i in enumerate(t)) + ")"
              for t in tuples]
-    graphs = _top_up(size, indices([f.generators for f in factors]), column)
+    graphs = _top_up(size, indices([f.letters for f in factors]), column)
     if graphs is None:
-        table = [indices([f.table[i] for f, i in zip(factors, t)])
+        letters = ints
+        right = [indices([f.table[i] for f, i in zip(factors, t)])
                  for t in tuples]
-        return FiniteSemigroup(table, names=names, keys=tuples, unary=unary)
-    letters, columns = graphs
-    return FiniteSemigroup(right=list(map(list, zip(*columns))),
-                           letters=letters, names=names, keys=tuples,
+    else:
+        letters, columns = graphs
+        right = list(map(list, zip(*columns)))
+    return FiniteSemigroup(right, letters, names=names, keys=tuples,
                            unary=unary)
 
 
@@ -758,10 +735,12 @@ def _top_up(n: int, letters: list, column: Callable) -> Optional[tuple]:
 
 
 def adjoin_identity(fs: FiniteSemigroup) -> FiniteSemigroup:
-    """Adjoin a fresh identity even when one is already present."""
+    """Adjoin a fresh identity even when one is already present.  It is
+    the new letter n: each old x has x·1 = x, and 1·g = g."""
     n = len(fs)
-    table = [row + [i] for i, row in enumerate(fs.table)]
-    table.append(list(range(n + 1)))
+    letters = fs.letters + [n]
+    right = [row + [x] for x, row in enumerate(fs.right)]
+    right.append(letters)
     unary = None
     if fs.unary is not None:
         unary = list(fs.unary) + [n]
@@ -769,8 +748,7 @@ def adjoin_identity(fs: FiniteSemigroup) -> FiniteSemigroup:
     while label in fs.names:
         label += "*"
     names = list(fs.names) + [label]
-    gens = sorted(set(fs.generators) | {n})
-    return FiniteSemigroup(table, names=names, unary=unary, generators=gens)
+    return FiniteSemigroup(right, letters, names=names, unary=unary)
 
 
 # ---------------------------------------------------------------------------
@@ -1168,8 +1146,12 @@ def parse_table(text: str) -> FiniteSemigroup:
 
     ``elements: e a b`` then one ``row x: ...`` line per element listing
     products in element order; optional ``unary x: y`` lines (all or none);
-    optional ``generators: ...``.  Non-associative tables are rejected with
-    a witness triple.
+    optional ``generators: ...``, every element by default.  Every row and
+    unary line must be for a declared element, every name in them must be
+    declared, and every row must have one entry per element, so the table
+    is square over element indices.  Non-associative tables are rejected
+    with a witness triple.  The semigroup is held as the right Cayley graph
+    of the generators, sorted and deduplicated.
     """
     names: list = []
     rows: dict = {}
@@ -1199,6 +1181,13 @@ def parse_table(text: str) -> FiniteSemigroup:
     index = {nm: i for i, nm in enumerate(names)}
     if len(index) != len(names):
         raise ValueError("duplicate element names")
+
+    def indices(fields: list, where: str) -> list:
+        try:
+            return [index[x] for x in fields]
+        except KeyError as exc:
+            raise ValueError(f"{where} mentions unknown element {exc}") from None
+
     n = len(names)
     table = []
     for nm in names:
@@ -1207,10 +1196,7 @@ def parse_table(text: str) -> FiniteSemigroup:
         row = rows[nm]
         if len(row) != n:
             raise ValueError(f"row {nm!r} has {len(row)} entries, expected {n}")
-        try:
-            table.append([index[x] for x in row])
-        except KeyError as exc:
-            raise ValueError(f"row {nm!r} mentions unknown element {exc}") from None
+        table.append(indices(row, f"row {nm!r}"))
     witness = verify_associative(table)
     if witness is not None:
         x, y, z = witness
@@ -1222,9 +1208,14 @@ def parse_table(text: str) -> FiniteSemigroup:
         missing = [nm for nm in names if nm not in unary]
         if missing:
             raise ValueError(f"unary given for some elements but not {missing}")
-        unary_arr = [index[unary[nm]] for nm in names]
-    gen_idx = None
-    if gens is not None:
-        gen_idx = [index[g] for g in gens]
-    return FiniteSemigroup(table, names=names, unary=unary_arr,
-                           generators=gen_idx)
+        unary_arr = [indices([unary[nm]], f"unary {nm!r}")[0] for nm in names]
+    for kind, lines in (("row", rows), ("unary", unary)):
+        for nm in lines:
+            if nm not in index:
+                raise ValueError(f"{kind} line for unknown element {nm!r}")
+    if gens is None:
+        letters, right = list(range(n)), table
+    else:
+        letters = sorted(set(indices(gens, "generators line")))
+        right = [[row[g] for g in letters] for row in table]
+    return FiniteSemigroup(right, letters, names=names, unary=unary_arr)

@@ -306,7 +306,7 @@ def _read(structure) -> _Ops:
     ``completely_regular`` and ``elements``."""
     if isinstance(structure, FiniteSemigroup):
         table, unary = structure.table, structure.unary
-        cr = structure.is_completely_regular()
+        cr = structure.completely_regular
         # Only a completely regular structure stages x^0, and it has a unary.
         idem = [row[u] for row, u in zip(table, unary)] if cr else []
         return _Ops(lambda a, b: table[a][b],

@@ -63,10 +63,6 @@ class InverseAutomaton:
             self._delta = delta
         return self._delta
 
-    def step(self, v: int, x: int) -> Optional[int]:
-        """Follow signed letter x from vertex v, or None if undefined."""
-        return self.transitions()[v].get(x)
-
     def walk(self, v: int, w: Word) -> Optional[int]:
         return follow(self.transitions(), v, w)
 
@@ -447,17 +443,6 @@ class FisTriple:
             raise ValueError("need r, s >= 0 with r + s >= 1")
         if not (-self.r <= self.t <= self.s):
             raise ValueError("final vertex outside the interval")
-
-    @property
-    def span(self) -> int:
-        return self.r + self.s
-
-    def multiply(self, other: "FisTriple") -> "FisTriple":
-        return FisTriple(*triple_multiply((self.r, self.s, self.t),
-                                          (other.r, other.s, other.t)))
-
-    def inverse(self) -> "FisTriple":
-        return FisTriple(*triple_inverse((self.r, self.s, self.t)))
 
     def word(self) -> Word:
         """A representative word: down to -r, up to s, back to t."""

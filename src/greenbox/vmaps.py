@@ -341,9 +341,3 @@ class BruteMap(tuple):
 
     def then(self, other: "BruteMap") -> "BruteMap":
         return BruteMap(self + other)
-
-    def inverse(self) -> "BruteMap":
-        """The chain walked backwards: each step checks the point it came
-        from, which lies the step's shift behind."""
-        return BruteMap((dom, ox - dx, oy - dy, -dx, -dy)
-                        for dom, ox, oy, dx, dy in reversed(self))

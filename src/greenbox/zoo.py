@@ -85,10 +85,10 @@ def b2() -> FiniteSemigroup:
             return None
         return (x[0], y[1]) if x[1] == y[0] else None
 
-    table = [[pos[mul(x, y)] for y in elems] for x in elems]
+    right = [[pos[mul(x, g)] for g in elems[:2]] for x in elems]
     unary = [pos[None if x is None else (x[1], x[0])] for x in elems]
-    return FiniteSemigroup(table, names=names, keys=elems, unary=unary,
-                           generators=[0, 1])
+    return FiniteSemigroup(right, [0, 1], names=names, keys=elems,
+                           unary=unary)
 
 
 def b2_with_identity() -> FiniteSemigroup:
@@ -104,9 +104,9 @@ def monogenic_monoid(p: int) -> FiniteSemigroup:
     at_least("index", p)
     n = p + 1
     need("table_cells", n * n, n=n)
-    table = [[min(i + j, p) for j in range(n)] for i in range(n)]
+    right = [[i, min(i + 1, p)] for i in range(n)]
     names = ["1"] + [f"a^{i}" if i > 1 else "a" for i in range(1, n)]
-    return FiniteSemigroup(table, names=names, generators=[0, 1])
+    return FiniteSemigroup(right, [0, 1], names=names)
 
 
 # ---------------------------------------------------------------------------
@@ -235,27 +235,30 @@ def right_zero(n: int) -> FiniteSemigroup:
     """x y = y; one R-class, singleton L-classes.  Bands carry x' = x."""
     at_least("size", n)
     need("table_cells", n * n, n=n)
-    table = [[j for j in range(n)] for _ in range(n)]
-    return FiniteSemigroup(table, names=[f"r{i + 1}" for i in range(n)],
-                           unary=list(range(n)), generators=range(n))
+    table = [list(range(n)) for _ in range(n)]
+    return FiniteSemigroup(table, range(n),
+                           names=[f"r{i + 1}" for i in range(n)],
+                           unary=range(n))
 
 
 def left_zero(n: int) -> FiniteSemigroup:
     """x y = x; one L-class, singleton R-classes."""
     at_least("size", n)
     need("table_cells", n * n, n=n)
-    table = [[i for _ in range(n)] for i in range(n)]
-    return FiniteSemigroup(table, names=[f"l{i + 1}" for i in range(n)],
-                           unary=list(range(n)), generators=range(n))
+    table = [[i] * n for i in range(n)]
+    return FiniteSemigroup(table, range(n),
+                           names=[f"l{i + 1}" for i in range(n)],
+                           unary=range(n))
 
 
 def null_semigroup(n: int) -> FiniteSemigroup:
     """All products are the zero; n counts the zero element."""
     at_least("size", n)
     need("table_cells", n * n, n=n)
-    table = [[0] * n for _ in range(n)]
+    letters = range(1, n) or [0]
     names = ["0"] + [f"b{i}" for i in range(1, n)]
-    return FiniteSemigroup(table, names=names, generators=range(1, n) or [0])
+    return FiniteSemigroup([[0] * len(letters) for _ in range(n)], letters,
+                           names=names)
 
 
 # ---------------------------------------------------------------------------

@@ -83,13 +83,8 @@ def test_every_definition_in_src_is_used():
 TEST_ONLY_API = sorted([
     "src/greenbox/engine.py witnessed_related",  # wrapped by perfbench
     "src/greenbox/zoo.py p_witnessed_related",   # wrapped by perfbench
-    "src/greenbox/munn.py step",                 # InverseAutomaton.step
-    "src/greenbox/munn.py span",                 # FisTriple.span
-    "src/greenbox/munn.py multiply",             # FisTriple.multiply
-    "src/greenbox/munn.py inverse",              # FisTriple.inverse
     "src/greenbox/vmaps.py apply",               # VMap.apply
     "src/greenbox/vmaps.py apply",               # BruteMap.apply
-    "src/greenbox/vmaps.py inverse",             # BruteMap.inverse
 ])
 
 

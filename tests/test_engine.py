@@ -28,16 +28,28 @@ def natural_numbers_ball(radius):
     return ball_enumerate(Oracle(lambda x, y: x + y), [1], radius)
 
 
-def format_table(fs):
-    """The table text format that ``parse_table`` reads."""
+def format_table(fs, generators=None):
+    """The table text format that ``parse_table`` reads; its generators
+    line lists ``generators``, the letters of ``fs`` by default."""
     lines = ["elements: " + " ".join(fs.names)]
     for i, nm in enumerate(fs.names):
         lines.append(f"row {nm}: " + " ".join(fs.names[x] for x in fs.table[i]))
     if fs.unary is not None:
         for i, nm in enumerate(fs.names):
             lines.append(f"unary {nm}: {fs.names[fs.unary[i]]}")
-    lines.append("generators: " + " ".join(fs.names[g] for g in fs.generators))
+    if generators is None:
+        generators = fs.letters
+    lines.append("generators: " + " ".join(fs.names[g] for g in generators))
     return "\n".join(lines) + "\n"
+
+
+def from_table(table, generators=None, **kw):
+    """The semigroup of a full table, held as the right Cayley graph of
+    ``generators`` (every element by default), sorted and deduplicated."""
+    letters = (sorted(set(generators)) if generators is not None
+               else list(range(len(table))))
+    return FiniteSemigroup([[row[g] for g in letters] for row in table],
+                           letters, **kw)
 
 
 def rees_quotient(fs, ideal):
@@ -71,8 +83,8 @@ def rees_quotient(fs, ideal):
     if fs.unary is not None:
         unary = [image(fs.unary[x]) for x in keep] + [zero]
     names = [fs.names[x] for x in keep] + ["0"]
-    gens = sorted({image(g) for g in fs.generators})
-    return FiniteSemigroup(table, names=names, unary=unary, generators=gens)
+    gens = {image(g) for g in fs.letters}
+    return from_table(table, gens, names=names, unary=unary)
 
 
 def matrix_unit_oracle():
@@ -292,9 +304,8 @@ def oracle_table(ball):
     if oracle.unary is not None:
         unary = [index[oracle.unary(x)] for x in ball.elements]
     gens = {index[e] for e in ball.generators}
-    return FiniteSemigroup(table, names=[oracle.name(e) for e in ball.elements],
-                           keys=list(ball.elements),
-                           unary=unary, generators=gens)
+    return from_table(table, gens, names=[oracle.name(e) for e in ball.elements],
+                      keys=list(ball.elements), unary=unary)
 
 
 def assert_fill_matches_reference(fs, ball):
@@ -304,7 +315,7 @@ def assert_fill_matches_reference(fs, ball):
     assert fs.unary == ref.unary
     assert fs.names == ref.names
     assert fs.keys == ref.keys
-    assert fs.generators == ref.generators
+    assert fs.letters == ref.letters
 
 
 def closed_ball(oracle, generators):
@@ -378,7 +389,7 @@ def subsemigroup(fs, seed):
     # The closure adds unary images, so the seed alone need not generate
     # it; the seed and the unary images of the closure do, under products.
     gens = {pos[x] for x in seed} | set(unary or ())
-    sub = FiniteSemigroup(table, names=names, unary=unary, generators=gens)
+    sub = from_table(table, gens, names=names, unary=unary)
     return sub, embedding
 
 
@@ -410,9 +421,9 @@ def test_closure_matches_all_pairs_reference(points, seed, k, data):
     missed = n - len(expected)
     if missed:
         with pytest.raises(ValueError, match=rf"miss {missed} element\(s\)"):
-            FiniteSemigroup(table, generators=gens)
+            from_table(table, gens)
     else:
-        assert FiniteSemigroup(table, generators=gens).generators == gens
+        assert from_table(table, gens).letters == gens
 
 
 def reference_subsemigroup(fs, seed):
@@ -439,7 +450,7 @@ def reference_subsemigroup(fs, seed):
     unary = [pos[fs.unary[x]] for x in embedding] if fs.unary is not None else None
     names = [fs.names[x] for x in embedding]
     gens = {pos[x] for x in closure} | set(unary or ())
-    sub = FiniteSemigroup(table, names=names, unary=unary, generators=gens)
+    sub = from_table(table, gens, names=names, unary=unary)
     return sub, embedding
 
 
@@ -461,8 +472,8 @@ def test_subsemigroup_matches_pairwise_reference(host, data):
     sub, embedding = subsemigroup(fs, seed)
     ref, ref_embedding = reference_subsemigroup(fs, seed)
     assert embedding == ref_embedding
-    assert (sub.table, sub.unary, sub.names, sub.generators) == (
-        ref.table, ref.unary, ref.names, ref.generators)
+    assert (sub.table, sub.unary, sub.names, sub.letters) == (
+        ref.table, ref.unary, ref.names, ref.letters)
 
 
 # Green's relations, both ways
@@ -480,7 +491,7 @@ def test_monogenic_counts_all_singletons():
 
 
 def test_one_element_semigroup():
-    gs = assert_green_agree(FiniteSemigroup([[0]]))
+    gs = assert_green_agree(from_table([[0]]))
     assert gs.counts() == {k: 1 for k in "HLRDJ"}
 
 
@@ -530,7 +541,7 @@ def test_product_b2_b2():
 
 
 def test_product_with_trivial_is_isomorphic():
-    trivial = FiniteSemigroup([[0]], unary=[0])
+    trivial = from_table([[0]], unary=[0])
     fs = zoo.b2()
     iso, _ = iso_tables(direct_product([fs, trivial]), fs)
     assert iso
@@ -583,7 +594,7 @@ def generator_tuples(factors):
     """The indices of the product's tuples of factor generators."""
     tuples = itertools.product(*[range(len(f)) for f in factors])
     return [i for i, t in enumerate(tuples)
-            if all(x in f.generators for f, x in zip(factors, t))]
+            if all(x in f.letters for f, x in zip(factors, t))]
 
 
 def reference_product_letters(factors, table):
@@ -624,10 +635,10 @@ def test_product_matches_reference_table(specs):
     assert (prod.keys, prod.names, prod.unary) == (tuples, names, unary)
     assert prod.letters == (reference_product_letters(factors, table)
                             or list(range(len(table))))
-    gs, ref = green_scc(prod), FiniteSemigroup(table, unary=unary)
+    gs, ref = green_scc(prod), from_table(table, unary=unary)
     assert format_eggbox(prod, gs) == format_eggbox(ref)
     # Green's relations and the eggbox read the graphs, not the table.
-    assert ("table" in prod.__dict__) == (len(prod.letters) == len(prod))
+    assert "table" not in prod.__dict__
     assert (gs.h, gs.l, gs.r, gs.d, gs.j) == astuple(green_scc(ref))
     assert prod.table == table
 
@@ -1072,8 +1083,8 @@ def test_iso_reflexive():
 
 def test_iso_b2_vs_chain_semilattice():
     n = 5
-    chain = FiniteSemigroup([[min(i, j) for j in range(n)] for i in range(n)],
-                            unary=list(range(n)))
+    chain = from_table([[min(i, j) for j in range(n)] for i in range(n)],
+                       unary=list(range(n)))
     ok, _ = iso_tables(zoo.b2(), chain)
     assert not ok
 
@@ -1087,8 +1098,8 @@ def test_iso_size_guard():
 def test_iso_respects_unary():
     # Same table, different unary: B2's inverse vs the identity map.
     fs = zoo.b2()
-    twisted = FiniteSemigroup(fs.table, names=fs.names,
-                              unary=list(range(5)), generators=fs.generators)
+    twisted = FiniteSemigroup(fs.right, fs.letters, names=fs.names,
+                              unary=list(range(5)))
     ok, _ = iso_tables(fs, twisted)
     assert not ok
 
@@ -1103,7 +1114,7 @@ def test_idempotents_b2():
 def test_idempotents_band_and_group():
     band = zoo.right_zero(4)
     assert band.idempotents() == list(range(4))
-    z3 = FiniteSemigroup([[(i + j) % 3 for j in range(3)] for i in range(3)])
+    z3 = from_table([[(i + j) % 3 for j in range(3)] for i in range(3)])
     assert z3.idempotents() == [0]
 
 
@@ -1137,6 +1148,96 @@ def test_inverse_subsemigroup_of_a_is_b2():
     assert iso_tables(sub, zoo.b2())[0]
 
 
+# small semigroups against closed-form tables
+
+
+def with_identity(table, letters, names, keys, unary):
+    """A table with a fresh identity n appended as the last letter: each
+    row gains x·1 = x, and the identity's row is 0..n."""
+    n = len(table)
+    label = "1"
+    while label in names:
+        label += "*"
+    return ([row + [i] for i, row in enumerate(table)] + [list(range(n + 1))],
+            list(letters) + [n], names + [label], None,
+            None if unary is None else unary + [n])
+
+
+def reference_family(spec):
+    """(table, letters, names, keys, unary) of a zoo family, written out
+    from its closed form."""
+    if spec in ("b2", "b2^1"):
+        units = [(1, 2), (2, 1), (1, 1), (2, 2), None]
+        table = [[units.index((x[0], y[1]) if x and y and x[1] == y[0]
+                              else None) for y in units] for x in units]
+        unary = [units.index(x and (x[1], x[0])) for x in units]
+        ref = (table, [0, 1], ["a", "a'", "aa'", "a'a", "0"], units, unary)
+        return ref if spec == "b2" else with_identity(*ref)
+    kind, n = spec.split(":")
+    n = int(n)
+    if kind == "np":
+        return ([[min(i + j, n) for j in range(n + 1)] for i in range(n + 1)],
+                [0, 1], ["1", "a"] + [f"a^{i}" for i in range(2, n + 1)],
+                None, None)
+    rows = {"rz": lambda i, j: j, "lz": lambda i, j: i,
+            "null": lambda i, j: 0}[kind]
+    table = [[rows(i, j) for j in range(n)] for i in range(n)]
+    if kind == "null":
+        return (table, list(range(1, n)) or [0],
+                ["0"] + [f"b{i}" for i in range(1, n)], None, None)
+    return (table, list(range(n)), [f"{kind[0]}{i + 1}" for i in range(n)],
+            None, list(range(n)))
+
+
+TABLE_FAMILIES = (["b2", "b2^1"] + [f"np:{p}" for p in range(1, 9)]
+                  + [f"{kind}:{n}" for kind in ("rz", "lz", "null")
+                     for n in range(1, 7)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(
+    st.sampled_from(TABLE_FAMILIES),
+    st.tuples(st.sampled_from(["adjoin", "parse"]), st.integers(1, 3),
+              st.integers(0, 10 ** 6), st.integers(1, 3))), st.data())
+@example("null:1", None)
+@example(("adjoin", 1, 0, 1), None)
+def test_small_semigroups_match_closed_form_tables(case, data):
+    # The zoo families, an adjoined identity and parse_table, each against
+    # the semigroup of its table written out in full.
+    if isinstance(case, str):
+        fs = zoo.parse_zoo(case)
+        table, letters, names, keys, unary = reference_family(case)
+    else:
+        kind, points, seed, k = case
+        closure = zoo.random_transformation_semigroup(points, seed, k)
+        ref = (closure.table, closure.letters, closure.names, None,
+               closure.unary)
+        if kind == "adjoin":
+            fs = adjoin_identity(closure)
+            table, letters, names, keys, unary = with_identity(*ref)
+        else:
+            # A generating set: the letters, extra elements, in any order
+            # and with repeats.
+            n = len(closure)
+            listed = data.draw(st.permutations(closure.letters + data.draw(
+                st.lists(st.integers(0, n - 1), max_size=n))))
+            fs = parse_table(format_table(closure, listed))
+            table, names, unary = closure.table, closure.names, closure.unary
+            letters, keys = sorted(set(listed)), None
+    ref = from_table(table, letters, names=names, keys=keys, unary=unary)
+    n = len(table)
+    assert fs.letters == letters == ref.letters
+    assert (fs.names, fs.keys, fs.unary) == (ref.names, ref.keys, ref.unary)
+    assert astuple(green_scc(fs)) == astuple(green_definitional(ref))
+    assert format_eggbox(fs) == format_eggbox(ref)
+    assert fs.idempotents() == [x for x in range(n) if table[x][x] == x]
+    assert fs.identity == next((e for e in range(n) if all(
+        table[e][x] == x == table[x][e] for x in range(n))), None)
+    assert fs.zero == next((z for z in range(n) if all(
+        table[z][x] == z == table[x][z] for x in range(n))), None)
+    assert fs.table == table
+
+
 # table text format
 
 
@@ -1145,7 +1246,7 @@ def test_table_round_trip():
     again = parse_table(format_table(fs))
     assert again.table == fs.table
     assert again.unary == fs.unary
-    assert again.generators == fs.generators
+    assert again.letters == fs.letters
 
 
 def test_parse_table_rejects_non_associative():
@@ -1167,6 +1268,19 @@ unary x: y
 """
     with pytest.raises(ValueError, match="unary"):
         parse_table(text)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("generators: x z", "generators line mentions unknown element 'z'"),
+    ("unary x: zz\nunary y: y", "unary 'x' mentions unknown element 'zz'"),
+    ("row q: x y", "row line for unknown element 'q'"),
+    ("unary x: x\nunary y: y\nunary q: x", "unary line for unknown element 'q'"),
+])
+def test_parse_table_names_unknown_elements(line, message):
+    text = "elements: x y\nrow x: x y\nrow y: x y\n" + line + "\n"
+    with pytest.raises(ValueError) as info:
+        parse_table(text)
+    assert str(info.value) == message
 
 
 def test_verify_associative_finds_witness():
@@ -1197,27 +1311,38 @@ def test_enumerate_element_budget_returns_partial_ball():
 def test_rees_quotient_realizes_m2_from_m3():
     m3 = zoo.mn_table(3)
     ideal = [i for i, key in enumerate(m3.keys)
-             if key == "0" or key.span >= 2]
+             if key == "0" or key.r + key.s >= 2]
     q = rees_quotient(m3, ideal)
     assert len(q) == 5
     ok, _ = iso_tables(q, zoo.b2())
     assert ok
 
 
-def test_constructor_rejects_out_of_range_cells():
-    for table in ([[0, 2], [1, 0]], [[0, -1], [1, 0]], [[0, 1], [1]]):
-        with pytest.raises(ValueError, match="square matrix"):
-            FiniteSemigroup(table)
+def test_parse_table_rejects_out_of_range_cells_and_ragged_rows():
+    # Tables enter through parse_table alone: a cell outside the elements
+    # can only be written as an unknown name, and a short or long row is
+    # refused, so its table is square over element indices.
+    for rows, message in (
+            (["x z", "y x"], "row 'x' mentions unknown element 'z'"),
+            (["x -1", "y x"], "row 'x' mentions unknown element '-1'"),
+            (["x y", "y"], "row 'y' has 1 entries, expected 2"),
+            (["x y x", "y x"], "row 'x' has 3 entries, expected 2")):
+        text = "elements: x y\n" + "".join(
+            f"row {nm}: {row}\n" for nm, row in zip("xy", rows))
+        with pytest.raises(ValueError) as info:
+            parse_table(text)
+        assert str(info.value) == message
 
 
 def test_non_generating_set_rejected():
-    table = zoo.b2().table
+    b2 = zoo.b2()
+    text = format_table(b2).replace("generators: a a'", "generators: a")
     with pytest.raises(ValueError, match="generators miss"):
-        FiniteSemigroup(table, generators=[0])   # {a} only reaches {a, 0}
+        parse_table(text)                       # {a} only reaches {a, 0}
     # The same from the right Cayley graph over the letter a alone.
-    right = [[row[0]] for row in table]
+    right = [[row[0]] for row in b2.table]
     with pytest.raises(ValueError, match=r"miss 3 element\(s\)"):
-        FiniteSemigroup(right=right, letters=[0])
+        FiniteSemigroup(right, [0])
 
 
 def test_witnessed_matches_exact_green_on_closed_ball():
@@ -1514,7 +1639,7 @@ PRODUCT_FACTOR_SPECS = ["b2", "b2^1", "np:2", "np:3", "rz:2", "rz:3", "lz:2",
 def test_green_scc_matches_references_on_zoo_products(specs):
     # The kernel on all-generator tables: the product's table, with every
     # element a letter.
-    fs = FiniteSemigroup(direct_product([zoo.parse_zoo(s) for s in specs]).table)
+    fs = from_table(direct_product([zoo.parse_zoo(s) for s in specs]).table)
     assert fs.letters == list(range(len(fs)))
     assert_scc_kernel_matches_reference(fs)
     assert_green_agree(fs)

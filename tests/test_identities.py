@@ -16,7 +16,7 @@ from greenbox.identities import (IdPow, Inv, Mul, Var, ZeroC, _read, _Stager,
                                  check_identity_window, classify,
                                  parse_identity, parse_term)
 from greenbox.limits import LIMITS, BudgetError
-from test_engine import rees_quotient
+from test_engine import from_table, rees_quotient
 
 
 def eval_term(structure, term, assignment):
@@ -29,7 +29,7 @@ def eval_term(structure, term, assignment):
 
 
 def trivial_semigroup():
-    return FiniteSemigroup([[0]], unary=[0])
+    return from_table([[0]], unary=[0])
 
 
 # parsing and printing
@@ -259,7 +259,7 @@ class ReferenceTable:
     def __init__(self, fs):
         self.fs = fs
         self.elements = list(range(len(fs)))
-        self.completely_regular = fs.is_completely_regular()
+        self.completely_regular = fs.completely_regular
         self.zero_element = fs.zero
 
     def mult(self, a, b):
@@ -343,10 +343,10 @@ def reference_check_over(structure, identity, elements, window_verified,
 REFERENCE_STRUCTURES = [
     zoo.b2(),                                   # unary, not CR, zero
     zoo.parse_zoo("np:3"),                      # no unary, zero
-    FiniteSemigroup([[0, 0], [1, 1]]),          # no unary, no zero
+    from_table([[0, 0], [1, 1]]),               # no unary, no zero
     zoo.right_zero(3),                          # CR, no zero
-    FiniteSemigroup([[0, 0, 2], [1, 1, 2], [2, 2, 2]],
-                    unary=[0, 1, 2]),           # CR, zero: lz:2 plus 0
+    from_table([[0, 0, 2], [1, 1, 2], [2, 2, 2]],
+               unary=[0, 1, 2]),                # CR, zero: lz:2 plus 0
     zoo.PWindow(2),
     zoo.PWindow(3),
 ]
@@ -468,7 +468,7 @@ def semilattice_with_nilpotent(m):
     zero, nil = m - 2, m - 1
     table = [[max(x, y) for y in range(m - 1)] + [zero]
              for x in range(m - 1)]
-    return FiniteSemigroup(table + [[zero] * m])
+    return from_table(table + [[zero] * m])
 
 
 def test_failure_in_a_later_block_matches_reference():

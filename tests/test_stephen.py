@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from greenbox import stephen, zoo
-from greenbox.engine import FiniteSemigroup, green_scc, iso_tables
+from greenbox.engine import green_scc, iso_tables
 from greenbox.limits import LIMITS
 from greenbox.munn import (InverseAutomaton, LiveGraph, canonical_key,
                            fis_equal, fold, munn_tree)
@@ -14,6 +14,7 @@ from greenbox.stephen import (Presentation, StageTrace, accepts,
                               parse_presentation, presented_table, r_expand,
                               stephen_run, stephen_step, tau_equal)
 from greenbox.words import Alphabet, format_word, invert_word, parse_word
+from test_engine import from_table
 from test_munn import reference_key, reference_maps, signed_words
 
 A, B, C = 1, 2, 3
@@ -405,9 +406,7 @@ def reference_presented_table(pres, *, max_stages=40, max_vertices=20_000,
     table = [[add(reps[i] + reps[j]) for j in range(n)] for i in range(n)]
     unary = [add(invert_word(reps[i])) for i in range(n)]
     names = [format_word(w, pres.alphabet) for w in reps]
-    gen_idx = sorted({add(g) for g in gens})
-    return FiniteSemigroup(table, names=names, unary=unary,
-                           generators=gen_idx)
+    return from_table(table, {add(g) for g in gens}, names=names, unary=unary)
 
 
 FINITE_PRESENTATIONS = [f"inv-monoid a ; a^{n} = 1" for n in range(1, 13)] + [
@@ -427,8 +426,8 @@ def test_presented_table_matches_reference(text):
     pres = parse_presentation(text)
     fs = presented_table(pres)
     ref = reference_presented_table(pres)
-    assert (fs.table, fs.unary, fs.names, fs.generators) == (
-        ref.table, ref.unary, ref.names, ref.generators)
+    assert (fs.table, fs.unary, fs.names, fs.letters) == (
+        ref.table, ref.unary, ref.names, ref.letters)
     # Elements are the canonical keys of the closed stages of their words.
     assert fs.keys == [canonical_key(stephen_run(
         parse_word(name, pres.alphabet), pres).last) for name in fs.names]

@@ -7,6 +7,7 @@ from greenbox import zoo
 from greenbox.munn import FisTriple
 from greenbox.engine import (BudgetError, FiniteSemigroup, green_definitional,
                              green_scc, iso_tables, direct_product)
+from test_munn import triple_inverted, triple_span, triple_times
 
 
 def assert_green_agree(fs):
@@ -447,8 +448,8 @@ def test_mn_table_matches_direct_products():
         def product(x, y):
             if x == "0" or y == "0":
                 return zero
-            z = x.multiply(y)
-            return pos[z] if z.span < n else zero
+            z = triple_times(x, y)
+            return pos[z] if triple_span(z) < n else zero
 
         assert fs.table == [[product(x, y) for y in fs.keys] for x in fs.keys]
 
@@ -460,18 +461,18 @@ def reference_mn_table(n):
                for span in range(1, n)
                for r in range(span + 1)
                for t in range(-r, span - r + 1)]
-    triples.sort(key=lambda x: (x.span, x.r, x.t))
+    triples.sort(key=lambda x: (triple_span(x), x.r, x.t))
     elems = list(triples) + ["0"]
     pos = {e: i for i, e in enumerate(elems)}
     zero = pos["0"]
     letters = [FisTriple(0, 1, 1), FisTriple(1, 0, -1)]
 
     def times(x, g):
-        z = x.multiply(g)
-        return pos[z] if z.span < n else zero
+        z = triple_times(x, g)
+        return pos[z] if triple_span(z) < n else zero
 
     right = [[times(x, g) for g in letters] for x in triples] + [[zero, zero]]
-    unary = [pos[x.inverse()] for x in triples] + [zero]
+    unary = [pos[triple_inverted(x)] for x in triples] + [zero]
     names = [f"({x.r},{x.s},{x.t})" for x in triples] + ["0"]
     return right, [pos[g] for g in letters], names, elems, unary
 
