@@ -67,14 +67,12 @@ def test_table_from_file(tmp_path, capsys):
 
 
 def test_table_file_names_unknown_elements(tmp_path, capsys):
-    # An unknown generator or unary image used to print only its name, and
-    # a line for an undeclared element was ignored with exit 0.
+    # An unknown generator used to print only its name, and a line for an
+    # undeclared element was ignored with exit 0.
     head = "elements: e\nrow e: e\n"
     for extra, error in (
             ("generators: b", "generators line mentions unknown element 'b'"),
-            ("unary e: zz", "unary 'e' mentions unknown element 'zz'"),
-            ("row q: e", "row line for unknown element 'q'"),
-            ("unary e: e\nunary q: e", "unary line for unknown element 'q'")):
+            ("row q: e", "row line for unknown element 'q'")):
         path = tmp_path / "t.tbl"
         path.write_text(head + extra + "\n")
         assert run(capsys, "table", str(path), "--file") == (

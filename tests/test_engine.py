@@ -1336,9 +1336,8 @@ def test_parse_table_rejects_out_of_range_cells_and_ragged_rows():
 
 def test_non_generating_set_rejected():
     b2 = zoo.b2()
-    text = format_table(b2).replace("generators: a a'", "generators: a")
     with pytest.raises(ValueError, match="generators miss"):
-        parse_table(text)                       # {a} only reaches {a, 0}
+        parse_table(format_table(b2, [0]))      # {a} only reaches {a, 0}
     # The same from the right Cayley graph over the letter a alone.
     right = [[row[0]] for row in b2.table]
     with pytest.raises(ValueError, match=r"miss 3 element\(s\)"):
