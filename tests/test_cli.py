@@ -440,7 +440,14 @@ IDENTITY_GOLDEN = [
     ["mn:4", "v w x y z = z y x w v"],
 ] + [[spec, key] for spec in ("b2", "b2^1", "np:4", "rz:3", "lz:3", "null:3")
      for key in ("i-semigroup", "cr", "inverse", "si", "rolstar", "c2",
-                 "x2-in-g", "nil-2", "zero-mult", "x x' x = x")]
+                 "x2-in-g", "nil-2", "zero-mult", "x x' x = x")] + [
+    ["b2", key] for key in ("inverse-alt", "c1", "c3", "c4", "x3-in-g",
+                            "burnside-2-2", "burnside-3-1", "nil-3")] + [
+    [spec, key] for spec in ("sw:4", "rz:1")
+    for key in ("i-semigroup", "cr", "inverse", "inverse-alt", "si",
+                "rolstar", "c1", "c2", "c3", "c4", "x2-in-g", "x3-in-g",
+                "burnside-2-2", "burnside-3-1", "nil-2", "nil-3",
+                "zero-mult")]
 
 
 def test_identity_golden_output(capsys):
