@@ -150,14 +150,15 @@ def _print_identity_result(ident, result, names=None) -> None:
 def cmd_vmaps(args) -> int:
     if args.what == "ball":
         ball = vmaps.phi_psi_ball(args.cap)
-        print(f"ball cap {args.cap}: {len(ball.maps)} distinct maps; "
+        print(f"ball cap {args.cap}: {len(ball)} distinct maps; "
               f"closed: {ball.closed}")
-        for i, m in enumerate(ball.maps):
-            print(f"  {ball.witness(i):<{2 * args.cap}} {m}")
+        for m, word in zip(ball.elements, ball.words):
+            witness = " ".join(vmaps.PHI_PSI_NAMES[k] for k in word)
+            print(f"  {witness:<{2 * args.cap}} {m}")
         return 0
     if args.what == "idempotents":
         ball = vmaps.phi_psi_ball(args.cap)
-        idems = ball.idempotents()
+        idems = [m for m in ball.elements if vmaps.idempotent_check(m)]
         print(f"{len(idems)} idempotents in the cap-{args.cap} ball")
         for m in idems:
             print(f"  {m}")

@@ -104,9 +104,6 @@ class FiniteSemigroup:
             table[y] = list(map(table[p].__getitem__, self.left[a]))
         return table
 
-    def mult(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
     def idempotents(self) -> list:
         """The x with x·x = x: x times the letters of its word, in order,
         along the right Cayley graph."""

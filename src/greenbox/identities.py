@@ -31,30 +31,19 @@ from .limits import LIMITS, need
 
 
 class Term:
-    """A term node.  ``children`` are its subterms, left to right; every
-    question about a term is a question about its pre-order walk."""
+    """A term node.  ``children`` are its subterms, left to right."""
 
     children: tuple = ()
 
-    def nodes(self):
-        """This node, then the walk of each child in turn."""
-        stack = [self]
+    def variables(self) -> list:
+        """The names of the variables below this node, sorted."""
+        names, stack = set(), [self]
         while stack:
             node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
-
-    def variables(self) -> list:
-        return sorted({t.name for t in self.nodes() if isinstance(t, Var)})
-
-    def uses_unary(self) -> bool:
-        return any(isinstance(t, (Inv, IdPow)) for t in self.nodes())
-
-    def uses_idempotent_power(self) -> bool:
-        return any(isinstance(t, IdPow) for t in self.nodes())
-
-    def uses_zero(self) -> bool:
-        return any(isinstance(t, ZeroC) for t in self.nodes())
+            if isinstance(node, Var):
+                names.add(node.name)
+            stack.extend(node.children)
+        return sorted(names)
 
 
 @dataclass(frozen=True)
@@ -119,8 +108,8 @@ class ZeroC(Term):
 
 @dataclass(frozen=True)
 class Identity(Term):
-    """lhs = rhs.  Its children are the two sides, so the term questions
-    are answered for both sides at once."""
+    """lhs = rhs.  Its children are the two sides, so ``variables`` are
+    those of both sides."""
 
     lhs: Term
     rhs: Term
@@ -538,11 +527,6 @@ def _fixed_entry(key: str) -> list:
             for i, s in enumerate(_CATALOGUE_SOURCES[key])]
 
 
-def catalogue() -> dict:
-    """Named identity lists keyed by variety name; every entry parses."""
-    return {key: _fixed_entry(key) for key in _CATALOGUE_SOURCES}
-
-
 def catalogue_entry(key: str) -> list:
     """A catalogue entry, with parametric families c<m>, x<n>-in-g,
     burnside-<m>-<n> and nil-<n> accepted beyond the fixed keys.  Only
@@ -564,36 +548,3 @@ def catalogue_entry(key: str) -> list:
         n = _count(key[4:])
         return [parse_identity(f"x^{n} = 0", name=key)]
     raise KeyError(f"no catalogue entry {key!r}")
-
-
-@dataclass
-class ClassifyEntry:
-    key: str
-    status: str                 # holds, fails, skipped
-    counterexample: Optional[dict] = None
-    reason: Optional[str] = None
-
-
-def classify(fs) -> list:
-    """Run every applicable catalogue entry against the structure."""
-    ops = _read(fs)
-    lacks = [(Term.uses_unary, ops.unary is None, "no unary operation"),
-             (Term.uses_idempotent_power, not ops.completely_regular,
-              "not completely regular"),
-             (Term.uses_zero, ops.zero is None, "no zero element")]
-    report = []
-    for key, ids in catalogue().items():
-        reason = next((why for uses, lacking, why in lacks
-                       if lacking and any(map(uses, ids))), None)
-        if reason is not None:
-            report.append(ClassifyEntry(key, "skipped", reason=reason))
-            continue
-        for ident in ids:
-            result = _check_over(ops, ident, False)
-            if not result.holds:
-                report.append(ClassifyEntry(
-                    key, "fails", counterexample=result.counterexample))
-                break
-        else:
-            report.append(ClassifyEntry(key, "holds"))
-    return report

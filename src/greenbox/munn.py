@@ -272,18 +272,16 @@ def quotient(n: int, edges: Sequence[tuple], unions: Sequence[tuple],
                             None if final is None else num[final])
 
 
-def fold(aut: InverseAutomaton, extra_merges: Sequence[tuple] = (),
-         edge_order: Optional[Sequence[int]] = None) -> InverseAutomaton:
+def fold(aut: InverseAutomaton,
+         extra_merges: Sequence[tuple] = ()) -> InverseAutomaton:
     """Quotient by repeated edge folding until deterministic.
 
     aut is loaded into a fresh live graph, settled and snapshot, so each
     class is represented by its smallest original index and the output
-    numbering is stable.  Folding is confluent; ``edge_order`` exists so
-    tests can shuffle the processing order.
+    numbering is stable.  Folding is confluent: the edges are settled in
+    the order ``aut`` lists them, and any order gives the same quotient.
     """
-    edges = (aut.edges if edge_order is None
-             else [aut.edges[i] for i in edge_order])
-    graph = LiveGraph(aut.n, edges, aut.base, aut.final)
+    graph = LiveGraph(aut.n, aut.edges, aut.base, aut.final)
     for x, y in extra_merges:
         graph.merge(x, y)
     graph.settle()
@@ -443,11 +441,6 @@ class FisTriple:
             raise ValueError("need r, s >= 0 with r + s >= 1")
         if not (-self.r <= self.t <= self.s):
             raise ValueError("final vertex outside the interval")
-
-    def word(self) -> Word:
-        """A representative word: down to -r, up to s, back to t."""
-        steps = [-1] * self.r + [1] * (self.r + self.s) + [-1] * (self.s - self.t)
-        return tuple(steps)
 
 
 def triple_multiply(x: tuple, y: tuple) -> tuple:

@@ -230,7 +230,9 @@ def entry_munn_randoms(seed: int = 0) -> ReportEntry:
         lin = munn.linear_automaton(u)
         reference = munn.canonical_key(munn.fold(lin))
         for order in shuffles:
-            if munn.canonical_key(munn.fold(lin, edge_order=order)) != reference:
+            shuffled = munn.InverseAutomaton(
+                lin.n, [lin.edges[i] for i in order], lin.base, lin.final)
+            if munn.canonical_key(munn.fold(shuffled)) != reference:
                 confluence_ok = False
     product_ok = all(
         munn.canonical_key(munn.fis_multiply(s, t))
@@ -343,9 +345,10 @@ def entry_vmaps(seed: int = 0) -> ReportEntry:
                     and c.image() == vmaps.VSet(0, 0)):
                 chain_ok = False
     ball = vmaps.phi_psi_ball(8)
+    idempotents = [m for m in ball.elements if vmaps.idempotent_check(m)]
     ball_idem_ok = all(
         m.domain == vmaps.WHOLE_X or isinstance(m.domain, vmaps.VSet)
-        for m in ball.idempotents())
+        for m in idempotents)
     sampling_ok = _vmaps_sampling_agrees(seed)
     return _entry(
         "c08-vmaps", "vmaps",
@@ -355,8 +358,8 @@ def entry_vmaps(seed: int = 0) -> ReportEntry:
          "vset_idempotent_witnesses": wit_ok, "j_chains": chain_ok,
          "ball_idempotent_domains": ball_idem_ok,
          "sampling_oracle_agrees": sampling_ok},
-        data={"ball_size": len(ball.maps),
-              "ball_idempotents": len(ball.idempotents())})
+        data={"ball_size": len(ball),
+              "ball_idempotents": len(idempotents)})
 
 
 def _vmaps_samples(seed: int, probes: int):
@@ -370,11 +373,11 @@ def _vmaps_samples(seed: int, probes: int):
         yield word, points
 
 
-def _vmaps_sampling_agrees(seed: int, probes: int = 10_000) -> bool:
+def _vmaps_sampling_agrees(seed: int) -> bool:
     f, p = vmaps.phi(), vmaps.psi()
     gens = [f, vmaps.invert(f), p, vmaps.invert(p)]
     steps = [vmaps.BruteMap.from_vmap(g) for g in gens]
-    for word, points in _vmaps_samples(seed, probes):
+    for word, points in _vmaps_samples(seed, 10_000):
         sym = vmaps.identity_map()
         brute = vmaps.BruteMap.from_vmap(sym)
         for i in word:

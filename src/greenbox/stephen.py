@@ -27,7 +27,6 @@ from .engine import FiniteSemigroup, Oracle, enumerate_oracle
 from .limits import LIMITS, at_least
 from .munn import (InverseAutomaton, LiveGraph, Mark, canonical_key, follow,
                    munn_tree, quotient)
-from .munn import to_dot as dot_export  # stage automata share the exporter
 from .words import (Alphabet, Word, WordSyntaxError, format_word, invert_word,
                     parse_word)
 
@@ -51,14 +50,6 @@ class Presentation:
                 out.append((lhs, rhs))
                 out.append((rhs, lhs))
         return out
-
-    def format(self) -> str:
-        kind = "inv-monoid" if self.monoid_mode else "inv-semigroup"
-        rels = " ; ".join(
-            f"{format_word(l, self.alphabet) or '1'} = "
-            f"{format_word(r, self.alphabet) or '1'}"
-            for l, r in self.relations)
-        return f"{kind} {' '.join(self.alphabet.names)} ; {rels}"
 
 
 def parse_presentation(text: str) -> Presentation:

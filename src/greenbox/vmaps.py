@@ -10,10 +10,9 @@ representable as (domain, shift) pairs and compose in constant time.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .engine import Oracle, ball_enumerate
+from .engine import BallEnumeration, Oracle, ball_enumerate
 from .limits import LIMITS, at_least
 
 WHOLE_X = "X"
@@ -248,40 +247,29 @@ def j_chain(r: int, s: int) -> VMap:
 # balls of the generated inverse semigroups
 
 
-@dataclass
-class VBall:
-    generators: list           # (name, VMap) pairs
-    cap: int
-    maps: list                 # distinct VMaps in discovery order
-    words: list                # witness: tuple of generator positions
-    closed: bool
-
-    def idempotents(self) -> list:
-        return [m for m in self.maps if idempotent_check(m)]
-
-    def witness(self, i: int) -> str:
-        return " ".join(self.generators[k][0] for k in self.words[i])
+# The names of phi_psi_ball's generators phi, phi^-1, psi and psi^-1, by
+# generator index.
+PHI_PSI_NAMES = ("f", "f'", "p", "p'")
 
 
-def generate_ball(generators: Sequence, cap: int) -> VBall:
+def generate_ball(generators: Sequence, cap: int) -> BallEnumeration:
     """All distinct maps expressible as products of at most cap generators.
 
-    Generators are (name, VMap) pairs; include inverses explicitly to build
-    balls of inverse subsemigroups.  Distinctness is by (domain, shift).
-    The ball is ``engine.ball_enumerate`` under composition.
+    Include inverses explicitly to build balls of inverse subsemigroups.
+    Distinctness is by (domain, shift).  The ball is
+    ``engine.ball_enumerate`` under composition: its ``elements`` are the
+    maps in discovery order, its ``words`` a witness of each as generator
+    indices.
     """
     most = LIMITS["vmap_word_length"]
     if cap < 1 or cap > most:
         raise ValueError(f"word length cap must be between 1 and {most}")
-    gens = list(generators)
-    ball = ball_enumerate(Oracle(compose), [g for _, g in gens], cap)
-    return VBall(gens, cap, ball.elements, ball.words, ball.closed)
+    return ball_enumerate(Oracle(compose), generators, cap)
 
 
-def phi_psi_ball(cap: int) -> VBall:
+def phi_psi_ball(cap: int) -> BallEnumeration:
     f, p = phi(), psi()
-    return generate_ball([("f", f), ("f'", invert(f)),
-                          ("p", p), ("p'", invert(p))], cap)
+    return generate_ball([f, invert(f), p, invert(p)], cap)
 
 
 # ---------------------------------------------------------------------------

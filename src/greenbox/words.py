@@ -58,10 +58,6 @@ class Alphabet:
     def name(self, i: int) -> str:
         return self._names[i]
 
-    @property
-    def names(self) -> tuple:
-        return tuple(self._names)
-
     def __len__(self) -> int:
         return len(self._names)
 

@@ -12,7 +12,14 @@ A second scan takes ``src/`` alone as the forest.  What only tests or the
 harness name must be in ``TEST_ONLY_API``, the library API that README
 documents as such, so a new test-only definition in ``src/`` fails here.
 
-The check goes by name only, so a dead method escapes it while a live
+A ``Name`` counts as a use of a module-level definition only where no
+enclosing function or lambda binds that name: as a parameter, an
+assignment, loop or ``with`` target, a nested def or class, an import or
+an ``except ... as`` name.  So a local ``classify`` in one function does
+not keep a module-level ``classify`` elsewhere alive.  A definition
+nested in a function counts every ``Name`` of its name as a use.
+
+Methods go by name only, so a dead method escapes the check while a live
 attribute of the same name exists anywhere: an unused
 ``_UnionFind.labels`` method would pass, because ``Witnesses.labels`` is
 read.
@@ -25,6 +32,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ENTRY_POINTS = {"console_main"}
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = FUNCTIONS + (ast.ClassDef,)
+SCOPES = FUNCTIONS + (ast.Lambda,)
 
 
 def trees(*dirs):
@@ -32,13 +41,46 @@ def trees(*dirs):
             for d in dirs for path in sorted((ROOT / d).rglob("*.py"))}
 
 
+def bound(scope):
+    """The names a function or lambda binds locally, not looking into the
+    scopes nested in it."""
+    args = scope.args
+    out = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+           + [args.vararg, args.kwarg] if a is not None}
+    stack = list(scope.body) if isinstance(scope, FUNCTIONS) else [scope.body]
+    declared = set()
+    while stack:
+        node = stack.pop()
+        if isinstance(node, DEFINITIONS):
+            out.add(node.name)
+            continue
+        if isinstance(node, ast.Lambda):
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.alias) and node.name != "*":
+            out.add((node.asname or node.name).partition(".")[0])
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            out.add(node.name)
+        elif isinstance(node, ast.Global):
+            declared.update(node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return out - declared
+
+
 def uses(forest):
-    """(names, attributes) that the code reads anywhere."""
-    names, attributes = set(), set()
+    """(names, anywhere, attributes): the names the code reads where no
+    enclosing function binds them, those and the names it reads inside
+    such a function, and the attributes it reads."""
+    names, anywhere, attributes = set(), set(), set()
     for tree in forest:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
+        stack = [(tree, frozenset())]
+        while stack:
+            node, local = stack.pop()
+            if isinstance(node, SCOPES):
+                local = local | bound(node)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                (anywhere if node.id in local else names).add(node.id)
             elif isinstance(node, ast.alias):
                 names.add(node.name.rpartition(".")[2])
             elif isinstance(node, ast.Attribute):
@@ -46,27 +88,36 @@ def uses(forest):
             elif isinstance(node, ast.Constant) and isinstance(node.value,
                                                                str):
                 names.update(node.value.split("."))
-    return names, attributes
+            stack.extend((child, local)
+                         for child in ast.iter_child_nodes(node))
+    return names, anywhere | names, attributes
 
 
 def unused(src, forest):
     """The definitions in ``src`` that ``forest`` never names, each as
     "path:line name"."""
-    names, attributes = uses(forest)
+    names, anywhere, attributes = uses(forest)
     out = []
     for path, tree in src.items():
         methods = {id(node) for cls in ast.walk(tree)
                    if isinstance(cls, ast.ClassDef)
                    for node in cls.body if isinstance(node, FUNCTIONS)}
+        nested = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, FUNCTIONS)
+                  for node in ast.walk(fn)
+                  if node is not fn and isinstance(node, DEFINITIONS)}
         for node in ast.walk(tree):
-            if not isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+            if not isinstance(node, DEFINITIONS):
                 continue
             name = node.name
             if (name.startswith("__") and name.endswith("__")
                     or name in ENTRY_POINTS):
                 continue
-            used = (name in attributes if id(node) in methods
-                    else name in names or name in attributes)
+            if id(node) in methods:
+                used = name in attributes
+            else:
+                used = (name in (anywhere if id(node) in nested else names)
+                        or name in attributes)
             if not used:
                 out.append(f"{path}:{node.lineno} {name}")
     return out
@@ -101,3 +152,16 @@ def test_guard_finds_an_unused_function_and_method():
     user = ast.parse("Kept().live\n")
     assert unused({Path("m.py"): code}, [code, user]) == [
         "m.py:1 gone", "m.py:6 dead"]
+
+
+def test_guard_resolves_names_that_an_enclosing_function_binds():
+    # The module-level helper and step are read only where a local def or
+    # a parameter of the same name shadows them.  The local helper keeps
+    # the rule for nested definitions: any read of its name uses it.
+    code = ast.parse("def helper():\n    pass\n\n\ndef step():\n    pass\n"
+                     "\n\ndef outer(items, step):\n"
+                     "    def helper(x):\n        return step(x)\n"
+                     "    return list(map(lambda y: helper(y), items))\n")
+    user = ast.parse("outer([], None)\n")
+    assert unused({Path("m.py"): code}, [code, user]) == [
+        "m.py:1 helper", "m.py:5 step"]

@@ -10,11 +10,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from greenbox import identities, zoo
 from greenbox.engine import FiniteSemigroup
-from greenbox.identities import (IdPow, Inv, Mul, Var, ZeroC, _read, _Stager,
-                                 catalogue, catalogue_entry,
+from greenbox.identities import (_CATALOGUE_SOURCES, IdPow, Inv, Mul, Var,
+                                 ZeroC, _read, _Stager, catalogue_entry,
                                  check_identity_exhaustive,
-                                 check_identity_window, classify,
-                                 parse_identity, parse_term)
+                                 check_identity_window, parse_identity,
+                                 parse_term)
 from greenbox.limits import LIMITS, BudgetError
 from test_engine import from_table, rees_quotient
 
@@ -26,10 +26,6 @@ def eval_term(structure, term, assignment):
     slots = {name: (-1, False, i) for i, name in enumerate(assignment)}
     _, _, r = _Stager(_read(structure), slots, vals, 0).stage(term)
     return vals[r]
-
-
-def trivial_semigroup():
-    return from_table([[0]], unary=[0])
 
 
 # parsing and printing
@@ -81,7 +77,7 @@ def test_term_print_round_trip():
 
 
 def test_catalogue_entries_parse_and_round_trip():
-    cat = catalogue()
+    cat = {key: catalogue_entry(key) for key in _CATALOGUE_SOURCES}
     assert len(cat["inverse"]) == 1
     assert len(cat["si"]) == 4
     assert str(cat["c2"][0]) == "x x = x x x"
@@ -151,13 +147,13 @@ def test_eval_respects_quotient_maps():
 
 
 def test_b2_satisfies_inverse_identity():
-    result = check_identity_exhaustive(zoo.b2(), catalogue()["inverse"][0])
+    result = check_identity_exhaustive(zoo.b2(), catalogue_entry("inverse")[0])
     assert result.holds
 
 
 def test_left_zero_fails_inverse_identity():
     result = check_identity_exhaustive(zoo.left_zero(2),
-                                       catalogue()["inverse"][0])
+                                       catalogue_entry("inverse")[0])
     assert not result.holds
     assert result.counterexample == {"x": 0, "y": 1}
 
@@ -198,7 +194,7 @@ def test_cr_axioms_on_p_window():
 
 def test_inverse_identity_fails_on_p():
     window = zoo.PWindow(6)
-    result = check_identity_window(window, catalogue()["inverse"][0])
+    result = check_identity_window(window, catalogue_entry("inverse")[0])
     assert not result.holds
 
 
@@ -208,38 +204,13 @@ def test_r_congruence_probe():
     assert not zoo.p_green(1, 3, "R")
 
 
-# classification
-
-
-def test_classify_b2():
-    report = {e.key: e for e in classify(zoo.b2())}
-    for key in ("i-semigroup", "inverse", "inverse-alt", "si", "c2"):
-        assert report[key].status == "holds", key
-    assert report["cr"].status == "fails"
-    assert report["rolstar"].status == "skipped"
-    # The idempotents of B2 square to themselves, not to zero.
-    assert report["nil-2"].status == "fails"
-
-
-def test_classify_sw_without_unary():
-    report = {e.key: e for e in classify(zoo.sw_semigroup(4))}
-    assert report["c2"].status == "holds"
-    assert report["inverse"].status == "skipped"
-    assert report["zero-mult"].status == "fails"
-
-
-def test_classify_trivial_satisfies_everything():
-    report = classify(trivial_semigroup())
-    assert all(e.status == "holds" for e in report)
-
-
 def test_inverse_axiomatizations_agree_on_inverse_zoo():
-    cat = catalogue()
     for fs in (zoo.b2(), zoo.b2_with_identity(), zoo.mn_table(2),
                zoo.mn_table(3)):
-        primary = check_identity_exhaustive(fs, cat["inverse"][0]).holds
+        primary = check_identity_exhaustive(
+            fs, catalogue_entry("inverse")[0]).holds
         alt = all(check_identity_exhaustive(fs, ident).holds
-                  for ident in cat["inverse-alt"])
+                  for ident in catalogue_entry("inverse-alt"))
         assert primary and alt
 
 

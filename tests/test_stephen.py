@@ -8,7 +8,7 @@ from greenbox import stephen, zoo
 from greenbox.engine import green_scc, iso_tables
 from greenbox.limits import LIMITS
 from greenbox.munn import (InverseAutomaton, LiveGraph, canonical_key,
-                           fis_equal, fold, munn_tree)
+                           fis_equal, fold, munn_tree, to_dot)
 from greenbox.stephen import (Presentation, StageTrace, accepts,
                               dclass_signature, initial_stage,
                               parse_presentation, presented_table, r_expand,
@@ -16,6 +16,7 @@ from greenbox.stephen import (Presentation, StageTrace, accepts,
 from greenbox.words import Alphabet, format_word, invert_word, parse_word
 from test_engine import from_table
 from test_munn import reference_key, reference_maps, signed_words
+from test_words import alphabet_names
 
 A, B, C = 1, 2, 3
 
@@ -35,7 +36,7 @@ def rand_word(rng, letters=2, max_len=8):
 def test_parse_m_presentation():
     pres = parse_presentation(M_TEXT)
     assert pres.monoid_mode
-    assert pres.alphabet.names == ("a", "b")
+    assert alphabet_names(pres.alphabet) == ("a", "b")
     assert pres.relations == [((B, B), (B,)),
                               ((B,), (B, A, B, -A)),
                               ((A, -A), ())]
@@ -62,9 +63,20 @@ def test_parse_rejects_missing_header():
         parse_presentation("monoid a ; a = a")
 
 
+def format_presentation(pres):
+    """The text of a presentation, which ``parse_presentation`` reads
+    back."""
+    kind = "inv-monoid" if pres.monoid_mode else "inv-semigroup"
+    rels = " ; ".join(
+        f"{format_word(l, pres.alphabet) or '1'} = "
+        f"{format_word(r, pres.alphabet) or '1'}"
+        for l, r in pres.relations)
+    return f"{kind} {' '.join(alphabet_names(pres.alphabet))} ; {rels}"
+
+
 def test_presentation_format_round_trip():
     pres = parse_presentation(M_TEXT)
-    again = parse_presentation(pres.format())
+    again = parse_presentation(format_presentation(pres))
     assert again.relations == pres.relations
     assert again.monoid_mode == pres.monoid_mode
 
@@ -450,10 +462,9 @@ def test_presented_table_errors_match_reference(text, kwargs):
 
 
 def test_stage_dot_export():
-    from greenbox.stephen import dot_export
     pres = parse_presentation(M_TEXT)
     trace = stephen_run((B,), pres, max_stages=3)
-    text = dot_export(trace.last, pres.alphabet, name="stage3")
+    text = to_dot(trace.last, pres.alphabet, name="stage3")
     assert text.startswith("digraph stage3")
     assert '[label="b"]' in text and '[label="a"]' in text
 
