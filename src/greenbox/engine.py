@@ -1143,10 +1143,11 @@ def parse_table(text: str) -> FiniteSemigroup:
 
     ``elements: e a b`` then one ``row x: ...`` line per element listing
     products in element order; optional ``unary x: y`` lines (all or none);
-    optional ``generators: ...``, every element by default.  Every row and
-    unary line must be for a declared element, every name in them must be
-    declared, and every row must have one entry per element, so the table
-    is square over element indices.  Non-associative tables are rejected
+    optional ``generators: ...``, every element by default.  No directive
+    may repeat (``row x`` twice for the same x).  Every row and unary line
+    must be for a declared element, every name in them must be declared,
+    and every row must have one entry per element, so the table is square
+    over element indices.  Non-associative tables are rejected
     with a witness triple.  The semigroup is held as the right Cayley graph
     of the generators, sorted and deduplicated.
     """
@@ -1154,6 +1155,7 @@ def parse_table(text: str) -> FiniteSemigroup:
     rows: dict = {}
     unary: dict = {}
     gens: Optional[list] = None
+    seen: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -1161,6 +1163,11 @@ def parse_table(text: str) -> FiniteSemigroup:
         head, _, rest = line.partition(":")
         head = head.strip()
         fields = rest.split()
+        directive = " ".join(head.split())
+        if directive in seen:
+            raise ValueError(f"line {lineno}: '{directive}:' repeats "
+                             f"line {seen[directive]}")
+        seen[directive] = lineno
         if head == "elements":
             names = fields
         elif head.startswith("row "):

@@ -79,6 +79,14 @@ def test_table_file_names_unknown_elements(tmp_path, capsys):
             2, "", f"error: {error}\n")
 
 
+def test_table_file_refuses_repeated_directives(tmp_path, capsys):
+    # Exit 0 before: the second row of e replaced the first.
+    path = tmp_path / "t.tbl"
+    path.write_text("elements: e f\nrow e: e f\nrow f: f f\nrow e: f f\n")
+    assert run(capsys, "table", str(path), "--file") == (
+        2, "", "error: line 4: 'row e:' repeats line 2\n")
+
+
 def test_green_witnessed_ball(capsys):
     code, out, _ = run(capsys, "green", "bicyclic:6", "--relation", "L")
     assert code == 0

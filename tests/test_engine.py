@@ -1283,6 +1283,20 @@ def test_parse_table_names_unknown_elements(line, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("line, message", [
+    ("elements: x y", "line 4: 'elements:' repeats line 1"),
+    ("row  x: y y", "line 4: 'row x:' repeats line 2"),
+    ("generators: x\ngenerators: y", "line 5: 'generators:' repeats line 4"),
+    ("unary x: x\nunary y: y\nunary x: y", "line 6: 'unary x:' repeats line 4"),
+])
+def test_parse_table_refuses_repeated_directives(line, message):
+    # The last of the repeated lines used to win, silently.
+    text = "elements: x y\nrow x: x y\nrow y: x y\n" + line + "\n"
+    with pytest.raises(ValueError) as info:
+        parse_table(text)
+    assert str(info.value) == message
+
+
 def test_verify_associative_finds_witness():
     bad = [[0, 1], [1, 0]]
     bad[1][1] = 1  # x*x=x? build a genuinely non-associative table
