@@ -1147,9 +1147,9 @@ def parse_table(text: str) -> FiniteSemigroup:
     may repeat (``row x`` twice for the same x).  Every row and unary line
     must be for a declared element, every name in them must be declared,
     and every row must have one entry per element, so the table is square
-    over element indices.  Non-associative tables are rejected
-    with a witness triple.  The semigroup is held as the right Cayley graph
-    of the generators, sorted and deduplicated.
+    over element indices.  Non-associative tables are rejected with a
+    witness triple.  The semigroup is held as the right Cayley graph of
+    the generators, sorted and deduplicated.
     """
     names: list = []
     rows: dict = {}

@@ -48,7 +48,6 @@ def bound(scope):
     out = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
            + [args.vararg, args.kwarg] if a is not None}
     stack = list(scope.body) if isinstance(scope, FUNCTIONS) else [scope.body]
-    declared = set()
     while stack:
         node = stack.pop()
         if isinstance(node, DEFINITIONS):
@@ -58,14 +57,12 @@ def bound(scope):
             continue
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
             out.add(node.id)
-        elif isinstance(node, ast.alias) and node.name != "*":
+        elif isinstance(node, ast.alias):
             out.add((node.asname or node.name).partition(".")[0])
         elif isinstance(node, ast.ExceptHandler) and node.name:
             out.add(node.name)
-        elif isinstance(node, ast.Global):
-            declared.update(node.names)
         stack.extend(ast.iter_child_nodes(node))
-    return out - declared
+    return out
 
 
 def uses(forest):
