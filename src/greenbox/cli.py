@@ -2,7 +2,8 @@
 
 Exit codes: 0 for success or any computed verdict (including "unknown"),
 1 for a reproduction-report failure, 2 for usage and parse errors.  All
-output is deterministic for fixed flags.
+output is deterministic for fixed flags.  Each command imports the
+modules it calls, so ``munn`` and ``stephen`` never load ``engine``.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ import functools
 import os
 import sys
 
-from . import engine, identities, munn, report, stephen, vmaps, zoo
 from .limits import LIMITS
 from .words import Alphabet, parse_word
 
 
 def _load_structure(spec: str, from_file: bool):
+    from . import engine, zoo
     if from_file:
         with open(spec, "r", encoding="utf-8") as handle:
             return engine.parse_table(handle.read())
@@ -25,6 +26,7 @@ def _load_structure(spec: str, from_file: bool):
 
 
 def cmd_table(args) -> int:
+    from . import engine
     obj = _load_structure(args.spec, args.file)
     if not isinstance(obj, engine.FiniteSemigroup):
         raise ValueError("spec does not denote a closed finite semigroup; "
@@ -35,6 +37,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_green(args) -> int:
+    from . import engine, zoo
     obj = _load_structure(args.spec, args.file)
     if isinstance(obj, engine.FiniteSemigroup):
         return cmd_table(args)
@@ -59,6 +62,7 @@ def cmd_green(args) -> int:
 
 
 def cmd_munn(args) -> int:
+    from . import munn
     alphabet = Alphabet()
     word = parse_word(args.word, alphabet, add_letters=True)
     if not word:
@@ -77,7 +81,8 @@ def cmd_munn(args) -> int:
     return 0
 
 
-def _load_presentation(source: str) -> stephen.Presentation:
+def _load_presentation(source: str):
+    from . import stephen
     if os.path.exists(source):
         with open(source, "r", encoding="utf-8") as handle:
             source = handle.read()
@@ -85,6 +90,7 @@ def _load_presentation(source: str) -> stephen.Presentation:
 
 
 def cmd_stephen(args) -> int:
+    from . import munn, stephen
     pres = _load_presentation(args.presentation)
     word = parse_word(args.word, pres.alphabet) if args.word != "1" else ()
     if args.equal is not None:
@@ -111,6 +117,7 @@ def cmd_stephen(args) -> int:
 
 
 def cmd_identity(args) -> int:
+    from . import engine, identities, zoo
     obj = _load_structure(args.spec, args.file)
     try:
         idents = identities.catalogue_entry(args.identity)
@@ -148,6 +155,7 @@ def _print_identity_result(ident, result, names=None) -> None:
 
 
 def cmd_vmaps(args) -> int:
+    from . import vmaps
     if args.what == "ball":
         ball = vmaps.phi_psi_ball(args.cap)
         print(f"ball cap {args.cap}: {len(ball)} distinct maps; "
@@ -172,6 +180,7 @@ def cmd_vmaps(args) -> int:
 
 
 def cmd_paper_report(args) -> int:
+    from . import report
     def progress(entry):
         print(entry.line())
 

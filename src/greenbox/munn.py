@@ -63,9 +63,6 @@ class InverseAutomaton:
             self._delta = delta
         return self._delta
 
-    def walk(self, v: int, w: Word) -> Optional[int]:
-        return follow(self.transitions(), v, w)
-
     def undirected_edge_count(self) -> int:
         return len(set(self.edges))
 

@@ -362,14 +362,14 @@ def entry_vmaps(seed: int = 0) -> ReportEntry:
               "ball_idempotents": len(idempotents)})
 
 
-def _vmaps_samples(seed: int, probes: int):
+def _vmaps_samples(seed: int):
     """200 random words over phi, phi^-1, psi, psi^-1 (letters 0..3), each
-    with probes // 200 points of [-20, 20] x [0, 20] to apply its map to."""
+    with 50 points of [-20, 20] x [0, 20] to apply its map to."""
     draws = _Draws(seed)
     below = draws.randrange
     for _ in range(200):
         word = [below(4) for _ in range(draws.randint(1, 8))]
-        points = [(below(41) - 20, below(21)) for _ in range(probes // 200)]
+        points = [(below(41) - 20, below(21)) for _ in range(50)]
         yield word, points
 
 
@@ -377,7 +377,7 @@ def _vmaps_sampling_agrees(seed: int) -> bool:
     f, p = vmaps.phi(), vmaps.psi()
     gens = [f, vmaps.invert(f), p, vmaps.invert(p)]
     steps = [vmaps.BruteMap.from_vmap(g) for g in gens]
-    for word, points in _vmaps_samples(seed, 10_000):
+    for word, points in _vmaps_samples(seed):
         sym = vmaps.identity_map()
         brute = vmaps.BruteMap.from_vmap(sym)
         for i in word:

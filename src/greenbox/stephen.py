@@ -21,14 +21,16 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .engine import FiniteSemigroup, Oracle, enumerate_oracle
 from .limits import LIMITS, at_least
 from .munn import (InverseAutomaton, LiveGraph, Mark, canonical_key, follow,
                    munn_tree, quotient)
 from .words import (Alphabet, Word, WordSyntaxError, format_word, invert_word,
                     parse_word)
+
+if TYPE_CHECKING:
+    from .engine import FiniteSemigroup
 
 
 @dataclass
@@ -291,8 +293,8 @@ def stephen_run(u: Word, pres: Presentation, *,
 
 
 def accepts(aut, w: Word) -> bool:
-    """True when w labels a path from base to final, in an automaton or a
-    settled live graph."""
+    """True when w labels a path from base to final of a settled live
+    graph."""
     if aut.final is None:
         raise ValueError("automaton has no final vertex")
     return aut.walk(aut.base, w) == aut.final
@@ -360,6 +362,7 @@ def presented_table(pres: Presentation) -> FiniteSemigroup:
     Raises RuntimeError when any trace fails to close within the Stephen
     limits, or the elements pass the ``presented_elements`` limit.
     """
+    from .engine import FiniteSemigroup, Oracle, enumerate_oracle
     words: dict = {}
 
     def classify(w: Word):
