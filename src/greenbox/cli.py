@@ -4,11 +4,13 @@ Exit codes: 0 for success or any computed verdict (including "unknown"),
 1 for a reproduction-report failure, 2 for usage and parse errors.  All
 output is deterministic for fixed flags.  Each command imports the
 modules it calls, so ``munn`` and ``stephen`` never load ``engine``.
+``argparse`` loads when ``build_parser`` first runs, so importing this
+module loads no standard-library module beyond what ``limits`` and
+``words`` use.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
@@ -201,6 +203,7 @@ def cmd_paper_report(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built at the first call and shared by later ones:
     parsing leaves it unchanged."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="greenbox",
         description="semigroup toolkit: Green's relations, Munn trees, "

@@ -13,12 +13,12 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from math import inf
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence)
 
 from .limits import LIMITS, BudgetError, at_least, need  # engine.BudgetError
 
@@ -409,8 +409,7 @@ def table_from_ball(ball: BallEnumeration) -> FiniteSemigroup:
 # Green's relations
 
 
-@dataclass
-class GreenStructure:
+class GreenStructure(NamedTuple):
     """Five partitions of the element set, as dense class-id arrays."""
 
     h: list
@@ -591,8 +590,7 @@ def green_definitional(fs: FiniteSemigroup) -> GreenStructure:
 # eggbox picture
 
 
-@dataclass
-class DClassBox:
+class DClassBox(NamedTuple):
     d_class: int
     r_classes: list
     l_classes: list
@@ -844,8 +842,7 @@ def iso_tables(fs1: FiniteSemigroup, fs2: FiniteSemigroup) -> tuple:
 # witnessed Green analysis
 
 
-@dataclass
-class WitnessedGreen:
+class WitnessedGreen(NamedTuple):
     """Bounded evidence about an infinite (or unconfirmed) semigroup.
 
     Witnessed relatedness is a lower bound on true relatedness: two

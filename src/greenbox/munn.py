@@ -15,7 +15,7 @@ are equal exactly when their Munn trees are isomorphic as pointed automata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .words import Alphabet, Word, free_reduce, letter_index
@@ -420,24 +420,22 @@ def fis_multiply(x: InverseAutomaton, y: InverseAutomaton) -> InverseAutomaton:
     return fold(glued, extra_merges=[(x.final, y.base + off)])
 
 
-@dataclass(frozen=True)
-class FisTriple:
+class FisTriple(namedtuple("FisTriple", "r s t")):
     """Canonical form of a one-letter free inverse semigroup element.
 
     The Munn tree of a word over a single letter is the interval [-r, s]
     with base 0 and final vertex t; idempotents are exactly the t = 0
-    triples.
+    triples.  A validated tuple, so it equals the plain tuple (r, s, t).
     """
 
-    r: int
-    s: int
-    t: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.r < 0 or self.s < 0 or self.r + self.s < 1:
+    def __new__(cls, r: int, s: int, t: int):
+        if r < 0 or s < 0 or r + s < 1:
             raise ValueError("need r, s >= 0 with r + s >= 1")
-        if not (-self.r <= self.t <= self.s):
+        if not (-r <= t <= s):
             raise ValueError("final vertex outside the interval")
+        return tuple.__new__(cls, (r, s, t))
 
 
 def triple_multiply(x: tuple, y: tuple) -> tuple:

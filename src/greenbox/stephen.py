@@ -19,8 +19,8 @@ numbers it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .limits import LIMITS, at_least
@@ -33,16 +33,19 @@ if TYPE_CHECKING:
     from .engine import FiniteSemigroup
 
 
-@dataclass
-class Presentation:
-    alphabet: Alphabet
-    relations: list            # list of (Word, Word)
-    monoid_mode: bool = False
+class Presentation(namedtuple("Presentation",
+                              "alphabet relations monoid_mode")):
+    """An alphabet, a list of (Word, Word) relations and the mode.  A
+    validated tuple, so it equals the plain tuple of its fields."""
 
-    def __post_init__(self):
-        for lhs, rhs in self.relations:
-            if not self.monoid_mode and (not lhs or not rhs):
+    __slots__ = ()
+
+    def __new__(cls, alphabet: Alphabet, relations: list,
+                monoid_mode: bool = False):
+        for lhs, rhs in relations:
+            if not monoid_mode and (not lhs or not rhs):
                 raise ValueError("semigroup relations need nonempty sides")
+        return tuple.__new__(cls, (alphabet, relations, monoid_mode))
 
     def sides(self) -> list:
         """Relation pairs in both directions, identical sides dropped."""

@@ -103,6 +103,7 @@ def monogenic_monoid(p: int) -> FiniteSemigroup:
     """N_p: p + 1 elements 1, a, ..., a^p with a^i a^j = a^min(i+j, p)."""
     at_least("index", p)
     n = p + 1
+    # Also bounds idempotents(), whose shortest words cost O(n^2) on a chain.
     need("table_cells", n * n, n=n)
     right = [[i, min(i + 1, p)] for i in range(n)]
     names = ["1"] + [f"a^{i}" if i > 1 else "a" for i in range(1, n)]

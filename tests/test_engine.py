@@ -3,7 +3,6 @@ import itertools
 import math
 import random
 import tracemalloc
-from dataclasses import astuple
 from math import comb, factorial
 from operator import itemgetter
 from unittest.mock import patch
@@ -13,13 +12,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from greenbox import zoo
 from greenbox.engine import (RELATIONS, BallEnumeration, BudgetError,
-                             FiniteSemigroup, Oracle, _dense, _right_search,
-                             _sccs, _top_up, _UnionFind, adjoin_identity,
-                             ball_enumerate, ball_witnesses, direct_product,
-                             eggbox, enumerate_oracle, format_eggbox,
-                             green_definitional, green_scc, iso_tables,
-                             parse_table, table_from_ball, verify_associative,
-                             witnessed_green, witnessed_related)
+                             FiniteSemigroup, GreenStructure, Oracle, _dense,
+                             _right_search, _sccs, _top_up, _UnionFind,
+                             adjoin_identity, ball_enumerate, ball_witnesses,
+                             direct_product, eggbox, enumerate_oracle,
+                             format_eggbox, green_definitional, green_scc,
+                             iso_tables, parse_table, table_from_ball,
+                             verify_associative, witnessed_green,
+                             witnessed_related)
 from greenbox.limits import LIMITS
 
 
@@ -484,6 +484,20 @@ def test_b2_green_counts():
     assert gs.counts() == {"H": 5, "L": 3, "R": 3, "D": 2, "J": 2}
 
 
+def test_green_structure_methods_read_the_partitions():
+    h, l, r, d = [0, 1, 2, 3], [0, 1, 0, 2], [0, 0, 1, 2], [0, 0, 0, 1]
+    gs = GreenStructure(h=h, l=l, r=r, d=d, j=d)
+    assert gs == (h, l, r, d, d)
+    assert gs.partition("l") is gs.partition("L") is l
+    assert [gs.count(k) for k in RELATIONS] == [4, 3, 3, 2, 2]
+    assert gs.counts() == {"H": 4, "L": 3, "R": 3, "D": 2, "J": 2}
+    assert gs.classes("L") == [[0, 2], [1], [3]]
+    assert gs.classes("D") == [[0, 1, 2], [3]]
+    assert gs.related("R", 0, 1) and not gs.related("R", 1, 2)
+    assert GreenStructure([], [], [], [], []).counts() == dict.fromkeys(
+        RELATIONS, 0)
+
+
 def test_monogenic_counts_all_singletons():
     for p in (1, 2, 4):
         gs = assert_green_agree(zoo.monogenic_monoid(p))
@@ -639,7 +653,7 @@ def test_product_matches_reference_table(specs):
     assert format_eggbox(prod, gs) == format_eggbox(ref)
     # Green's relations and the eggbox read the graphs, not the table.
     assert "table" not in prod.__dict__
-    assert (gs.h, gs.l, gs.r, gs.d, gs.j) == astuple(green_scc(ref))
+    assert (gs.h, gs.l, gs.r, gs.d, gs.j) == tuple(green_scc(ref))
     assert prod.table == table
 
 
@@ -1228,7 +1242,7 @@ def test_small_semigroups_match_closed_form_tables(case, data):
     n = len(table)
     assert fs.letters == letters == ref.letters
     assert (fs.names, fs.keys, fs.unary) == (ref.names, ref.keys, ref.unary)
-    assert astuple(green_scc(fs)) == astuple(green_definitional(ref))
+    assert tuple(green_scc(fs)) == tuple(green_definitional(ref))
     assert format_eggbox(fs) == format_eggbox(ref)
     assert fs.idempotents() == [x for x in range(n) if table[x][x] == x]
     assert fs.identity == next((e for e in range(n) if all(

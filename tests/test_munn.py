@@ -185,6 +185,28 @@ def test_triple_rejects_multiletter():
         fis_a_triple((A, B))
 
 
+@pytest.mark.parametrize("args, message", [
+    ((0, 0, 0), "need r, s >= 0 with r + s >= 1"),
+    ((-1, 2, 0), "need r, s >= 0 with r + s >= 1"),
+    ((1, -1, 0), "need r, s >= 0 with r + s >= 1"),
+    ((1, 1, 2), "final vertex outside the interval"),
+    ((0, 3, -1), "final vertex outside the interval"),
+])
+def test_triple_refuses_a_malformed_interval(args, message):
+    with pytest.raises(ValueError) as refusal:
+        FisTriple(*args)
+    assert str(refusal.value) == message
+
+
+def test_triple_is_a_tuple_of_its_fields():
+    x = FisTriple(r=0, s=1, t=1)
+    assert repr(x) == "FisTriple(r=0, s=1, t=1)"
+    assert x == FisTriple(0, 1, 1) == (0, 1, 1) != FisTriple(1, 0, -1)
+    assert (x.r, x.s, x.t) == tuple(x)
+    assert hash(x) == hash(FisTriple(0, 1, 1)) == hash((0, 1, 1))
+    assert len({x, FisTriple(0, 1, 1), FisTriple(0, 1, 0)}) == 2
+
+
 def triple_span(x):
     return x.r + x.s
 

@@ -58,6 +58,27 @@ def test_parse_rejects_empty_side_in_semigroup_mode():
         parse_presentation("inv-semigroup a ; a a^-1 = 1")
 
 
+def test_presentation_refuses_empty_sides_outside_monoid_mode():
+    alphabet = Alphabet(["a"])
+    for relations in ([((A,), ())], [((), (A,))], [((A,), (A,)), ((), ())]):
+        with pytest.raises(ValueError,
+                           match="^semigroup relations need nonempty sides$"):
+            Presentation(alphabet, relations)
+        assert Presentation(alphabet, relations,
+                            monoid_mode=True).relations == relations
+
+
+def test_presentation_is_a_tuple_of_its_fields():
+    alphabet, relations = Alphabet(["a"]), [((A, A), (A,))]
+    pres = Presentation(alphabet, relations)
+    assert pres.monoid_mode is False
+    assert pres == Presentation(alphabet, relations, False) == (
+        alphabet, relations, False)
+    assert pres != Presentation(alphabet, relations, monoid_mode=True)
+    assert repr(pres) == (f"Presentation(alphabet={alphabet!r}, "
+                          "relations=[((1, 1), (1,))], monoid_mode=False)")
+
+
 def test_parse_rejects_missing_header():
     with pytest.raises(ValueError):
         parse_presentation("monoid a ; a = a")
