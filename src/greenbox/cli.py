@@ -15,7 +15,7 @@ import functools
 import os
 import sys
 
-from .limits import LIMITS
+from .limits import LIMITS, at_least
 from .words import Alphabet, parse_word
 
 
@@ -27,22 +27,28 @@ def _load_structure(spec: str, from_file: bool):
     return zoo.parse_zoo(spec)
 
 
+def _print_table(fs) -> int:
+    from . import engine
+    sys.stdout.write(engine.format_eggbox(fs))
+    print("elements: " + " ".join(fs.names))
+    return 0
+
+
 def cmd_table(args) -> int:
     from . import engine
     obj = _load_structure(args.spec, args.file)
     if not isinstance(obj, engine.FiniteSemigroup):
         raise ValueError("spec does not denote a closed finite semigroup; "
                          "use 'green' for balls and windows")
-    sys.stdout.write(engine.format_eggbox(obj))
-    print("elements: " + " ".join(obj.names))
-    return 0
+    return _print_table(obj)
 
 
 def cmd_green(args) -> int:
     from . import engine, zoo
     obj = _load_structure(args.spec, args.file)
+    at_least("margin", args.margin)
     if isinstance(obj, engine.FiniteSemigroup):
-        return cmd_table(args)
+        return _print_table(obj)
     window = isinstance(obj, zoo.PWindow)
     default = "LR" if window else "LRD"
     for relation in args.relation.upper() if args.relation else default:
@@ -138,6 +144,8 @@ def cmd_identity(args) -> int:
         return 0
     if not isinstance(obj, engine.FiniteSemigroup):
         raise ValueError("identities need a closed table or a pz window")
+    if args.window is not None:
+        at_least("window bound", args.window)
     for ident in idents:
         result = identities.check_identity_exhaustive(obj, ident)
         _print_identity_result(ident, result, names=obj.names)

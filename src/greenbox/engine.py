@@ -41,9 +41,9 @@ class FiniteSemigroup:
     row of ``letters[a]``, so ``left[a][x]`` is ``letters[a]`` times x.
     ``table[i][j]``, the index of the product of elements i and j, is
     filled from the two graphs when first read; Green's relations,
-    idempotents, the identity and the zero are read off the graphs and
-    never fill it.  ``unary`` is an optional involution-style unary
-    operation (element index array).
+    idempotents and the zero are read off the graphs and never fill it.
+    ``unary`` is an optional involution-style unary operation (element
+    index array).
 
     When every element is a letter in index order, the right graph is the
     table and is also the left graph; otherwise the left rows are filled
@@ -122,16 +122,6 @@ class FiniteSemigroup:
             if z == x:
                 out.append(x)
         return out
-
-    @cached_property
-    def identity(self) -> Optional[int]:
-        """The e with e·g = g = g·e for every letter g, hence for every
-        element, or None."""
-        letters, left = self.letters, self.left
-        for e, row in enumerate(self.right):
-            if row == letters and all(lg[e] == g for g, lg in zip(letters, left)):
-                return e
-        return None
 
     @cached_property
     def zero(self) -> Optional[int]:
@@ -590,18 +580,15 @@ def green_definitional(fs: FiniteSemigroup) -> GreenStructure:
 # eggbox picture
 
 
-class DClassBox(NamedTuple):
-    d_class: int
-    r_classes: list
-    l_classes: list
-    h_sizes: list          # grid indexed [r][l]
-    regular: bool
-
-
-def eggbox(fs: FiniteSemigroup, gs: Optional[GreenStructure] = None) -> list:
-    gs = gs if gs is not None else green_scc(fs)
+def format_eggbox(fs: FiniteSemigroup) -> str:
+    """The Green class counts, then each D-class as a grid of its
+    R-classes by its L-classes, each cell the size of an H-class.  A
+    D-class is regular when it holds an idempotent."""
+    gs = green_scc(fs)
+    counts = gs.counts()
     idem = set(fs.idempotents())
-    boxes = []
+    lines = [f"{len(fs)} elements; "
+             + " ".join(f"{k}={counts[k]}" for k in RELATIONS)]
     for members in gs.classes("D"):
         rs = sorted({gs.r[x] for x in members})
         ls = sorted({gs.l[x] for x in members})
@@ -610,23 +597,10 @@ def eggbox(fs: FiniteSemigroup, gs: Optional[GreenStructure] = None) -> list:
         lpos = {c: i for i, c in enumerate(ls)}
         for x in members:
             grid[rpos[gs.r[x]]][lpos[gs.l[x]]] += 1
-        boxes.append(DClassBox(
-            d_class=gs.d[members[0]],
-            r_classes=rs, l_classes=ls, h_sizes=grid,
-            regular=any(x in idem for x in members)))
-    return boxes
-
-
-def format_eggbox(fs: FiniteSemigroup, gs: Optional[GreenStructure] = None) -> str:
-    gs = gs if gs is not None else green_scc(fs)
-    c = gs.counts()
-    lines = [f"{len(fs)} elements; "
-             + " ".join(f"{k}={c[k]}" for k in RELATIONS)]
-    for box in eggbox(fs, gs):
-        tag = "regular" if box.regular else "non-regular"
-        lines.append(f"D-class {box.d_class} ({tag}): "
-                     f"{len(box.r_classes)}x{len(box.l_classes)}")
-        for row in box.h_sizes:
+        tag = "regular" if any(x in idem for x in members) else "non-regular"
+        lines.append(f"D-class {gs.d[members[0]]} ({tag}): "
+                     f"{len(rs)}x{len(ls)}")
+        for row in grid:
             lines.append("  " + " ".join(str(x) for x in row))
     return "\n".join(lines) + "\n"
 
@@ -850,8 +824,6 @@ class WitnessedGreen(NamedTuple):
     the extended ball.  Nothing here is certified unless the ball closed.
     """
 
-    relation: str
-    margin: int
     counts_by_radius: dict
     classes: list
     apparently_infinite: bool
@@ -1106,8 +1078,7 @@ def witnessed_green(ball: BallEnumeration, relation: str,
                  for i in range(len(radii) - 1)]
     apparently_infinite = any(all(increases[i:i + 3])
                               for i in range(len(increases) - 2))
-    return WitnessedGreen(relation=relation.upper(), margin=margin,
-                          counts_by_radius=counts, classes=classes,
+    return WitnessedGreen(counts_by_radius=counts, classes=classes,
                           apparently_infinite=apparently_infinite,
                           certified=ball.closed)
 

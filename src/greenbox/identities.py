@@ -396,7 +396,6 @@ class _Stager:
 
 @dataclass
 class CheckResult:
-    identity: Identity
     holds: bool
     counterexample: Optional[dict]
     checked: int
@@ -447,8 +446,7 @@ def _check_over(ops: _Ops, identity: Identity,
         left, right = vals[lhs], vals[rhs]
         j = next(j for j, (a, b) in enumerate(zip(left, right)) if a != b)
         return CheckResult(
-            identity, False,
-            dict(zip(variables, vals[:last] + [vals[last][j]])),
+            False, dict(zip(variables, vals[:last] + [vals[last][j]])),
             offset + j + 1, window_verified)
 
     def sweep(d: int, prefix: int) -> Optional[CheckResult]:
@@ -477,7 +475,7 @@ def _check_over(ops: _Ops, identity: Identity,
     failure = sweep(0, 0)
     if failure is not None:
         return failure
-    return CheckResult(identity, True, None, n ** k, window_verified)
+    return CheckResult(True, None, n ** k, window_verified)
 
 
 def check_identity_exhaustive(fs, identity: Identity) -> CheckResult:

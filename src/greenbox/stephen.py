@@ -226,7 +226,6 @@ class StageTrace:
     """
 
     def __init__(self, word: Word, pres: Presentation):
-        self.word = word
         self.graph = LiveGraph.settled(initial_stage(word, pres))
         self.stages = StageLog(self.graph)
         self.closed = False

@@ -193,7 +193,7 @@ def test_green_p_window_j_and_margin_one(capsys):
 
 
 def test_green_refusals_exit_2(capsys):
-    for spec in ("pz:5", "bicyclic:3"):
+    for spec in ("pz:5", "bicyclic:3", "b2", "mn:3"):
         for margin in ("0", "-2"):
             assert run(capsys, "green", spec, "--margin", margin) == (
                 2, "", "error: margin must be >= 1\n")
@@ -419,10 +419,11 @@ def test_identity_window_refusals_exit_2(capsys):
         2, "", "error: 601^3 assignments exceed the budget of 10000000\n")
     assert run(capsys, "identity", "pz:100000000", "xx = x") == (
         2, "", "error: 200000001^1 assignments exceed the budget of 10000000\n")
-    for window in ("0", "-2"):
-        assert run(capsys, "identity", "pz:5", "xy = yx",
-                   "--window", window) == (
-            2, "", "error: window bound must be >= 1\n")
+    for spec in ("pz:5", "b2", "mn:3"):
+        for window in ("0", "-2"):
+            assert run(capsys, "identity", spec, "xy = yx",
+                       "--window", window) == (
+                2, "", "error: window bound must be >= 1\n")
 
 
 def test_identity_raw_text(capsys):
@@ -620,10 +621,36 @@ def test_console_script_entry_point():
     assert "H=5 L=3 R=3 D=2 J=2" in result.stdout
 
 
-def test_green_on_closed_table_delegates_to_exact(capsys):
+def test_green_on_closed_table_delegates_to_exact(tmp_path, capsys):
     code, out, _ = run(capsys, "green", "b2")
     assert code == 0
     assert "H=5 L=3 R=3 D=2 J=2" in out
+    # green loads the structure once, parsing what table parses, and
+    # prints what table prints.
+    parses = []
+
+    def counted(parse):
+        def wrapper(text):
+            parses.append(text)
+            return parse(text)
+        return wrapper
+
+    path = tmp_path / "b2.txt"
+    path.write_text(format_table(zoo.b2()), encoding="utf-8")
+    with patch.object(zoo, "parse_zoo", counted(zoo.parse_zoo)), \
+            patch.object(engine, "parse_table", counted(engine.parse_table)):
+        for argv in (["b2^1"], ["mn:5"], ["prod:b2,np:2"], ["transf:4:2:2"],
+                     [str(path), "--file"]):
+            table = run(capsys, "table", *argv)
+            once = parses[:]
+            del parses[:]
+            assert run(capsys, "green", *argv) == table, argv
+            assert parses == once, argv
+            del parses[:]
+        for spec in ("bicyclic:3", "pz:5"):
+            run(capsys, "green", spec)
+            assert parses == [spec]
+            del parses[:]
 
 
 TABLE_GOLDEN = (

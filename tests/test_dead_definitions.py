@@ -4,13 +4,13 @@ Every function and class that ``src/greenbox`` defines must be named
 somewhere in ``src/``, ``tests/`` or ``perfbench/``: by a ``Name``, an
 import, a string (``perfbench/spans.py`` names what it wraps in strings
 such as ``"BallEnumeration.extend"``), or an attribute of its module (the
-CLI calls ``engine.ball_witnesses``).  Every method must be read as an
-attribute somewhere.  Dunders are called by Python itself, and
-``console_main`` is the ``pyproject.toml`` entry point.
+CLI calls ``engine.ball_witnesses``).  Dunders are called by Python
+itself, and ``console_main`` is the ``pyproject.toml`` entry point.
 
 A second scan takes ``src/`` alone as the forest.  What only tests or the
 harness name must be in ``TEST_ONLY_API``, the library API that README
-documents as such, so a new test-only definition in ``src/`` fails here.
+documents as such, so a new test-only definition or member in ``src/``
+fails here.
 
 A ``Name`` counts as a use of a module-level definition only where no
 enclosing function or lambda binds that name: as a parameter, an
@@ -19,14 +19,20 @@ an ``except ... as`` name.  So a local ``classify`` in one function does
 not keep a module-level ``classify`` elsewhere alive.  A definition
 nested in a function counts every ``Name`` of its name as a use.
 
-Methods go by name only, so a dead method escapes the check while a live
-attribute of the same name exists anywhere: an unused
-``_UnionFind.labels`` method would pass, because ``Witnesses.labels`` is
-read.
+Every member of a class must be read as an attribute: its methods and
+properties, its annotated fields (NamedTuple and dataclass fields), the
+fields of a ``namedtuple(...)`` base and the attributes its methods
+assign on ``self``.  A read on the name ``args``, the CLI's argparse
+namespace, counts for nothing, so ``args.identity`` keeps no
+``identity`` member alive.  Members go by name only, so a dead member
+escapes the check while a live attribute of the same name is read
+elsewhere: an unused ``_UnionFind.labels`` method would pass, because
+``Witnesses.labels`` is read.
 """
 
 import ast
 import re
+from operator import itemgetter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,7 +74,8 @@ def bound(scope):
 def uses(forest):
     """(names, anywhere, attributes): the names the code reads where no
     enclosing function binds them, those and the names it reads inside
-    such a function, and the attributes it reads."""
+    such a function, and the attributes it reads on anything but
+    ``args``."""
     names, anywhere, attributes = set(), set(), set()
     for tree in forest:
         stack = [(tree, frozenset())]
@@ -80,7 +87,10 @@ def uses(forest):
                 (anywhere if node.id in local else names).add(node.id)
             elif isinstance(node, ast.alias):
                 names.add(node.name.rpartition(".")[2])
-            elif isinstance(node, ast.Attribute):
+            elif (isinstance(node, ast.Attribute)
+                  and not isinstance(node.ctx, ast.Store)
+                  and not (isinstance(node.value, ast.Name)
+                           and node.value.id == "args")):
                 attributes.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value,
                                                                str):
@@ -90,9 +100,40 @@ def uses(forest):
     return names, anywhere | names, attributes
 
 
+def members(cls):
+    """{name: line} of a class's members: its methods, its annotated
+    fields, the fields of a ``namedtuple(...)`` base and the attributes
+    its methods assign on ``self``, each at its first definition."""
+    found = []
+    for node in cls.body:
+        if isinstance(node, FUNCTIONS):
+            found.append((node.name, node.lineno))
+            found.extend((a.attr, a.lineno) for a in ast.walk(node)
+                         if isinstance(a, ast.Attribute)
+                         and isinstance(a.ctx, ast.Store)
+                         and isinstance(a.value, ast.Name)
+                         and a.value.id == "self")
+        elif (isinstance(node, ast.AnnAssign)
+              and isinstance(node.target, ast.Name)):
+            found.append((node.target.id, node.lineno))
+    for base in cls.bases:
+        if (isinstance(base, ast.Call) and isinstance(base.func, ast.Name)
+                and base.func.id == "namedtuple"):
+            fields = base.args[1].value.replace(",", " ").split()
+            found.extend((field, base.lineno) for field in fields)
+    out = {}
+    for name, line in sorted(found, key=itemgetter(1)):
+        out.setdefault(name, line)
+    return out
+
+
+def dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def unused(src, forest):
-    """The definitions in ``src`` that ``forest`` never names, each as
-    "path:line name"."""
+    """The definitions and class members in ``src`` that ``forest`` never
+    names, each as "path:line name"."""
     names, anywhere, attributes = uses(forest)
     out = []
     for path, tree in src.items():
@@ -104,18 +145,16 @@ def unused(src, forest):
                   for node in ast.walk(fn)
                   if node is not fn and isinstance(node, DEFINITIONS)}
         for node in ast.walk(tree):
-            if not isinstance(node, DEFINITIONS):
+            if isinstance(node, ast.ClassDef):
+                out.extend(f"{path}:{line} {name}"
+                           for name, line in members(node).items()
+                           if not dunder(name) and name not in attributes)
+            if (not isinstance(node, DEFINITIONS) or id(node) in methods
+                    or dunder(node.name) or node.name in ENTRY_POINTS):
                 continue
             name = node.name
-            if (name.startswith("__") and name.endswith("__")
-                    or name in ENTRY_POINTS):
-                continue
-            if id(node) in methods:
-                used = name in attributes
-            else:
-                used = (name in (anywhere if id(node) in nested else names)
-                        or name in attributes)
-            if not used:
+            if not (name in (anywhere if id(node) in nested else names)
+                    or name in attributes):
                 out.append(f"{path}:{node.lineno} {name}")
     return out
 
@@ -126,8 +165,8 @@ def test_every_definition_in_src_is_used():
     assert unused(src, forest) == []
 
 
-# "path name" of each definition that nothing in src/ names, one entry per
-# definition.
+# "path name" of each definition or member that nothing in src/ reads, one
+# entry per definition.
 TEST_ONLY_API = sorted([
     "src/greenbox/engine.py witnessed_related",  # wrapped by perfbench
     "src/greenbox/zoo.py p_witnessed_related",   # wrapped by perfbench
@@ -162,3 +201,21 @@ def test_guard_resolves_names_that_an_enclosing_function_binds():
     user = ast.parse("outer([], None)\n")
     assert unused({Path("m.py"): code}, [code, user]) == [
         "m.py:1 helper", "m.py:5 step"]
+
+
+def test_guard_finds_unread_members():
+    # Box.label is read only on args, the CLI's argparse namespace, which
+    # counts for nothing; Shelf.spare is assigned and never read.
+    code = ast.parse(
+        "from collections import namedtuple\n"
+        "from typing import NamedTuple\n\n\n"
+        "class Box(NamedTuple):\n    size: int\n    label: str\n\n\n"
+        "class Pair(namedtuple('Pair', 'x y')):\n    pass\n\n\n"
+        "class Shelf:\n    def __init__(self, box):\n"
+        "        self.box = box\n        self.spare = None\n\n"
+        "    @property\n    def width(self):\n"
+        "        return self.box.size + Pair(1, 2).x\n\n\n"
+        "def show(args):\n    return Shelf(Box(1, args.label)).box\n")
+    user = ast.parse("show(None)\n")
+    assert unused({Path("m.py"): code}, [code, user]) == [
+        "m.py:7 label", "m.py:10 y", "m.py:17 spare", "m.py:20 width"]
