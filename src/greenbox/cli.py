@@ -77,7 +77,8 @@ def cmd_munn(args) -> int:
         raise ValueError("empty word")
     tree = munn.munn_tree(word)
     print(f"vertices: {tree.n}")
-    print(f"edges: {tree.undirected_edge_count()}")
+    # munn_tree checked that the tree has n - 1 edges.
+    print(f"edges: {tree.n - 1}")
     print(f"idempotent: {munn.is_fis_idempotent(word)}")
     if len(alphabet) == 1:
         triple = munn.fis_a_triple(word)

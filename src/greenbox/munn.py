@@ -327,16 +327,22 @@ def canonical_key(aut: InverseAutomaton, pointed: bool = True):
     keys compare equal.  The unpointed key is the least key over all anchor
     choices.
 
-    The sorted edge tuple of a BFS numbering is the concatenation of one
-    block per vertex in visit order: vertex k's positive out-edges
-    ``(k, a, num[target])`` by ascending a.  The unpointed key advances
+    The pointed key is ``(n, 0, final, edges)`` and the unpointed key
+    ``(n, edges)``, where ``edges`` is a flat int tuple ``(k, a, t, k, a,
+    t, ...)``: the numbered edges ``(k, a, t)`` in sorted order, laid end to
+    end.  Every edge takes three slots, so flat tuples compare as the
+    tuples of triples would.
+
+    The sorted edges of a BFS numbering are the concatenation of one block
+    per vertex in visit order: vertex k's positive out-edges
+    ``k, a, num[target]`` by ascending a.  The unpointed key advances
     a batch of anchors one block at a time and drops an anchor as soon as
     its block exceeds the least block of that round, or the whole batch as
     soon as that least block exceeds the best key's block from earlier
-    batches.  Each block ends with a ``(k + 1,)`` sentinel: all anchors
+    batches.  Each block ends with a ``k + 1`` sentinel: all anchors
     number the same edges, so a block that is a proper prefix of another
-    is followed by a later vertex's edge and compares larger, as the
-    sentinel does.
+    is followed by a later vertex's edge, which starts with ``k``, and
+    compares larger, as the sentinel does.
     """
     delta = aut.transitions()
     if pointed:
@@ -349,14 +355,15 @@ def canonical_key(aut: InverseAutomaton, pointed: bool = True):
                     num[t] = len(order)
                     order.append(t)
                 if x > 0:
-                    edges.append((k, x, num[t]))
+                    edges.extend((k, x, num[t]))
         fin = None if aut.final is None else num[aut.final]
         return (aut.n, 0, fin, tuple(edges))
     return (aut.n, _least_edges(delta))
 
 
 def _least_edges(delta: list) -> tuple:
-    """The least BFS edge tuple over all anchors, by batched lockstep."""
+    """The least flat BFS edge tuple over all anchors, by batched
+    lockstep."""
     n = len(delta)
     best = None          # blocks of the least key so far, with sentinels
     for start in range(0, n, ANCHOR_BATCH):
@@ -374,8 +381,8 @@ def _least_edges(delta: list) -> tuple:
                         num[t] = len(order)
                         order.append(t)
                     if x > 0:
-                        block.append((k, x, num[t]))
-                block.append((k + 1,))
+                        block.extend((k, x, num[t]))
+                block.append(k + 1)
                 if least is None or block < least:
                     least = block
                     survivors = [(num, order)]
@@ -468,7 +475,7 @@ def to_dot(aut: InverseAutomaton, alphabet: Optional[Alphabet] = None,
            name: str = "automaton") -> str:
     """DOT export in the numbering of the pointed canonical key: base marked
     with an external arrow, final drawn double-circled, positive edge labels
-    only."""
+    only, one edge per triple of the key's flat edge tuple."""
     _, base, final, edges = canonical_key(aut)
 
     def label(a: int) -> str:
@@ -481,7 +488,8 @@ def to_dot(aut: InverseAutomaton, alphabet: Optional[Alphabet] = None,
         lines.append(f"  {final} [shape=doublecircle];")
     lines.append('  __start [shape=none, label=""];')
     lines.append(f"  __start -> {base};")
-    for u, a, v in edges:
+    for i in range(0, len(edges), 3):
+        u, a, v = edges[i:i + 3]
         lines.append(f'  {u} -> {v} [label="{label(a)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

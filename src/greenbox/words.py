@@ -16,6 +16,7 @@ A parsed word has at most the ``word_letters`` limit of letters.
 from __future__ import annotations
 
 import re
+from itertools import chain
 from typing import Iterable, Optional
 
 from .limits import LIMITS
@@ -23,6 +24,7 @@ from .limits import LIMITS
 Word = tuple  # tuple of nonzero ints
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9]*")
+_CHUNK_RE = re.compile(r"\S+")
 _INT_RE = re.compile(r"-?[0-9]+")
 
 
@@ -102,27 +104,46 @@ def parse_word(text: str, alphabet: Optional[Alphabet] = None, *,
     alphabet, the scanner takes the longest registered name at each position,
     so single-character alphabets may be written glued (``aba^-1``).
     Pass ``add_letters=True`` to grow a supplied alphabet on unknown names.
+
+    Factors never span whitespace, so the text is cut into whitespace-free
+    chunks and each distinct chunk is scanned once per call; a repeat reuses
+    its letters, unless they would cross the ``word_letters`` limit, when it
+    is scanned again so the refusal names the factor that crosses it.
     """
     if alphabet is None:
         alphabet = Alphabet()
         add = True
     else:
         add = bool(add_letters)
-    out: list[int] = []
-    pos = 0
-    n = len(text)
+    scanned: dict = {}
+    parts: list = []
+    used = 0
     cap = LIMITS["word_letters"]
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if not ch.isalpha() or not ch.islower():
-            raise WordSyntaxError(f"unexpected character {ch!r}", pos)
+    for m in _CHUNK_RE.finditer(text):
+        chunk = m.group()
+        letters = scanned.get(chunk)
+        if letters is None or used + len(letters) > cap:
+            letters = _scan_chunk(text, m.start(), m.end(), alphabet, add,
+                                  used)
+            scanned[chunk] = letters
+        parts.append(letters)
+        used += len(letters)
+    return tuple(chain.from_iterable(parts))
+
+
+def _scan_chunk(text: str, pos: int, end: int, alphabet: Alphabet, add: bool,
+                used: int) -> list:
+    """Letters of the chunk text[pos:end], after ``used`` letters."""
+    out: list[int] = []
+    cap = LIMITS["word_letters"]
+    while pos < end:
+        m = _NAME_RE.match(text, pos)
+        if m is None:
+            raise WordSyntaxError(f"unexpected character {text[pos]!r}", pos)
         start = pos
-        name, pos = _scan_name(text, pos, alphabet, add)
+        name, pos = _scan_name(m, alphabet, add)
         exponent = 1
-        if pos < n and text[pos] == "^":
+        if pos < end and text[pos] == "^":
             m = _INT_RE.match(text, pos + 1)
             if not m:
                 raise WordSyntaxError("expected integer exponent after '^'", pos + 1)
@@ -133,17 +154,16 @@ def parse_word(text: str, alphabet: Optional[Alphabet] = None, *,
                 exponent = int(m.group())
             pos = m.end()
         signed = alphabet.index(name) + 1
-        if len(out) + abs(exponent) > cap:
+        if used + len(out) + abs(exponent) > cap:
             raise WordSyntaxError(f"word longer than {cap} letters", start)
         if exponent >= 0:
             out.extend([signed] * exponent)
         else:
             out.extend([-signed] * (-exponent))
-    return tuple(out)
+    return out
 
 
-def _scan_name(text: str, pos: int, alphabet: Alphabet, add: bool) -> tuple:
-    m = _NAME_RE.match(text, pos)
+def _scan_name(m: re.Match, alphabet: Alphabet, add: bool) -> tuple:
     token = m.group()
     if add:
         # Greedy identifier; factors must be whitespace-separated.
@@ -152,8 +172,8 @@ def _scan_name(text: str, pos: int, alphabet: Alphabet, add: bool) -> tuple:
     # Longest registered name at this position.
     for k in range(len(token), 0, -1):
         if token[:k] in alphabet:
-            return token[:k], pos + k
-    raise WordSyntaxError(f"unknown letter {token!r}", pos)
+            return token[:k], m.start() + k
+    raise WordSyntaxError(f"unknown letter {token!r}", m.start())
 
 
 def format_word(w: Word, alphabet: Alphabet) -> str:

@@ -307,6 +307,20 @@ def test_word_budget_refusals_exit_2(capsys):
                "(at position 0)\n")
 
 
+def test_non_ascii_letters_exit_2(capsys):
+    # Each used to raise AttributeError out of the scanner and exit 1.
+    assert run(capsys, "munn", "é") == (
+        2, "", "error: unexpected character 'é' (at position 0)\n")
+    assert run(capsys, "munn", "a aé") == (
+        2, "", "error: unexpected character 'é' (at position 3)\n")
+    assert run(capsys, "stephen", "inv-monoid a", "a", "--equal",
+               "ß") == (
+        2, "", "error: unexpected character 'ß' (at position 0)\n")
+    assert run(capsys, "stephen", "inv-monoid a ; a é = a", "a") == (
+        2, "", "error: relation 1: unexpected character 'é' "
+               "(at position 2)\n")
+
+
 def test_munn_dot_output(tmp_path, capsys):
     path = tmp_path / "tree.dot"
     code, out, _ = run(capsys, "munn", "a b", "--dot", str(path))

@@ -1,6 +1,9 @@
-import pytest
-from hypothesis import given, strategies as st
+import re
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from greenbox import words
 from greenbox.limits import LIMITS
 from greenbox.words import (Alphabet, WordSyntaxError, format_word,
                             free_reduce, invert_word, parse_word)
@@ -138,3 +141,140 @@ def test_word_length_budget():
                  "a^" + "9" * 5000, "a^-" + "9" * 5000):
         with pytest.raises(WordSyntaxError, match="longer than 100000 letters"):
             parse_word(text, ABC)
+
+
+# Reference parser: one character at a time over the whole text, as words
+# were parsed before chunks were scanned once each.  It crashes on a
+# non-ASCII lowercase letter, where parse_word reports the character.
+
+_REF_NAME_RE = re.compile(r"[a-z][a-z0-9]*")
+_REF_INT_RE = re.compile(r"-?[0-9]+")
+
+
+def reference_parse_word(text, alphabet=None, *, add_letters=None):
+    if alphabet is None:
+        alphabet = Alphabet()
+        add = True
+    else:
+        add = bool(add_letters)
+    out = []
+    pos = 0
+    n = len(text)
+    cap = LIMITS["word_letters"]
+    while pos < n:
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+            continue
+        if not ch.isalpha() or not ch.islower():
+            raise WordSyntaxError(f"unexpected character {ch!r}", pos)
+        start = pos
+        name, pos = reference_scan_name(text, pos, alphabet, add)
+        exponent = 1
+        if pos < n and text[pos] == "^":
+            m = _REF_INT_RE.match(text, pos + 1)
+            if not m:
+                raise WordSyntaxError("expected integer exponent after '^'",
+                                      pos + 1)
+            if len(m.group().lstrip("-0")) > len(str(cap)):
+                exponent = cap + 1
+            else:
+                exponent = int(m.group())
+            pos = m.end()
+        signed = alphabet.index(name) + 1
+        if len(out) + abs(exponent) > cap:
+            raise WordSyntaxError(f"word longer than {cap} letters", start)
+        if exponent >= 0:
+            out.extend([signed] * exponent)
+        else:
+            out.extend([-signed] * (-exponent))
+    return tuple(out)
+
+
+def reference_scan_name(text, pos, alphabet, add):
+    m = _REF_NAME_RE.match(text, pos)
+    token = m.group()
+    if add:
+        alphabet.add(token)
+        return token, m.end()
+    for k in range(len(token), 0, -1):
+        if token[:k] in alphabet:
+            return token[:k], pos + k
+    raise WordSyntaxError(f"unknown letter {token!r}", pos)
+
+
+def outcome(parse, text, alphabet, add_letters):
+    """What parse makes of text: the word or the error, and the alphabet's
+    names afterwards."""
+    try:
+        got = parse(text, alphabet, add_letters=add_letters)
+    except WordSyntaxError as exc:
+        got = (str(exc), exc.position)
+    except AttributeError:
+        got = "crash"
+    return got, alphabet_names(alphabet) if alphabet is not None else None
+
+
+PIECES = ["a", "b", "ab", "c1", "^", "-", "0", "2", "7", "^-1", " ", "  ",
+          "\t", "A", "9", "\u00e9", "^12345678901234567890", "a^50000"]
+texts_st = st.lists(st.sampled_from(PIECES), max_size=16).map("".join)
+# No alphabet, the known alphabet a b ab (longest match), and that alphabet
+# grown on unknown names.
+MODES = [(lambda: None, None), (lambda: Alphabet(["a", "b", "ab"]), None),
+         (lambda: Alphabet(["a", "b", "ab"]), True)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(texts_st, st.sampled_from(MODES))
+@example("a^50000 b a^50000 a^50000", MODES[1])
+@example("c1 c1^-2 c1\u00e9", MODES[0])
+@example("ab^2 ab ab9", MODES[2])
+def test_parse_matches_reference(text, mode):
+    make, add_letters = mode
+    want = outcome(reference_parse_word, text, make(), add_letters)
+    got = outcome(parse_word, text, make(), add_letters)
+    if want[0] == "crash":
+        position = next(i for i, ch in enumerate(text)
+                        if ch.isalpha() and ch.islower() and ch > "z")
+        want = ((f"unexpected character {text[position]!r} "
+                 f"(at position {position})", position), want[1])
+    assert got == want
+
+
+def test_non_ascii_letter_is_an_unexpected_character():
+    for text, alphabet, position in (("\u00e9", None, 0),
+                                     ("a b\u00e9", ABC, 3),
+                                     ("a \u00df^2", None, 2)):
+        with pytest.raises(WordSyntaxError) as err:
+            parse_word(text, alphabet)
+        assert str(err.value) == (f"unexpected character {text[position]!r} "
+                                  f"(at position {position})")
+
+
+def test_repeated_chunk_crossing_the_budget_names_its_factor():
+    budget = LIMITS["word_letters"]
+    third = budget // 3
+    text = f"b a^{third} b a^{third} b a^{third} b"
+    crossing = text.rindex("a^")
+    with pytest.raises(WordSyntaxError) as err:
+        parse_word(text, ABC)
+    assert str(err.value) == (f"word longer than {budget} letters "
+                              f"(at position {crossing})")
+    with pytest.raises(WordSyntaxError) as ref:
+        reference_parse_word(text, ABC)
+    assert str(ref.value) == str(err.value)
+    half = f"a^{budget // 2}"
+    assert len(parse_word(f"{half} {half}", ABC)) == budget
+
+
+def test_each_distinct_chunk_is_scanned_once(monkeypatch):
+    chunks = []
+    scan = words._scan_chunk
+
+    def counted(text, pos, end, *args):
+        chunks.append(text[pos:end])
+        return scan(text, pos, end, *args)
+
+    monkeypatch.setattr(words, "_scan_chunk", counted)
+    assert parse_word("a b^-1 a\ta  b^-1 a^2", ABC) == (A, -B, A, A, -B, A, A)
+    assert chunks == ["a", "b^-1", "a^2"]
