@@ -63,11 +63,8 @@ class InverseAutomaton:
             self._delta = delta
         return self._delta
 
-    def undirected_edge_count(self) -> int:
-        return len(set(self.edges))
-
     def is_tree(self) -> bool:
-        return self.undirected_edge_count() == self.n - 1
+        return len(set(self.edges)) == self.n - 1
 
     def __repr__(self) -> str:
         return (f"InverseAutomaton(n={self.n}, edges={len(self.edges)}, "

@@ -6,8 +6,8 @@ inverse.  A word is a tuple of signed letters.  The empty tuple represents the
 empty word; contexts that require semigroup words (Munn trees, presentations
 in semigroup mode) reject it at their own boundary, not here.
 
-Text grammar: letters are identifiers matching ``[a-z][a-z0-9]*``, an inverse
-is written ``x^-1``, positive powers ``x^3``, negative powers ``x^-3``.
+Text grammar: letters are ASCII identifiers matching ``[a-z][a-z0-9]*``, an
+inverse is written ``x^-1``, positive powers ``x^3``, negative powers ``x^-3``.
 Adjacent factors are separated by whitespace, or by nothing when the alphabet
 is known and longest-match scanning is unambiguous (single-character names).
 A parsed word has at most the ``word_letters`` limit of letters.
@@ -133,7 +133,8 @@ def parse_word(text: str, alphabet: Optional[Alphabet] = None, *,
 
 def _scan_chunk(text: str, pos: int, end: int, alphabet: Alphabet, add: bool,
                 used: int) -> list:
-    """Letters of the chunk text[pos:end], after ``used`` letters."""
+    """Letters of the chunk text[pos:end]; the ``used`` letters before it
+    count toward the ``word_letters`` limit."""
     out: list[int] = []
     cap = LIMITS["word_letters"]
     while pos < end:
