@@ -48,6 +48,8 @@ def cmd_green(args) -> int:
     obj = _load_structure(args.spec, args.file)
     at_least("margin", args.margin)
     if isinstance(obj, engine.FiniteSemigroup):
+        if args.relation:
+            raise ValueError("--relation applies only to balls and pz windows")
         return _print_table(obj)
     window = isinstance(obj, zoo.PWindow)
     default = "LR" if window else "LRD"
@@ -150,6 +152,9 @@ def cmd_identity(args) -> int:
     for ident in idents:
         result = identities.check_identity_exhaustive(obj, ident)
         _print_identity_result(ident, result, names=obj.names)
+    if args.window is not None:
+        # Refused after the checks, so a check's refusal keeps its text.
+        raise ValueError("--window applies only to pz windows")
     return 0
 
 
@@ -281,10 +286,22 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except BrokenPipeError:
+        raise               # a closed stdout, which console_main ends
     except (ValueError, OSError, KeyError) as exc:  # BudgetError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def console_main() -> None:
-    sys.exit(main())
+    """Run ``main`` and exit with its code; a reader that closes stdout
+    early ends the command quietly, with exit code 0."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point fd 1 at devnull, so the interpreter's final flush of the
+        # output still buffered has nowhere to fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)

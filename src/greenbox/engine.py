@@ -205,24 +205,24 @@ class _Growth:
     Cayley row of the i-th element, one column per distinct generator, as
     listed in ``columns``.  Each element records its shortest word as a
     prefix link: ``prefix[i]`` (None for generators) and ``last[i]``, the
-    last generator.
+    last generator.  ``size`` is the one sizing query: balls, budget
+    checks and closures all read it.
     """
 
     def __init__(self, oracle: Oracle, generators: Sequence):
         if not generators:
             raise ValueError("generator set must be nonempty")
         self.oracle = oracle
-        self.generators = list(generators)
         self.elements, self.lengths, self.right = [], [], []
-        self.prefix, self.last, self._words = [], [], []
+        self.prefix, self.last = [], []
         self.index: dict = {}
         self.gens = [self._push(g, None, a, 1)
-                     for a, g in enumerate(self.generators)]
+                     for a, g in enumerate(generators)]
         # A repeated generator adds no element, so it gets no column.
         first: dict = {}
         for a, i in enumerate(self.gens):
             first.setdefault(i, a)
-        self.columns = [(a, self.generators[a]) for a in first.values()]
+        self.columns = [(a, generators[a]) for a in first.values()]
 
     def _push(self, e, prefix, last, length: int) -> int:
         """Index of e, appended as a new element when it is new."""
@@ -235,23 +235,14 @@ class _Growth:
             self.lengths.append(length)
         return i
 
-    @property
-    def words(self) -> list:
-        """Shortest words as tuples of generator indices, built from the
-        prefix links when read; a prefix comes before its extensions."""
-        words, prefix, last = self._words, self.prefix, self.last
-        for i in range(len(words), len(self.elements)):
-            p, a = prefix[i], last[i]
-            words.append((a,) if p is None else words[p] + (a,))
-        return words
-
     def size(self, radius: int, cap: float = inf) -> int:
         """Number of elements of length <= radius.  Expands elements until
         one longer than radius appears or none is left: the ball of this
         radius is then complete, and closed iff nothing longer exists.
         Expansion also stops once more than ``cap`` elements are known;
         if the ball is not complete by then, every known element lies in
-        it, and their count, over the cap, is returned."""
+        it, and their count, over the cap, is returned: the count is over
+        the cap exactly when the ball is."""
         elements, lengths, right = self.elements, self.lengths, self.right
         mult, push = self.oracle.mult, self._push
         while lengths[-1] <= radius and len(elements) <= cap:
@@ -263,24 +254,11 @@ class _Growth:
                           for a, g in self.columns])
         return bisect_right(lengths, radius)
 
-    def reach(self, radius: int, max_elements: int) -> int:
-        """Largest r <= radius such that every level from 2 to r adds
-        elements and keeps the count within ``max_elements``."""
-        at_least("radius", radius)
-        r = 1
-        while (r < radius and self.size(r)
-               < self.size(r + 1, max_elements) <= max_elements):
-            r += 1
-        return r
-
     def ball(self, radius: int, limit: str) -> "BallEnumeration":
-        """The ball of this radius; BudgetError if a level up to it pushes
-        the element count past the named limit."""
-        cap = LIMITS[limit]
-        r = self.reach(radius, cap)
-        if r < radius:
-            # Level r + 1 adds nothing, or its count is over the cap.
-            need(limit, self.size(r + 1, cap))
+        """The ball of this radius; BudgetError if it has more elements
+        than the named limit."""
+        at_least("radius", radius)
+        need(limit, self.size(radius, LIMITS[limit]))
         return BallEnumeration(self, radius)
 
 
@@ -290,20 +268,24 @@ class BallEnumeration:
     ``closed`` is True when the ball is multiplication-closed, i.e. it is
     the whole generated semigroup: expanding it adds no longer element.
     ``words`` hold one shortest witness per element as a tuple of generator
-    indices, built when first read.
+    indices, built from the growth's prefix links when first read.
     """
 
     def __init__(self, growth: _Growth, radius: int):
         n = growth.size(radius)
         self._growth, self.radius = growth, radius
-        self.oracle, self.generators = growth.oracle, growth.generators
+        self.oracle = growth.oracle
         self.elements = growth.elements[:n]
         self.lengths = growth.lengths[:n]
         self.closed = n == len(growth.elements)
 
     @cached_property
     def words(self) -> list:
-        return self._growth.words[:len(self)]
+        # A prefix comes before its extensions, so its word is built first.
+        words = []
+        for p, a in zip(self._growth.prefix[:len(self)], self._growth.last):
+            words.append((a,) if p is None else words[p] + (a,))
+        return words
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -322,10 +304,10 @@ class BallEnumeration:
 
 def ball_enumerate(oracle: Oracle, generators: Sequence,
                    radius: int) -> BallEnumeration:
-    """Breadth-first ball of the generated semigroup, one radius at a time.
+    """Breadth-first ball of the generated semigroup.
 
-    Raises BudgetError when a level up to the radius pushes the element
-    count past the ``ball_elements`` limit.
+    Raises BudgetError when the ball has more elements than the
+    ``ball_elements`` limit; the growth stops at the first one over it.
     """
     return _Growth(oracle, generators).ball(radius, "ball_elements")
 
@@ -336,12 +318,16 @@ def enumerate_oracle(oracle: Oracle, generators: Sequence, *,
 
     Returns a FiniteSemigroup when the closure is reached within budget,
     otherwise the BallEnumeration at the largest radius whose elements fit
-    (a normal result, not an error).  Every level adds an element, so that
-    radius is at most ``max_elements``.
+    (a normal result, not an error), radius 1 when the generators alone
+    do not.  One ``size`` query grows until the closure or the first
+    element over the budget: every level before the closure adds an
+    element, so the radius that fits is one below that element's length.
     """
     growth = _Growth(oracle, generators)
-    ball = BallEnumeration(growth, growth.reach(max_elements, max_elements))
-    return table_from_ball(ball) if ball.closed else ball
+    at_least("radius", max_elements)  # the radius that fits is at most it
+    if growth.size(inf, max_elements) <= max_elements:
+        return table_from_ball(BallEnumeration(growth, growth.lengths[-1]))
+    return BallEnumeration(growth, max(growth.lengths[max_elements] - 1, 1))
 
 
 def _right_search(right: Sequence[Sequence[int]], gens: Sequence[int]) -> tuple:

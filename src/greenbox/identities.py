@@ -113,7 +113,6 @@ class Identity(Term):
 
     lhs: Term
     rhs: Term
-    name: Optional[str] = None
 
     @property
     def children(self):
@@ -264,11 +263,11 @@ def _parse_factor(sc: _Scanner) -> tuple:
     return atom, size
 
 
-def parse_identity(text: str, name: Optional[str] = None) -> Identity:
+def parse_identity(text: str) -> Identity:
     if text.count("=") != 1:
         raise ValueError("an identity has exactly one '='")
     lhs, rhs = text.split("=")
-    return Identity(parse_term(lhs), parse_term(rhs), name)
+    return Identity(parse_term(lhs), parse_term(rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -520,29 +519,24 @@ _CATALOGUE_SOURCES = {
 }
 
 
-def _fixed_entry(key: str) -> list:
-    return [parse_identity(s, name=f"{key}[{i}]")
-            for i, s in enumerate(_CATALOGUE_SOURCES[key])]
-
-
 def catalogue_entry(key: str) -> list:
     """A catalogue entry, with parametric families c<m>, x<n>-in-g,
     burnside-<m>-<n> and nil-<n> accepted beyond the fixed keys.  Only
     the entry asked for is parsed."""
     key = key.lower()
     if key in _CATALOGUE_SOURCES:
-        return _fixed_entry(key)
+        return [parse_identity(s) for s in _CATALOGUE_SOURCES[key]]
     if key.startswith("c") and key[1:].isdecimal():
         m = _count(key[1:])
-        return [parse_identity(f"x^{m} = x^{m + 1}", name=key)]
+        return [parse_identity(f"x^{m} = x^{m + 1}")]
     if key.startswith("x") and key.endswith("-in-g") and key[1:-5].isdecimal():
         n = _count(key[1:-5])
-        return [parse_identity(f"x^{n}x^-{n} = x^-{n}x^{n}", name=key)]
+        return [parse_identity(f"x^{n}x^-{n} = x^-{n}x^{n}")]
     m, _, n = key.removeprefix("burnside-").partition("-")
     if key.startswith("burnside-") and m.isdecimal() and n.isdecimal():
         m, n = _count(m), _count(n)
-        return [parse_identity(f"x^{m} = x^{m + n}", name=key)]
+        return [parse_identity(f"x^{m} = x^{m + n}")]
     if key.startswith("nil-") and key[4:].isdecimal():
         n = _count(key[4:])
-        return [parse_identity(f"x^{n} = 0", name=key)]
+        return [parse_identity(f"x^{n} = 0")]
     raise KeyError(f"no catalogue entry {key!r}")

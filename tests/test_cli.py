@@ -192,11 +192,25 @@ def test_green_p_window_j_and_margin_one(capsys):
         0, window_line("L", 10, 2, 1) + window_line("R", 10, 11, 1), "")
 
 
-def test_green_refusals_exit_2(capsys):
+def closed_specs(tmp_path):
+    """Closed finite specs as arguments: two zoo specs and a table file."""
+    path = tmp_path / "b2.txt"
+    path.write_text(format_table(zoo.b2()), encoding="utf-8")
+    return [["b2"], ["mn:3"], [str(path), "--file"]]
+
+
+def test_green_refusals_exit_2(tmp_path, capsys):
     for spec in ("pz:5", "bicyclic:3", "b2", "mn:3"):
         for margin in ("0", "-2"):
             assert run(capsys, "green", spec, "--margin", margin) == (
                 2, "", "error: margin must be >= 1\n")
+    # --relation used to be accepted and ignored on a closed table; the
+    # margin is checked first.
+    for spec in closed_specs(tmp_path):
+        assert run(capsys, "green", *spec, "--relation", "L") == (
+            2, "", "error: --relation applies only to balls and pz windows\n")
+        assert run(capsys, "green", *spec, "--relation", "h",
+                   "--margin", "0") == (2, "", "error: margin must be >= 1\n")
     # D over the pool [-3000, 3000] has 6001 sources, 6001² source pairs.
     assert run(capsys, "green", "pz:1000", "--relation", "D") == (
         2, "", "error: witnessed analysis needs 36012001 hit-row cells, "
@@ -426,7 +440,7 @@ def test_identity_window(capsys):
     assert "window-verified" in out
 
 
-def test_identity_window_refusals_exit_2(capsys):
+def test_identity_window_refusals_exit_2(tmp_path, capsys):
     # The first used to run 601^3 assignments unbudgeted; the second printed
     # a vacuous verdict over an empty window.
     assert run(capsys, "identity", "pz:300", "x(yz) = (xy)z") == (
@@ -438,6 +452,16 @@ def test_identity_window_refusals_exit_2(capsys):
             assert run(capsys, "identity", spec, "xy = yx",
                        "--window", window) == (
                 2, "", "error: window bound must be >= 1\n")
+    # A window on a closed table used to be accepted and ignored.  It is
+    # refused after the checks: their verdicts print as without it.
+    for spec in closed_specs(tmp_path):
+        assert run(capsys, "identity", *spec, "inverse", "--window", "7") == (
+            2, run(capsys, "identity", *spec, "inverse")[1],
+            "error: --window applies only to pz windows\n")
+    # A check's own refusal keeps its text.
+    for argv in (["np:3", "i-semigroup"], ["mn:4", "v w x y z = z y x w v"]):
+        assert run(capsys, "identity", *argv, "--window", "3") == \
+            run(capsys, "identity", *argv)
 
 
 def test_identity_raw_text(capsys):
@@ -633,6 +657,26 @@ def test_console_script_entry_point():
                             capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert "H=5 L=3 R=3 D=2 J=2" in result.stdout
+
+
+def test_closed_stdout_ends_quietly():
+    import subprocess
+    import sys
+
+    import greenbox
+    src = str(Path(greenbox.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    # About 249 KB, more than a pipe buffer holds: the reader closes the
+    # pipe while greenbox still writes.
+    with subprocess.Popen([sys.executable, "-m", "greenbox", "vmaps", "ball",
+                           "--cap", "12"], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline().startswith(b"ball cap 12: ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (0, b"")
 
 
 def test_green_on_closed_table_delegates_to_exact(tmp_path, capsys):

@@ -156,7 +156,8 @@ def test_enumeration_order_is_breadth_first_deterministic():
 
 def reference_ball(oracle, generators, radius, max_elements=10 ** 6):
     """A fresh breadth-first search from radius 1 that peeks one level past
-    the radius without storing it; raises BudgetError mid-level."""
+    the radius without storing it; raises BudgetError as soon as it holds
+    more than max_elements elements, generators included."""
     elements, words, lengths, index = [], [], [], {}
 
     def push(e, word, length):
@@ -170,6 +171,8 @@ def reference_ball(oracle, generators, radius, max_elements=10 ** 6):
 
     frontier = [len(elements) - 1 for a, g in enumerate(generators)
                 if push(g, (a,), 1)]
+    if len(elements) > max_elements:
+        raise BudgetError("reference ball over budget")
     for length in range(2, radius + 1):
         if not frontier:
             break
@@ -188,9 +191,10 @@ def reference_ball(oracle, generators, radius, max_elements=10 ** 6):
 
 def reference_budget_ball(oracle, generators, max_elements):
     """Fresh balls of radius 1, 2, ... until one closes or one level pushes
-    the count past max_elements: the largest radius that fits."""
+    the count past max_elements: the largest radius that fits, and radius
+    1 when the generators alone do not."""
     radius = 1
-    ball = reference_ball(oracle, generators, 1, max_elements)
+    ball = reference_ball(oracle, generators, 1)
     while not ball[-1]:
         try:
             ball = reference_ball(oracle, generators, radius + 1,
@@ -250,6 +254,95 @@ def test_budget_ball_matches_fresh_reenumeration():
             ball_enumerate(oracle, generators, radius + 1)
 
 
+@st.composite
+def sizing_cases(draw):
+    """A generator set under one of four oracles, as a hashable case that
+    ``sizing_oracle`` builds."""
+    kind = draw(st.sampled_from(["bicyclic", "maps", "cyclic", "min"]))
+    if kind == "maps":
+        n = draw(st.integers(3, 4))
+        maps = st.tuples(*[st.integers(0, n - 1)] * n)
+        return kind, n, tuple(draw(st.lists(maps, min_size=2, max_size=3)))
+    if kind == "min":
+        p = draw(st.integers(1, 40))
+        gens = st.lists(st.integers(1, p), min_size=1, max_size=3)
+        return kind, p, tuple(draw(gens))
+    return kind, draw(st.integers(1, 40)), ()
+
+
+def sizing_oracle(case):
+    kind, n, generators = case
+    if kind == "bicyclic":
+        return zoo.bicyclic_oracle(), [(0, 0), (1, 0), (0, 1)]
+    if kind == "maps":
+        return zoo.transformation_oracle(n), list(generators)
+    if kind == "cyclic":
+        return Oracle(lambda x, y: (x + y) % n), [1]
+    return Oracle(lambda i, j: min(i + j, n)), list(generators)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sizing_cases(), st.integers(1, 120), st.integers(1, 12))
+# The generators alone exceed the cap: a radius-1 ball, and a refusal.
+@example(("bicyclic", 1, ()), 2, 1)
+@example(("maps", 3, ((0, 0, 0), (1, 1, 1), (2, 2, 2))), 2, 3)
+# A closure of exactly cap elements, and of cap + 1.
+@example(("cyclic", 12, ()), 12, 12)
+@example(("cyclic", 13, ()), 12, 12)
+# A repeated generator adds no element.
+@example(("maps", 3, ((1, 2, 0), (1, 2, 0), (0, 0, 1))), 20, 4)
+@example(("min", 5, (1, 1, 2)), 5, 5)
+def test_sizing_matches_fresh_references(case, cap, radius):
+    oracle, generators = sizing_oracle(case)
+    # (a) The closure within cap elements is a table, else the budget ball.
+    try:
+        closure = reference_ball(oracle, generators, cap + 1, cap)
+    except BudgetError:
+        closure = None
+    result = enumerate_oracle(oracle, generators, max_elements=cap)
+    if closure is not None:
+        # cap + 1 levels of at most cap elements: one of them was empty.
+        assert closure[-1]
+        assert isinstance(result, FiniteSemigroup)
+        assert result.keys == closure[0]
+    else:
+        budget_radius, ref = reference_budget_ball(oracle, generators, cap)
+        assert isinstance(result, BallEnumeration)
+        assert result.radius == budget_radius
+        assert ball_fields(result) == ref
+    # (b) A ball is refused exactly when it holds more than cap elements.
+    try:
+        ref = reference_ball(oracle, generators, radius, cap)
+    except BudgetError:
+        ref = None
+    with patch.dict(LIMITS, ball_elements=cap):
+        if ref is None:
+            with pytest.raises(BudgetError) as refusal:
+                ball_enumerate(oracle, generators, radius)
+            # (c) with the ledger's text.
+            assert str(refusal.value) == f"ball exceeded {cap} elements"
+        else:
+            ball = ball_enumerate(oracle, generators, radius)
+            assert (ball.radius, ball_fields(ball)) == (radius, ref)
+
+
+def test_sizing_refusals_keep_their_text():
+    oracle, generators = zoo.bicyclic_oracle(), [(0, 0), (1, 0), (0, 1)]
+    for call in (lambda: enumerate_oracle(oracle, [], max_elements=0),
+                 lambda: ball_enumerate(oracle, [], 0)):
+        with pytest.raises(ValueError,
+                           match="^generator set must be nonempty$"):
+            call()
+    ball = ball_enumerate(oracle, generators, 4)
+    with (patch.dict(LIMITS, pool_elements=20),
+          pytest.raises(BudgetError, match="^ball exceeded 20 elements$")):
+        ball.extend(5)
+    # The refused growth resumes under a larger limit.
+    with patch.dict(LIMITS, pool_elements=21):
+        assert ball_fields(ball.extend(5)) == reference_ball(
+            oracle, generators, 5)
+
+
 def counting_oracle(oracle):
     calls = [0]
     mult = oracle.mult
@@ -299,13 +392,17 @@ def test_radius_below_one_rejected():
     for radius in (0, -4):
         with pytest.raises(ValueError, match="radius must be >= 1"):
             ball_enumerate(oracle, generators, radius)
+        # A closure budget below 1 is refused the same way.
+        with pytest.raises(ValueError, match="^radius must be >= 1$"):
+            enumerate_oracle(oracle, generators, max_elements=radius)
 
 
 # table fill: the Cayley-graph fill against one oracle product per cell
 
 
-def oracle_table(ball):
-    """Reference fill of a closed ball: n² oracle products."""
+def oracle_table(ball, generators):
+    """Reference fill of a closed ball of ``generators``: n² oracle
+    products."""
     oracle = ball.oracle
     index = {e: i for i, e in enumerate(ball.elements)}
     table = [[index[oracle.mult(x, y)] for y in ball.elements]
@@ -313,14 +410,14 @@ def oracle_table(ball):
     unary = None
     if oracle.unary is not None:
         unary = [index[oracle.unary(x)] for x in ball.elements]
-    gens = {index[e] for e in ball.generators}
+    gens = {index[e] for e in generators}
     return from_table(table, gens, names=[oracle.name(e) for e in ball.elements],
                       keys=list(ball.elements), unary=unary)
 
 
-def assert_fill_matches_reference(fs, ball):
+def assert_fill_matches_reference(fs, ball, generators):
     assert ball.closed
-    ref = oracle_table(ball)
+    ref = oracle_table(ball, generators)
     assert fs.table == ref.table
     assert fs.unary == ref.unary
     assert fs.names == ref.names
@@ -338,19 +435,20 @@ def test_fill_matches_reference_on_report_closures():
         maps = [tuple(rng.randrange(4) for _ in range(4)) for _ in range(2)]
         fs = zoo.random_transformation_semigroup(4, s, 2)
         assert_fill_matches_reference(
-            fs, closed_ball(zoo.transformation_oracle(4), maps))
+            fs, closed_ball(zoo.transformation_oracle(4), maps), maps)
 
 
 def test_fill_matches_reference_on_full_t4():
-    ball = closed_ball(zoo.transformation_oracle(4),
-                       [(1, 2, 3, 0), (1, 0, 2, 3), (0, 0, 2, 3)])
+    maps = [(1, 2, 3, 0), (1, 0, 2, 3), (0, 0, 2, 3)]
+    ball = closed_ball(zoo.transformation_oracle(4), maps)
     assert len(ball) == 256
-    assert_fill_matches_reference(table_from_ball(ball), ball)
+    assert_fill_matches_reference(table_from_ball(ball), ball, maps)
 
 
 def test_fill_matches_reference_on_b2_oracle():
-    ball = closed_ball(matrix_unit_oracle(), [(1, 2), (2, 1)])
-    assert_fill_matches_reference(table_from_ball(ball), ball)
+    generators = [(1, 2), (2, 1)]
+    ball = closed_ball(matrix_unit_oracle(), generators)
+    assert_fill_matches_reference(table_from_ball(ball), ball, generators)
 
 
 @settings(max_examples=60, deadline=None)
@@ -361,9 +459,9 @@ def test_fill_matches_reference_on_b2_oracle():
 @example((3, [(1, 2, 0), (1, 2, 0), (0, 0, 1)], True))
 def test_fill_matches_reference_on_random_generators(case):
     n, maps, with_identity = case
-    identity = [tuple(range(n))] if with_identity else []
-    ball = closed_ball(zoo.transformation_oracle(n), identity + maps)
-    assert_fill_matches_reference(table_from_ball(ball), ball)
+    generators = ([tuple(range(n))] if with_identity else []) + maps
+    ball = closed_ball(zoo.transformation_oracle(n), generators)
+    assert_fill_matches_reference(table_from_ball(ball), ball, generators)
 
 
 def closure(table, gens) -> set:
@@ -1064,15 +1162,15 @@ def index_queries(n):
 def test_witnesses_lie_within_witnessed_classes_on_balls(data, margin, spec):
     # A bicyclic ball of radius ``spec``, or the closure of maps on 3 points.
     if isinstance(spec, int):
-        ball = zoo.bicyclic_ball(spec)
+        ball, generators = zoo.bicyclic_ball(spec), [(0, 0), (1, 0), (0, 1)]
     else:
-        oracle = zoo.transformation_oracle(3)
+        oracle, generators = zoo.transformation_oracle(3), spec
         ball = ball_enumerate(oracle, spec,
                               max(closed_ball(oracle, spec).lengths))
     mult = ball.oracle.mult
 
     def value(word):
-        return functools.reduce(mult, [ball.generators[a] for a in word])
+        return functools.reduce(mult, [generators[a] for a in word])
 
     classes = {rel: witnessed_green(ball, rel, margin).classes
                for rel in RELATIONS}
