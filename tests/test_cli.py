@@ -636,6 +636,15 @@ def test_vmaps_idempotents_subcommand(capsys):
     assert "V(" in out
 
 
+def package_env():
+    """A subprocess environment that runs the package the tests import,
+    wherever it was installed from."""
+    import greenbox
+    src = str(Path(greenbox.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def test_console_script_entry_point():
     import importlib
     import re
@@ -643,18 +652,13 @@ def test_console_script_entry_point():
     import sys
     from pathlib import Path
 
-    import greenbox
     root = Path(__file__).resolve().parents[1]
     scripts = (root / "pyproject.toml").read_text().split("[project.scripts]")[1]
     target = re.search(r'^greenbox\s*=\s*"([^"]+)"', scripts, re.M).group(1)
     module, _, attr = target.partition(":")
     assert getattr(importlib.import_module(module), attr) is console_main
-    # Run the package the tests import, wherever it was installed from.
-    src = str(Path(greenbox.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run([sys.executable, "-m", "greenbox", "table", "b2"],
-                            capture_output=True, text=True, env=env)
+                            capture_output=True, text=True, env=package_env())
     assert result.returncode == 0
     assert "H=5 L=3 R=3 D=2 J=2" in result.stdout
 
@@ -663,15 +667,11 @@ def test_closed_stdout_ends_quietly():
     import subprocess
     import sys
 
-    import greenbox
-    src = str(Path(greenbox.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     # About 249 KB, more than a pipe buffer holds: the reader closes the
     # pipe while greenbox still writes.
     with subprocess.Popen([sys.executable, "-m", "greenbox", "vmaps", "ball",
                            "--cap", "12"], stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE, env=env) as proc:
+                          stderr=subprocess.PIPE, env=package_env()) as proc:
         assert proc.stdout.readline().startswith(b"ball cap 12: ")
         proc.stdout.close()
         err = proc.stderr.read()
