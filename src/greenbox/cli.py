@@ -81,7 +81,8 @@ def cmd_munn(args) -> int:
     print(f"vertices: {tree.n}")
     # munn_tree checked that the tree has n - 1 edges.
     print(f"edges: {tree.n - 1}")
-    print(f"idempotent: {munn.is_fis_idempotent(word)}")
+    # A word is idempotent exactly when its tree ends where it starts.
+    print(f"idempotent: {tree.base == tree.final}")
     if len(alphabet) == 1:
         triple = munn.fis_a_triple(word)
         print(f"triple: ({triple.r},{triple.s},{triple.t})")

@@ -324,7 +324,7 @@ def enumerate_oracle(oracle: Oracle, generators: Sequence, *,
     element, so the radius that fits is one below that element's length.
     """
     growth = _Growth(oracle, generators)
-    at_least("radius", max_elements)  # the radius that fits is at most it
+    at_least("max_elements", max_elements)
     if growth.size(inf, max_elements) <= max_elements:
         return table_from_ball(BallEnumeration(growth, growth.lengths[-1]))
     return BallEnumeration(growth, max(growth.lengths[max_elements] - 1, 1))

@@ -61,7 +61,7 @@ def parse_presentation(text: str) -> Presentation:
     """Header ``inv-semigroup letters...`` or ``inv-monoid letters...``,
     then ``;``-separated relations ``lhs = rhs``; ``1`` denotes the empty
     word (monoid mode only)."""
-    pieces = [p.strip() for p in text.replace("\n", " ").split(";")]
+    pieces = text.replace("\n", " ").split(";")
     header = pieces[0].split()
     if not header or header[0] not in ("inv-semigroup", "inv-monoid"):
         raise ValueError(
@@ -71,26 +71,31 @@ def parse_presentation(text: str) -> Presentation:
     if len(alphabet) == 0:
         raise ValueError("presentation needs at least one letter")
     relations = []
+    end = len(pieces[0])  # the position of the ";" before each piece
     for k, piece in enumerate(pieces[1:], start=1):
-        if not piece:
+        start, end = end + 1, end + 1 + len(piece)
+        if not piece.strip():
             continue
         if piece.count("=") != 1:
             raise ValueError(f"relation {k}: expected exactly one '='")
-        lhs_text, rhs_text = (s.strip() for s in piece.split("="))
+        eq = piece.index("=")
         sides = []
-        for side_text in (lhs_text, rhs_text):
-            if side_text == "1":
+        for side_text, offset in ((piece[:eq], start),
+                                  (piece[eq + 1:], start + eq + 1)):
+            if side_text.strip() == "1":
                 if not monoid:
                     raise ValueError(
                         f"relation {k}: empty word only in monoid mode")
                 sides.append(())
                 continue
-            if not side_text:
+            if not side_text.strip():
                 raise ValueError(f"relation {k}: missing side")
             try:
                 sides.append(parse_word(side_text, alphabet))
-            except (WordSyntaxError, KeyError) as exc:
-                raise ValueError(f"relation {k}: {exc}") from None
+            except WordSyntaxError as exc:
+                # Name the position in the presentation, not in the side.
+                at = WordSyntaxError(exc.message, offset + exc.position)
+                raise ValueError(f"relation {k}: {at}") from None
         relations.append((sides[0], sides[1]))
     return Presentation(alphabet, relations, monoid)
 

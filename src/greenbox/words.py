@@ -33,6 +33,7 @@ class WordSyntaxError(ValueError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 
@@ -105,30 +106,52 @@ def parse_word(text: str, alphabet: Optional[Alphabet] = None, *,
     so single-character alphabets may be written glued (``aba^-1``).
     Pass ``add_letters=True`` to grow a supplied alphabet on unknown names.
 
-    Factors never span whitespace, so the text is cut into whitespace-free
-    chunks and each distinct chunk is scanned once per call; a repeat reuses
-    its letters, unless they would cross the ``word_letters`` limit, when it
-    is scanned again so the refusal names the factor that crosses it.
+    Factors never span whitespace, so the text is split once into
+    whitespace-free chunks, each distinct chunk is scanned once in order of
+    first appearance, and the word is joined from their letters.  The
+    distinct chunks' running letter total counts toward the ``word_letters``
+    limit as they are scanned; it never exceeds the word's own total, so
+    what the scan holds stays within the limit and a refusal it meets is a
+    real one.  New names are registered in a copy of the alphabet, kept only
+    if the word is accepted.  A refused word is scanned again chunk by chunk,
+    which names the first factor that is malformed or crosses the limit and
+    registers the names before it, as a scan from the left would.
     """
     if alphabet is None:
         alphabet = Alphabet()
         add = True
     else:
         add = bool(add_letters)
-    scanned: dict = {}
-    parts: list = []
-    used = 0
     cap = LIMITS["word_letters"]
-    for m in _CHUNK_RE.finditer(text):
-        chunk = m.group()
-        letters = scanned.get(chunk)
-        if letters is None or used + len(letters) > cap:
-            letters = _scan_chunk(text, m.start(), m.end(), alphabet, add,
-                                  used)
+    chunks = text.split()
+    known = len(alphabet)
+    grown = Alphabet(map(alphabet.name, range(known))) if add else alphabet
+    scanned: dict = {}
+    distinct = 0
+    try:
+        for chunk in dict.fromkeys(chunks):
+            letters = _scan_chunk(chunk, 0, len(chunk), grown, add, distinct)
             scanned[chunk] = letters
-        parts.append(letters)
-        used += len(letters)
-    return tuple(chain.from_iterable(parts))
+            distinct += len(letters)
+    except WordSyntaxError:
+        pass
+    else:
+        parts = list(map(scanned.__getitem__, chunks))
+        if sum(map(len, parts)) <= cap:
+            for i in range(known, len(grown)):
+                alphabet.add(grown.name(i))
+            return tuple(chain.from_iterable(parts))
+    # Refused: a repeated chunk is scanned again only where it would cross
+    # the limit, so the refusal names the factor that crosses it.
+    sizes: dict = {}
+    used = 0
+    for m in _CHUNK_RE.finditer(text):
+        size = sizes.get(m.group())
+        if size is None or used + size > cap:
+            size = sizes[m.group()] = len(
+                _scan_chunk(text, m.start(), m.end(), alphabet, add, used))
+        used += size
+    raise RuntimeError("a word refused in bulk passed chunk by chunk")
 
 
 def _scan_chunk(text: str, pos: int, end: int, alphabet: Alphabet, add: bool,

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -8,10 +10,12 @@ from pathlib import Path
 from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from greenbox import engine, vmaps, zoo
+from greenbox import engine, munn, vmaps, zoo
 from greenbox.cli import build_parser, console_main, main
 from greenbox.limits import LIMITS
+from greenbox.words import free_reduce, parse_word
 from test_engine import format_table
 
 
@@ -259,6 +263,30 @@ def test_munn_triple(capsys):
     assert "triple: (1,1,1)" in out
 
 
+# Words in one to three letters, as factors with exponents.
+munn_texts_st = st.integers(1, 3).flatmap(lambda k: st.lists(
+    st.tuples(st.sampled_from("abc"[:k]),
+              st.sampled_from([-3, -2, -1, 1, 2, 3])),
+    min_size=1, max_size=12)).map(
+        lambda factors: " ".join(f"{x}^{e}" for x, e in factors))
+
+
+@settings(max_examples=150, deadline=None)
+@given(munn_texts_st)
+def test_munn_output_matches_the_word(text):
+    # cmd_munn reads idempotency off the tree; check it against the word.
+    word = parse_word(text)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["munn", text]) == 0
+    lines = dict(line.split(": ", 1) for line in out.getvalue().splitlines())
+    assert lines["idempotent"] == str(free_reduce(word) == ())
+    if len(set(map(abs, word))) == 1:
+        assert lines["triple"] == "({},{},{})".format(*munn.fis_a_triple(word))
+    else:
+        assert "triple" not in lines
+
+
 def test_munn_vertex_count(capsys):
     code, out, _ = run(capsys, "munn", "a b b^-1")
     assert code == 0
@@ -318,7 +346,7 @@ def test_word_budget_refusals_exit_2(capsys):
         2, "", "error: word longer than 100000 letters (at position 0)\n")
     assert run(capsys, "stephen", "inv-monoid a ; a^200000 = 1", "a") == (
         2, "", "error: relation 1: word longer than 100000 letters "
-               "(at position 0)\n")
+               "(at position 15)\n")
 
 
 def test_non_ascii_letters_exit_2(capsys):
@@ -332,7 +360,7 @@ def test_non_ascii_letters_exit_2(capsys):
         2, "", "error: unexpected character 'ß' (at position 0)\n")
     assert run(capsys, "stephen", "inv-monoid a ; a é = a", "a") == (
         2, "", "error: relation 1: unexpected character 'é' "
-               "(at position 2)\n")
+               "(at position 17)\n")
 
 
 def test_munn_dot_output(tmp_path, capsys):

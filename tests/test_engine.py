@@ -393,8 +393,8 @@ def test_radius_below_one_rejected():
     for radius in (0, -4):
         with pytest.raises(ValueError, match="radius must be >= 1"):
             ball_enumerate(oracle, generators, radius)
-        # A closure budget below 1 is refused the same way.
-        with pytest.raises(ValueError, match="^radius must be >= 1$"):
+        # A closure budget below 1 is refused by its own name.
+        with pytest.raises(ValueError, match="^max_elements must be >= 1$"):
             enumerate_oracle(oracle, generators, max_elements=radius)
 
 

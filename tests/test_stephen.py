@@ -54,6 +54,20 @@ def test_parse_rejects_malformed_relation():
         parse_presentation("inv-semigroup a ; a =")
 
 
+def test_relation_refusals_name_their_position_in_the_presentation():
+    for text, message in (
+            ("inv-monoid a ; a \u00e9 = a",
+             "relation 1: unexpected character '\u00e9' (at position 17)"),
+            ("inv-monoid a b ; a b = b a ; a a^ = a",
+             "relation 2: expected integer exponent after '^' "
+             "(at position 33)"),
+            ("inv-monoid a ;\n a = a^-1  b",
+             "relation 1: unknown letter 'b' (at position 26)")):
+        with pytest.raises(ValueError) as err:
+            parse_presentation(text)
+        assert str(err.value) == message
+
+
 def test_parse_rejects_empty_side_in_semigroup_mode():
     with pytest.raises(ValueError):
         parse_presentation("inv-semigroup a ; a a^-1 = 1")

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -215,8 +216,11 @@ def outcome(parse, text, alphabet, add_letters):
     return got, alphabet_names(alphabet) if alphabet is not None else None
 
 
+# Exponents near the limit: distinct names whose letters add up past it,
+# and a repeated factor that crosses it in the middle of the text.
 PIECES = ["a", "b", "ab", "c1", "^", "-", "0", "2", "7", "^-1", " ", "  ",
-          "\t", "A", "9", "\u00e9", "^12345678901234567890", "a^50000"]
+          "\t", "A", "9", "\u00e9", "^12345678901234567890", "a^50000",
+          " x1^40000", " x2^40000", " x3^40000", " a^40000"]
 texts_st = st.lists(st.sampled_from(PIECES), max_size=16).map("".join)
 # No alphabet, the known alphabet a b ab (longest match), and that alphabet
 # grown on unknown names.
@@ -224,21 +228,24 @@ MODES = [(lambda: None, None), (lambda: Alphabet(["a", "b", "ab"]), None),
          (lambda: Alphabet(["a", "b", "ab"]), True)]
 
 
-@settings(max_examples=400, deadline=None)
-@given(texts_st, st.sampled_from(MODES))
-@example("a^50000 b a^50000 a^50000", MODES[1])
-@example("c1 c1^-2 c1\u00e9", MODES[0])
-@example("ab^2 ab ab9", MODES[2])
-def test_parse_matches_reference(text, mode):
-    make, add_letters = mode
-    want = outcome(reference_parse_word, text, make(), add_letters)
-    got = outcome(parse_word, text, make(), add_letters)
-    if want[0] == "crash":
-        position = next(i for i, ch in enumerate(text)
-                        if ch.isalpha() and ch.islower() and ch > "z")
-        want = ((f"unexpected character {text[position]!r} "
-                 f"(at position {position})", position), want[1])
-    assert got == want
+@settings(max_examples=200, deadline=None)
+@given(texts_st)
+@example("a^50000 b a^50000 a^50000")
+@example("c1 c1^-2 c1\u00e9")
+@example("ab^2 ab ab9")
+@example("x1^40000 x2^40000 x3^40000")
+@example("x1^40000 a^40000 x1^40000 x2 \u00e9")
+@example("a^40000 c1 a^40000 b a^40000 c2 \u00e9 x1")
+def test_parse_matches_reference(text):
+    for make, add_letters in MODES:
+        want = outcome(reference_parse_word, text, make(), add_letters)
+        got = outcome(parse_word, text, make(), add_letters)
+        if want[0] == "crash":
+            position = next(i for i, ch in enumerate(text)
+                            if ch.isalpha() and ch.islower() and ch > "z")
+            want = ((f"unexpected character {text[position]!r} "
+                     f"(at position {position})", position), want[1])
+        assert got == want
 
 
 def test_non_ascii_letter_is_an_unexpected_character():
@@ -278,3 +285,21 @@ def test_each_distinct_chunk_is_scanned_once(monkeypatch):
     monkeypatch.setattr(words, "_scan_chunk", counted)
     assert parse_word("a b^-1 a\ta  b^-1 a^2", ABC) == (A, -B, A, A, -B, A, A)
     assert chunks == ["a", "b^-1", "a^2"]
+
+
+def test_refusing_distinct_large_factors_stays_within_the_limit():
+    # Without the running letter budget each distinct factor would be
+    # expanded before the total is checked: about 40 MB here.
+    text = " ".join(f"x{i}^99999" for i in range(50))
+    alphabet = Alphabet(["a"])
+    tracemalloc.start()
+    try:
+        with pytest.raises(WordSyntaxError) as err:
+            parse_word(text, alphabet, add_letters=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == ("word longer than 100000 letters "
+                              f"(at position {text.index(' x1^') + 1})")
+    assert alphabet_names(alphabet) == ("a", "x0", "x1")
+    assert peak < 8 * 2**20
