@@ -119,10 +119,10 @@ def cmd_stephen(args) -> int:
     print(f"stage vertex counts: {counts}")
     if args.dot_dir:
         os.makedirs(args.dot_dir, exist_ok=True)
-        for i, stage in enumerate(trace.stages, start=1):
+        for i in range(1, trace.stages_used + 1):
             path = os.path.join(args.dot_dir, f"stage{i:02d}.dot")
             with open(path, "w", encoding="utf-8") as handle:
-                handle.write(munn.to_dot(stage, pres.alphabet,
+                handle.write(munn.to_dot(trace.stage(i - 1), pres.alphabet,
                                          name=f"stage{i}"))
         print(f"dot stages written to {args.dot_dir}")
     return 0

@@ -1046,7 +1046,8 @@ def witnessed_green(ball: BallEnumeration, relation: str,
 
     The ball adapter of ``Witnesses.partition``.  An element enters at its
     word length, and a multiplier of length l from the ball of
-    radius ``ball.radius * margin`` is usable from radius ceil(l / margin).
+    radius ``ball.radius * margin`` is usable from radius ceil(l / margin);
+    a ``zoo.PWindow`` is the one-radius case, all of length 1.
     "Apparently infinite" means three consecutive strict count increases,
     a labeled heuristic, never a certificate.  A multiplier ball over the
     ``pool_elements`` limit raises BudgetError, and so do pairs of ball
@@ -1074,7 +1075,8 @@ def ball_witnesses(ball: BallEnumeration,
     """Witness searches in the ball at its radius: the multipliers are the
     elements usable there, those of length l with ceil(l / margin) <=
     ``ball.radius``, each labelled by its shortest word.  A multiplier ball
-    over the ``pool_elements`` limit raises BudgetError.
+    over the ``pool_elements`` limit raises BudgetError.  On a
+    ``zoo.PWindow``: the window ``margin`` times as wide, unlabelled.
     """
     at_least("margin", margin)
     ext = ball.extend(ball.radius * margin)

@@ -6,10 +6,10 @@ convention is meaningless.  Nil identities use a distinguished zero constant
 and need a structure with a designated zero.
 
 Term grammar: a term is a juxtaposition of factors; a factor is a variable
-(one lowercase letter, optional digits), a parenthesized term, or the zero
-constant ``0``; postfixes are ``'`` (unary), ``^0`` (derived idempotent) and
-integer powers ``^3`` / ``^-2`` (negative powers invert first).  An identity
-is ``lhs = rhs``.
+(one lowercase letter, optional ASCII digits), a parenthesized term, or the
+zero constant ``0``; postfixes are ``'`` (unary), ``^0`` (derived idempotent)
+and integer powers ``^3`` / ``^-2`` (negative powers invert first), in ASCII
+digits.  An identity is ``lhs = rhs``.
 
 A check reads the structure once (``_read``: its product, unary operation,
 zero, complete regularity and elements) and compiles each side of the
@@ -21,6 +21,7 @@ the first offending node in pre-order, left side first.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import repeat
 from operator import getitem
@@ -126,6 +127,9 @@ class Identity(Term):
 # parsing
 
 
+_DIGITS = re.compile("[0-9]*")
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -146,6 +150,12 @@ class _Scanner:
         self.pos += 1
         return ch
 
+    def digits(self) -> str:
+        """The ASCII digits from the position on, consumed."""
+        run = _DIGITS.match(self.text, self.pos).group()
+        self.pos += len(run)
+        return run
+
     def error(self, message: str):
         raise ValueError(f"{message} (at position {self.pos})")
 
@@ -160,6 +170,11 @@ def _count(digits: str) -> int:
     limit."""
     cap = LIMITS["term_nodes"]
     return cap + 1 if len(digits.lstrip("0")) > len(str(cap)) else int(digits)
+
+
+def _is_number(field: str) -> bool:
+    """Whether a catalogue parameter is a run of ASCII digits."""
+    return field.isascii() and field.isdecimal()
 
 
 def parse_term(text: str) -> Term:
@@ -214,11 +229,7 @@ def _parse_factor(sc: _Scanner) -> tuple:
         sc.take()
         atom, size = ZeroC(), 1
     elif ch.isalpha() and ch.islower():
-        name = sc.take()
-        while (sc.pos < len(sc.text) and sc.text[sc.pos].isdigit()):
-            name += sc.text[sc.pos]
-            sc.pos += 1
-        atom, size = Var(name), 1
+        atom, size = Var(sc.take() + sc.digits()), 1
     else:
         sc.error(f"unexpected {ch!r}")
     # Postfixes bind tighter than juxtaposition and may stack; each one,
@@ -237,10 +248,7 @@ def _parse_factor(sc: _Scanner) -> tuple:
             if sc.pos < len(sc.text) and sc.text[sc.pos] == "-":
                 sign = -1
                 sc.pos += 1
-            digits = ""
-            while sc.pos < len(sc.text) and sc.text[sc.pos].isdigit():
-                digits += sc.text[sc.pos]
-                sc.pos += 1
+            digits = sc.digits()
             if not digits:
                 sc.error("expected digits after '^'")
             k = _count(digits)
@@ -526,17 +534,17 @@ def catalogue_entry(key: str) -> list:
     key = key.lower()
     if key in _CATALOGUE_SOURCES:
         return [parse_identity(s) for s in _CATALOGUE_SOURCES[key]]
-    if key.startswith("c") and key[1:].isdecimal():
+    if key.startswith("c") and _is_number(key[1:]):
         m = _count(key[1:])
         return [parse_identity(f"x^{m} = x^{m + 1}")]
-    if key.startswith("x") and key.endswith("-in-g") and key[1:-5].isdecimal():
+    if key.startswith("x") and key.endswith("-in-g") and _is_number(key[1:-5]):
         n = _count(key[1:-5])
         return [parse_identity(f"x^{n}x^-{n} = x^-{n}x^{n}")]
     m, _, n = key.removeprefix("burnside-").partition("-")
-    if key.startswith("burnside-") and m.isdecimal() and n.isdecimal():
+    if key.startswith("burnside-") and _is_number(m) and _is_number(n):
         m, n = _count(m), _count(n)
         return [parse_identity(f"x^{m} = x^{m + n}")]
-    if key.startswith("nil-") and key[4:].isdecimal():
+    if key.startswith("nil-") and _is_number(key[4:]):
         n = _count(key[4:])
         return [parse_identity(f"x^{n} = 0")]
     raise KeyError(f"no catalogue entry {key!r}")

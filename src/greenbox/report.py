@@ -136,7 +136,7 @@ def entry_p_semigroup(seed: int = 0) -> ReportEntry:
              and zoo.p_mult(0, 1) == 1 and zoo.p_mult(2, 1) == 3
              and not zoo.p_green(1, 3, "R"))
     l_count = zoo.p_window_green_counts(15, "L")
-    witnesses = zoo.p_witnesses(15)
+    witnesses = engine.ball_witnesses(window)
     odds = [x for x in window.elements if x % 2 == 1]
     odd_singletons = all(
         witnesses.related(a, b, "R") is None

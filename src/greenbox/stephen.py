@@ -11,7 +11,7 @@ A run keeps one live folded graph (``munn.LiveGraph``) across all its
 stages.  Each stage tests only the roots near what the last stage changed,
 gives its new paths fresh vertex ids above all existing ones, and settles
 just the new edges and merges through the graph's coincidence queue.  The
-graph logs every edge and union, and ``StageTrace.stages`` rebuilds a
+graph logs every edge and union, and ``StageTrace.stage`` rebuilds a
 stage from the logs only when it is asked for (``--dot-dir``, canonical
 keys, tests); each rebuilt stage is numbered exactly as a full refold
 numbers it.
@@ -20,7 +20,6 @@ numbers it.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Sequence
 from typing import TYPE_CHECKING, Optional
 
 from .limits import LIMITS, at_least
@@ -192,60 +191,43 @@ def _near(graph: LiveGraph, since: Mark, pres: Presentation) -> list:
     return sorted(near)
 
 
-class StageLog(Sequence):
-    """The stages of one run, kept as the logs of its live graph.
-
-    The graph logs every edge and union in order, and after each stage
-    the log records the graph's mark.  Stage i is rebuilt from the logs'
-    marked prefixes by ``munn.quotient`` when it is asked for, and is not
-    kept.  Roots are numbered in ascending id order, a monotone map, so
-    each stage numbers its vertices exactly as refolding every stage in
-    full does: each class by its smallest index, in ascending order.
-    """
-
-    def __init__(self, graph: LiveGraph):
-        self.edges = graph.edges
-        self.unions = graph.unions
-        self.base = graph.base
-        self.final = graph.final
-        self.marks = [graph.mark()]
-
-    def __len__(self) -> int:
-        return len(self.marks)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        m = self.marks[i]
-        return quotient(m.ids, self.edges[:m.edges], self.unions[:m.unions],
-                        self.base, self.final)
-
-
 class StageTrace:
     """One Stephen run: its stages, and whether and why it stopped.
 
     While the run goes on, ``graph`` is its live graph, settled at the
     last stage (or at an unchanged successor of it); the run drops it
     when it ends.  ``stop`` is "fixpoint", or the budget that ran out:
-    "stages" or "vertices".
+    "stages" or "vertices".  The stages are kept as the graph's edge and
+    union logs and ``marks``, the graph's mark after each stage.
     """
 
     def __init__(self, word: Word, pres: Presentation):
-        self.graph = LiveGraph.settled(initial_stage(word, pres))
-        self.stages = StageLog(self.graph)
+        self.graph = graph = LiveGraph.settled(initial_stage(word, pres))
+        self.edges, self.unions = graph.edges, graph.unions
+        self.base, self.final = graph.base, graph.final
+        self.marks = [graph.mark()]
         self.closed = False
         self.stop = ""
 
     @property
     def stages_used(self) -> int:
-        return len(self.stages)
+        return len(self.marks)
+
+    def stage(self, i: int) -> InverseAutomaton:
+        """Stage i (from 0, or from the end when negative), rebuilt from
+        the logs' prefixes at its mark by ``munn.quotient`` and not kept.
+        Roots are numbered in ascending id order, a monotone map, so the
+        stage is numbered as refolding every stage in full numbers it."""
+        m = self.marks[i]
+        return quotient(m.ids, self.edges[:m.edges], self.unions[:m.unions],
+                        self.base, self.final)
 
     @property
     def last(self) -> InverseAutomaton:
-        return self.stages[-1]
+        return self.stage(-1)
 
     def vertex_counts(self) -> list:
-        return [m.vertices for m in self.stages.marks]
+        return [m.vertices for m in self.marks]
 
     def advance(self, pres: Presentation, max_vertices: int) -> bool:
         """Build the next stage; False when the run stops at it.
@@ -256,7 +238,7 @@ class StageTrace:
         stage would carry the adjoined path, or the merged pair, back into
         this stage.  Hence the fixpoint test is that the logs did not grow.
         """
-        marks = self.stages.marks
+        marks = self.marks
         graph = stephen_step(self.graph, pres,
                              marks[-2] if len(marks) > 1 else None)
         mark, last = graph.mark(), marks[-1]
@@ -373,8 +355,7 @@ def presented_table(pres: Presentation) -> FiniteSemigroup:
     words: dict = {}
 
     def classify(w: Word):
-        trace = stephen_run(w, pres, max_stages=LIMITS["stephen_stages"],
-                            max_vertices=LIMITS["stephen_vertices"])
+        trace = stephen_run(w, pres)
         if not trace.closed:
             raise RuntimeError(
                 f"trace of {format_word(w, pres.alphabet)!r} did not close; "

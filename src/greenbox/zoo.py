@@ -12,9 +12,9 @@ import random
 import re
 from typing import Iterable, Optional, Sequence
 
-from .engine import (BallEnumeration, FiniteSemigroup, Oracle, Witnesses,
-                     adjoin_identity, ball_enumerate, direct_product,
-                     enumerate_oracle)
+from .engine import (BallEnumeration, FiniteSemigroup, Oracle,
+                     adjoin_identity, ball_enumerate, ball_witnesses,
+                     direct_product, enumerate_oracle, witnessed_green)
 from .limits import LIMITS, at_least, need
 from .munn import FisTriple, triple_inverse, triple_multiply
 
@@ -141,7 +141,9 @@ class PWindow:
     """A finite window of P = (Z, o) usable as an identity-check structure.
 
     The operation is total on Z so term evaluation never leaves the
-    semigroup; the window only bounds the assignments quantified over.
+    semigroup; the window only bounds the assignments quantified over.  It
+    is also the one-radius ball of ``engine.witnessed_green`` and
+    ``engine.ball_witnesses``: unclosed, unlabelled, all of length 1.
     """
 
     def __init__(self, n: int):
@@ -153,6 +155,22 @@ class PWindow:
 
     mult = staticmethod(p_mult)
     unary = staticmethod(p_unary)
+    oracle = Oracle(p_mult)
+    radius, closed, words = 1, False, None
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    @property
+    def lengths(self) -> list:
+        return [1] * len(self)
+
+    def extend(self, k: int) -> "PWindow":
+        """The window k times as wide, as a pool of witness multipliers,
+        within the ``pool_elements`` limit."""
+        need("pool_elements", 2 * k * self.n + 1, "witnessed analysis needs "
+             "{amount} multipliers, over the budget of {limit}")
+        return PWindow(k * self.n)
 
     @staticmethod
     def row(m: int, ns: Sequence[int]) -> list:
@@ -184,48 +202,23 @@ class PWindow:
         return f"PWindow({self.n})"
 
 
-def p_witnesses(window: int,
-                margin: int = LIMITS["witness_margin"]) -> Witnesses:
-    """Witness searches in P with the unlabelled multipliers
-    [-margin*window, margin*window], all usable at the window's one radius
-    (on balls, a multiplier of length l is usable from radius
-    ceil(l / margin)).  A pool over the ``pool_elements`` limit raises
-    BudgetError before it is built.
-    """
-    at_least("margin", margin)
-    reach = margin * window
-    need("pool_elements", 2 * reach + 1, "witnessed analysis needs {amount} "
-         "multipliers, over the budget of {limit}")
-    return Witnesses(Oracle(p_mult), range(-reach, reach + 1))
-
-
 def p_witnessed_related(a: int, b: int, relation: str, window: int,
                         margin: int = LIMITS["witness_margin"]
                         ) -> Optional[dict]:
-    """Witnesses in P that a and b are related, or None: one query of a
-    fresh ``p_witnesses``."""
-    return p_witnesses(window, margin).related(a, b, relation)
+    """Witnesses in P that a and b are related, or None: one query of the
+    window's fresh ``engine.ball_witnesses``."""
+    return ball_witnesses(PWindow(window), margin).related(a, b, relation)
 
 
 def p_window_green_counts(window: int, relation: str,
                           margin: int = LIMITS["witness_margin"]) -> int:
-    """Number of witnessed classes among the window elements: the
-    one-radius adapter of ``engine.Witnesses.partition``.  The elements
-    [-window, window] enter at radius 1 and the multipliers
-    [-margin*window, margin*window] are usable from radius 1; on balls an
-    element enters at its word length and a multiplier of length l is
-    usable from radius ceil(l / margin).  The source pairs against the
-    ``witness_pairs`` limit, then the pool, are checked before any list is
-    built.
-    """
+    """Number of witnessed classes among the window elements.  D's sources
+    are the whole pool, whose pairs are checked before its size is."""
     at_least("margin", margin)
-    reach = margin * window
-    sources = 2 * (reach if relation.upper() == "D" else window) + 1
-    need("witness_pairs", sources ** 2)
-    counts, _ = p_witnesses(window, margin).partition(
-        range(-window, window + 1), [1] * (2 * window + 1),
-        [1] * (2 * reach + 1), relation, 1)
-    return counts[1]
+    if relation.upper() == "D":
+        need("witness_pairs", (2 * margin * window + 1) ** 2)
+    return witnessed_green(PWindow(window), relation,
+                           margin).counts_by_radius[1]
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +273,7 @@ def transformation_semigroup(n: int, maps: Iterable[Sequence[int]]):
     for m in maps:
         if len(m) != n or any(not (0 <= x < n) for x in m):
             raise ValueError("maps must be total on the domain")
-    return enumerate_oracle(transformation_oracle(n), maps,
-                            max_elements=LIMITS["closure_elements"])
+    return enumerate_oracle(transformation_oracle(n), maps)
 
 
 def random_transformation_semigroup(n: int, seed: int, k: int):

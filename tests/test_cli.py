@@ -238,6 +238,9 @@ def test_green_refusals_exit_2(tmp_path, capsys):
     for argv, message in (
             (["pz:100000000"], cells.format(200000001 ** 2)),
             (["pz:100000000", "--relation", "L"], cells.format(200000001 ** 2)),
+            # D's sources are the pool of 120001 multipliers, which is over
+            # its own limit too: the source pairs are checked first.
+            (["pz:20000", "--relation", "D"], cells.format(120001 ** 2)),
             (["pz:5", "--margin", "100000000", "--relation", "L"],
              "witnessed analysis needs 1000000001 multipliers, "
              "over the budget of 100000"),
@@ -496,6 +499,18 @@ def test_identity_raw_text(capsys):
     code, out, _ = run(capsys, "identity", "b2", "x x' x = x")
     assert code == 0
     assert "holds" in out
+
+
+def test_identity_digits_are_ascii(capsys):
+    # Other decimal digits used to be read by int(), or to fail in it.
+    prefix = "error: neither a catalogue key nor an identity: "
+    power = "expected digits after '^' (at position 2)"
+    square = "unexpected '\u00b2' (at position 1)"
+    for text, reason in (("x^\u00b2 = x", power), ("x^\u0663 = x", power),
+                         ("x\u00b2 = x", square),
+                         ("c\u0663", "an identity has exactly one '='")):
+        assert run(capsys, "identity", "b2", text) == (
+            2, "", f"{prefix}{reason}\n")
 
 
 def test_identity_bad_key(capsys):

@@ -1089,7 +1089,7 @@ def test_shared_witnesses_match_reference_on_bicyclic_balls(
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.integers(1, 6), st.integers(1, 3))
 def test_shared_witnesses_match_reference_on_p_windows(data, window, margin):
-    witnesses = zoo.p_witnesses(window, margin)
+    witnesses = ball_witnesses(zoo.PWindow(window), margin)
     pool = [(u, None) for u in range(-margin * window, margin * window + 1)]
     elements = range(-window, window + 1)
     for a, b, relation in data.draw(witness_queries(elements)):
@@ -1184,7 +1184,7 @@ def test_witnesses_lie_within_witnessed_classes_on_balls(data, margin, spec):
 @given(st.data(), st.integers(1, 6), st.integers(1, 3))
 def test_witnesses_lie_within_witnessed_classes_on_p_windows(data, window,
                                                              margin):
-    witnesses = zoo.p_witnesses(window, margin)
+    witnesses = ball_witnesses(zoo.PWindow(window), margin)
     elements = range(-window, window + 1)
     classes = {rel: witnesses.partition(
         elements, [1] * len(elements), [1] * len(witnesses.pool), rel, 1)[1]
@@ -1192,6 +1192,27 @@ def test_witnesses_lie_within_witnessed_classes_on_p_windows(data, window,
     assert_witnesses_within_classes(
         zoo.p_mult, None, witnesses, elements, classes,
         data.draw(index_queries(len(elements))))
+
+
+def test_p_windows_are_one_radius_balls():
+    # A window goes through the ball adapters: its one radius gives the
+    # counts of p_window_green_counts and the per-radius reference, and the
+    # multipliers are the window margin times as wide, unlabelled.
+    for window in range(1, 13):
+        ball = zoo.PWindow(window)
+        for margin in (1, 2, 3):
+            reach = margin * window
+            witnesses = ball_witnesses(ball, margin)
+            assert (witnesses.pool, witnesses.labels) == (
+                range(-reach, reach + 1), None)
+            for relation in RELATIONS:
+                wg = witnessed_green(ball, relation, margin)
+                count = zoo.p_window_green_counts(window, relation, margin)
+                assert (wg.counts_by_radius, wg.apparently_infinite,
+                        wg.certified) == ({1: count}, False, False)
+                assert ((wg.counts_by_radius, wg.classes,
+                         wg.apparently_infinite, wg.certified)
+                        == reference_witnessed_green(ball, relation, margin))
 
 
 # isomorphism

@@ -59,6 +59,20 @@ def test_parse_rejects_garbage():
         parse_identity("x = y = z")
 
 
+def test_digits_are_ascii():
+    # A power, a variable name and a catalogue parameter read 0-9 only: a
+    # superscript, an Arabic-Indic or a fullwidth digit is none of them.
+    assert parse_term("x12^10") == parse_term("(x12)^10")
+    for text in ("x^\u00b2", "x^\u0663", "x^-\uff13"):
+        with pytest.raises(ValueError, match="expected digits after"):
+            parse_term(text)
+    with pytest.raises(ValueError, match="unexpected '\u00b2' .at position 1"):
+        parse_term("x\u00b2")
+    for key in ("c\u0663", "x\u0663-in-g", "burnside-\u0662-2", "nil-\uff13"):
+        with pytest.raises(KeyError):
+            catalogue_entry(key)
+
+
 def test_parse_caps_term_size():
     # x^128 has 128 variables and 127 products: 255 nodes.
     assert str(parse_term("x^128")) == " ".join(["x"] * 128)

@@ -1,12 +1,11 @@
+import functools
 import random
-from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from greenbox import stephen, zoo
 from greenbox.engine import green_scc, iso_tables
-from greenbox.limits import LIMITS
 from greenbox.munn import (InverseAutomaton, LiveGraph, canonical_key,
                            fis_equal, fold, munn_tree, to_dot)
 from greenbox.stephen import (Presentation, StageTrace, accepts,
@@ -233,7 +232,7 @@ def test_empty_word_needs_monoid_mode():
 def test_empty_word_in_monoid_mode():
     pres = parse_presentation(M_TEXT)
     trace = stephen_run((), pres, max_stages=4)
-    assert trace.stages[0].n == 1
+    assert trace.stage(0).n == 1
 
 
 # acceptance
@@ -259,7 +258,8 @@ def test_acceptance_is_monotone_along_stages():
     trace = stephen_run((B,), pres, max_stages=6)
     rng = random.Random(9)
     probes = [rand_word(rng, 2, 6) for _ in range(60)]
-    for earlier, later in zip(trace.stages, trace.stages[1:]):
+    stages = [trace.stage(i) for i in range(trace.stages_used)]
+    for earlier, later in zip(stages, stages[1:]):
         for w in probes:
             if reads(earlier, w):
                 assert reads(later, w)
@@ -352,8 +352,8 @@ def test_stagewise_graphs_of_b_and_ab_differ():
     t0 = stephen_run((B,), pres, max_stages=5)
     t1 = stephen_run((A, B), pres, max_stages=5)
     for k in range(2, 5):
-        s0 = canonical_key(t0.stages[k], pointed=False)
-        s1 = canonical_key(t1.stages[k], pointed=False)
+        s0 = canonical_key(t0.stage(k), pointed=False)
+        s1 = canonical_key(t1.stage(k), pointed=False)
         assert s0 != s1
 
 
@@ -385,7 +385,7 @@ def test_signature_count_matches_engine_d_count():
 
 def test_presented_table_raises_on_infinite():
     pres = parse_presentation(M_TEXT)
-    with patch.dict(LIMITS, stephen_stages=6), pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError):
         presented_table(pres)
 
 
@@ -485,14 +485,14 @@ def test_presented_table_matches_reference(text):
     (M_TEXT, {"max_stages": 6}),
     ("inv-semigroup a", {}),        # infinite, and every trace closes
 ])
-def test_presented_table_errors_match_reference(text, kwargs):
+def test_presented_table_errors_match_reference(text, kwargs, monkeypatch):
     pres = parse_presentation(text)
     with pytest.raises(RuntimeError) as ref:
         reference_presented_table(pres, **kwargs)
-    # Each budget keyword names the ledger entry stephen_<name>.
-    ledger = {"stephen_" + k[len("max_"):]: v for k, v in kwargs.items()}
-    assert set(ledger) <= set(LIMITS)
-    with patch.dict(LIMITS, ledger), pytest.raises(RuntimeError) as new:
+    # presented_table runs stephen_run at its default budgets.
+    monkeypatch.setattr(stephen, "stephen_run",
+                        functools.partial(stephen_run, **kwargs))
+    with pytest.raises(RuntimeError) as new:
         presented_table(pres)
     assert str(new.value) == str(ref.value)
 
@@ -615,9 +615,11 @@ def assert_same_trace(u, pres, max_stages, max_vertices):
                         max_vertices=max_vertices)
     stages, stop = reference_run(u, pres, max_stages, max_vertices)
     assert (trace.closed, trace.stop) == (stop == "fixpoint", stop)
-    assert ([(a.n, a.edges, a.base, a.final) for a in trace.stages]
+    used = trace.stages_used
+    assert ([(a.n, a.edges, a.base, a.final)
+             for a in map(trace.stage, range(used))]
             == [(a.n, a.edges, a.base, a.final) for a in stages])
-    for stage in trace.stages[-2:]:
+    for stage in map(trace.stage, range(max(used - 2, 0), used)):
         assert canonical_key(stage) == flat(reference_key(stage))
         assert (canonical_key(stage, pointed=False)
                 == flat(reference_key(stage, False)))

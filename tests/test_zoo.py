@@ -5,8 +5,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from greenbox import zoo
 from greenbox.munn import FisTriple
-from greenbox.engine import (BudgetError, FiniteSemigroup, green_definitional,
-                             green_scc, iso_tables, direct_product)
+from greenbox.engine import (BudgetError, FiniteSemigroup, ball_witnesses,
+                             green_definitional, green_scc, iso_tables,
+                             direct_product)
 from test_munn import triple_inverted, triple_span, triple_times
 
 
@@ -193,7 +194,7 @@ def test_p_witnessed_window_counts():
             zoo.p_window_green_counts(5, "L", margin=margin)
     # The searches' pool is refused before its position dict is built.
     with pytest.raises(BudgetError, match="needs 600000001 multipliers"):
-        zoo.p_witnesses(10 ** 8)
+        ball_witnesses(zoo.PWindow(10 ** 8))
 
 
 def test_p_witnessed_matches_closed_form():
